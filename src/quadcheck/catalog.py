@@ -1,10 +1,12 @@
 """Built-in verification cases.
 
-Each case packages one worked instance of the kernel identities exactly as
-printed in its source normalization (half-line forms carry the 4a(1+a^2)
-factor, full-line forms 2a(1+a^2)), together with its closed form, parameter
-constraints, and the reference check value where one exists.  Cross-links to
-the master identity live in the test suite, not here.
+Five cases are instances of the master identity and are pure data: a
+transform F, the kernel parameter, and the scale of the printed form
+against the full-line master integral (1/2 for half-line forms, 1 for the
+full-line one, 4/pi for the sech specialization written in x = y/pi).  Both
+sides come from the one folded half-line path in ``kernel``.  The zeta
+contour is not a master instance and keeps its own integrand and closed
+form.
 """
 
 from __future__ import annotations
@@ -12,31 +14,27 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from . import numerics
-from .errors import NonConvergenceError, ParameterError, UnknownCaseError
+from .errors import ParameterError, UnknownCaseError
 from .kernel import (
     DEFAULT_TOLERANCE,
     KernelParams,
+    TransformFunction,
     VerificationReport,
-    kernel_weight,
+    master_integral,
+    master_rhs,
+    require_converged,
 )
 from .numerics import AccuracyWarning
-from .quadrature import (
-    Integrand,
-    QuadratureOptions,
-    QuadratureResult,
-    integrate_finite,
-    integrate_half_line,
-    integrate_real_line,
-    with_truncation,
-)
+from .quadrature import QuadratureOptions, QuadratureResult, integrate_finite
 
 __all__ = ["CaseDefinition", "list_cases", "get_case", "run_case", "CATALOG_ORDER"]
 
 Params = Mapping[str, complex]
+Transform = Callable[[complex], complex]
 
 #: First ordinates of nontrivial zeta zeros; the contour case warns when its
 #: argument parabola passes close to one of them (denominator accuracy).
@@ -54,25 +52,24 @@ _ZETA_ZERO_WARN_DISTANCE = 0.05
 class CaseDefinition:
     """A runnable verification case.
 
-    ``make_integrand`` builds the left-side integrand from validated
-    parameters; ``closed_form`` the right side.  ``validate`` normalizes a
-    raw parameter map and raises ParameterError on constraint violations.
-    ``run_lhs`` overrides the generic domain dispatch for cases that manage
-    their own truncation (the contour case).
+    ``validate`` normalizes a raw parameter map and raises ParameterError
+    on constraint violations.  ``transform`` builds the Schwarz-symmetric
+    transform F from validated parameters; the case's left side is
+    ``scale`` times the full-line master integral of F at kernel parameter
+    ``kernel_a`` (the case's own ``a`` when None), and its right side is
+    ``scale`` times the master closed form.  ``transform`` is None only for
+    the zeta contour, which is not a master instance.
     """
 
     case_id: str
-    domain: str  # "half-line" | "real-line" | "imaginary-axis"
     param_names: tuple[str, ...]
     defaults: Mapping[str, complex]
     constraints: str
     notes: str
-    reference_check: tuple[Mapping[str, complex], complex] | None
-    make_integrand: Callable[[Params], Integrand]
-    closed_form: Callable[[Params], complex]
     validate: Callable[[dict[str, complex]], dict[str, complex]]
-    is_experimental: Callable[[Params], bool]
-    run_lhs: Callable[[Params, QuadratureOptions], QuadratureResult] | None = None
+    transform: Callable[[Params], Transform] | None
+    scale: float = 0.5  # the half-line printed forms
+    kernel_a: complex | None = None
 
 
 def _as_complex(value) -> complex:
@@ -105,21 +102,6 @@ def _require_nonzero(params: dict, name: str) -> complex:
     return v
 
 
-def _complex_a_experimental(params: Params) -> bool:
-    a = complex(params["a"])
-    return not (a.imag == 0.0 and a.real > 0.0)
-
-
-def _ln_sq(a: complex) -> complex:
-    ln_a = cmath.log(a)
-    return ln_a * ln_a
-
-
-_QUARTER_PI_SQ = math.pi * math.pi / 4.0
-
-
-# --- rational: transform 1/(k+b) ------------------------------------------
-
 def _rational_validate(params: dict) -> dict:
     _require_nonzero(params, "a")
     # the b -> 0 limit differs from b = 0, so zero and negative b are refused
@@ -127,79 +109,16 @@ def _rational_validate(params: dict) -> dict:
     return params
 
 
-def _rational_integrand(params: Params) -> Integrand:
-    kp = KernelParams(params["a"])
-    b = params["b"].real
-    c1 = 2.0 * b + math.pi * math.pi
-
-    def f(x: float) -> complex:
-        x2 = x * x
-        return (x2 + b) / (x2 * x2 + c1 * x2 + b * b) * kernel_weight(kp, x)
-
-    return f
-
-
-def _rational_closed_form(params: Params) -> complex:
-    a = complex(params["a"])
-    b = params["b"].real
-    return math.pi / (4.0 * a * (1.0 + a * a) * (b + _QUARTER_PI_SQ + _ln_sq(a)))
-
-
-# --- bessel: transform 1/sqrt(1+k^2) --------------------------------------
-
 def _bessel_validate(params: dict) -> dict:
     _require_nonzero(params, "a")
     return params
 
-
-def _bessel_integrand(params: Params) -> Integrand:
-    kp = KernelParams(params["a"])
-
-    def f(x: float) -> complex:
-        k = complex(x * x, math.pi * x)
-        return kernel_weight(kp, x) / cmath.sqrt(1.0 + k * k)
-
-    return f
-
-
-def _bessel_closed_form(params: Params) -> complex:
-    a = complex(params["a"])
-    s = _QUARTER_PI_SQ + _ln_sq(a)
-    return math.pi / (2.0 * a * (1.0 + a * a) * cmath.sqrt(1.0 + s * s))
-
-
-# --- gaussian: transform exp(-b k^2) ---------------------------------------
 
 def _gaussian_validate(params: dict) -> dict:
     _require_nonzero(params, "a")
     _require_real_positive(params, "b")
     return params
 
-
-def _gaussian_integrand(params: Params) -> Integrand:
-    kp = KernelParams(params["a"])
-    b = params["b"].real
-    pi2 = math.pi * math.pi
-
-    def f(x: float) -> complex:
-        x2 = x * x
-        return (
-            math.exp(-b * x2 * (x2 - pi2))
-            * math.cos(2.0 * b * math.pi * x2 * x)
-            * kernel_weight(kp, x)
-        )
-
-    return f
-
-
-def _gaussian_closed_form(params: Params) -> complex:
-    a = complex(params["a"])
-    b = params["b"].real
-    s = _QUARTER_PI_SQ + _ln_sq(a)
-    return cmath.exp(-b * s * s) * math.pi / (4.0 * a * (1.0 + a * a))
-
-
-# --- cosine: transform cos(alpha k) ----------------------------------------
 
 def _cosine_validate(params: dict) -> dict:
     _require_nonzero(params, "a")
@@ -209,32 +128,6 @@ def _cosine_validate(params: dict) -> dict:
     # report it, rather than a constraint check hiding the behavior.
     return params
 
-
-def _cosine_integrand(params: Params) -> Integrand:
-    kp = KernelParams(params["a"])
-    alpha = params["alpha"].real
-
-    def f(x: float) -> complex:
-        return (
-            math.cos(alpha * x * x)
-            * math.cosh(alpha * math.pi * x)
-            * kernel_weight(kp, x)
-        )
-
-    return f
-
-
-def _cosine_closed_form(params: Params) -> complex:
-    a = complex(params["a"])
-    alpha = params["alpha"].real
-    return (
-        math.pi
-        * cmath.cos(alpha * (_QUARTER_PI_SQ + _ln_sq(a)))
-        / (4.0 * a * (1.0 + a * a))
-    )
-
-
-# --- gamma: transform 1/gamma(4 a k / pi^2 + b) at the sech specialization --
 
 def _gamma_validate(params: dict) -> dict:
     a = _require_real(params, "a")
@@ -246,19 +139,29 @@ def _gamma_validate(params: dict) -> dict:
     return params
 
 
-def _gamma_integrand(params: Params) -> Integrand:
-    a = params["a"].real
-    b = params["b"].real
-
-    def f(x: float) -> complex:
-        z = complex(4.0 * a * x * x + b, 4.0 * a * x)
-        return numerics.reciprocal_gamma(z) / math.cosh(math.pi * x)
-
-    return f
+def _rational(p: Params) -> Transform:
+    b = p["b"].real
+    return lambda k: 1.0 / (k + b)
 
 
-def _gamma_closed_form(params: Params) -> complex:
-    return numerics.reciprocal_gamma(complex(params["a"].real + params["b"].real))
+def _bessel(p: Params) -> Transform:
+    return lambda k: 1.0 / cmath.sqrt(1.0 + k * k)
+
+
+def _gaussian(p: Params) -> Transform:
+    b = p["b"].real
+    return lambda k: cmath.exp(-b * k * k)
+
+
+def _cosine(p: Params) -> Transform:
+    alpha = p["alpha"].real
+    return lambda k: cmath.cos(alpha * k)
+
+
+def _gamma(p: Params) -> Transform:
+    c = 4.0 * p["a"].real / (math.pi * math.pi)
+    b = p["b"].real
+    return lambda k: numerics.reciprocal_gamma(c * k + b)
 
 
 # --- zeta: contour integral on the imaginary axis --------------------------
@@ -290,7 +193,7 @@ def _zeta_truncation(x: float, abs_tol: float) -> float:
     return 40.0
 
 
-def _zeta_integrand(params: Params) -> Integrand:
+def _zeta_integrand(params: Params) -> Callable[[float], complex]:
     n = int(params["n"].real)
     x = params["x"].real
     a = params["a"].real
@@ -328,8 +231,12 @@ def _zeta_warn_near_zero(a: float, T: float) -> None:
 
     The squared distance to a zero 1/2 + i g is minimized where
     8 a t^3 + (4a - 1) t - g = 0; Newton from t = g/(4a) converges in a
-    few steps since the cubic is increasing there.
+    few steps since the cubic is increasing there.  On [0, T] the parabola
+    stays within 4a(T^2 + T) of the origin, so when that is short of the
+    first zero no search is needed (and none overflows at tiny a).
     """
+    if 4.0 * a * T * (T + 1.0) < _ZETA_ZERO_ORDINATES[0] - _ZETA_ZERO_WARN_DISTANCE:
+        return
     closest = math.inf
     for g in _ZETA_ZERO_ORDINATES:
         t = g / (4.0 * a)
@@ -354,147 +261,105 @@ def _zeta_warn_near_zero(a: float, T: float) -> None:
         )
 
 
-def _zeta_run_lhs(params: Params, opts: QuadratureOptions) -> QuadratureResult:
+def _zeta_lhs(params: Params, opts: QuadratureOptions) -> QuadratureResult:
+    """Contour integral over [-T, T] as 2 Re f over [0, T].
+
+    The integrand is conjugate-even, f(-t) = conj f(t).
+    """
     T = _zeta_truncation(params["x"].real, opts.abs_tol)
     if int(params["n"].real) > 0:
         _zeta_warn_near_zero(params["a"].real, T)
-    result = integrate_finite(_zeta_integrand(params), -T, T, opts)
-    return with_truncation(result, T)
+    f = _zeta_integrand(params)
+    result = integrate_finite(lambda t: 2.0 * f(t).real, 0.0, T, opts)
+    return replace(result, truncation_used=T)
 
 
 # --- catalog ----------------------------------------------------------------
 
-_CASES: dict[str, CaseDefinition] = {}
-
-
-def _register(case: CaseDefinition) -> None:
-    _CASES[case.case_id] = case
-
-
-_register(
-    CaseDefinition(
-        case_id="rational",
-        domain="half-line",
-        param_names=("a", "b"),
-        defaults={"a": complex(0.7), "b": complex(2.0)},
-        constraints="a nonzero (real a > 0 canonical); b real > 0",
-        notes=(
-            "Transform 1/(k+b).  b <= 0 is rejected: the b -> 0 limit of the "
-            "integral differs from its value at b = 0."
+_CASES = {
+    case.case_id: case
+    for case in (
+        CaseDefinition(
+            case_id="rational",
+            param_names=("a", "b"),
+            defaults={"a": complex(0.7), "b": complex(2.0)},
+            constraints="a nonzero (real a > 0 canonical); b real > 0",
+            notes=(
+                "Transform 1/(k+b).  b <= 0 is rejected: the b -> 0 limit of the "
+                "integral differs from its value at b = 0."
+            ),
+            validate=_rational_validate,
+            transform=_rational,
         ),
-        reference_check=({"a": complex(0.7), "b": complex(2.0)}, complex(0.163891)),
-        make_integrand=_rational_integrand,
-        closed_form=_rational_closed_form,
-        validate=_rational_validate,
-        is_experimental=_complex_a_experimental,
+        CaseDefinition(
+            case_id="bessel",
+            param_names=("a",),
+            defaults={"a": complex(7.0)},
+            constraints="a nonzero (real a > 0 canonical)",
+            notes=(
+                "Transform 1/sqrt(1+k^2) (principal square root).  The reference "
+                "check value 0.000708622 matches a=7, not the printed a=0.7: at "
+                "a=0.7 the closed form evaluates to about 0.5416121940."
+            ),
+            validate=_bessel_validate,
+            transform=_bessel,
+            scale=1.0,
+        ),
+        CaseDefinition(
+            case_id="gaussian",
+            param_names=("a", "b"),
+            defaults={"a": complex(0.3), "b": complex(0.3)},
+            constraints="a nonzero (real a > 0 canonical); b real > 0",
+            notes="Transform exp(-b k^2).",
+            validate=_gaussian_validate,
+            transform=_gaussian,
+        ),
+        CaseDefinition(
+            case_id="cosine",
+            param_names=("alpha", "a"),
+            defaults={"alpha": complex(0.1), "a": complex(1.0, 2.0)},
+            constraints=(
+                "alpha real with alpha*pi <= 1 for convergence; a nonzero "
+                "(complex a experimental)"
+            ),
+            notes=(
+                "Transform cos(alpha k).  For alpha*pi > 1 the integrand grows "
+                "like exp((alpha*pi-1)x) and the run ends with a divergence "
+                "error instead of a number."
+            ),
+            validate=_cosine_validate,
+            transform=_cosine,
+        ),
+        CaseDefinition(
+            case_id="gamma",
+            param_names=("a", "b"),
+            defaults={"a": complex(0.5), "b": complex(1.0)},
+            constraints="a real >= 0; b real",
+            notes=(
+                "Transform 1/gamma(4 a k / pi^2 + b) at the sech specialization, "
+                "rescaled x -> x/pi; the closed form is 1/gamma(a+b)."
+            ),
+            validate=_gamma_validate,
+            transform=_gamma,
+            scale=4.0 / math.pi,
+            kernel_a=1.0,
+        ),
+        CaseDefinition(
+            case_id="zeta",
+            param_names=("n", "x", "a"),
+            defaults={"n": complex(1.0), "x": complex(0.5), "a": complex(2.0)},
+            constraints="n integer in 0..4; 0 < x < 1 real; a real > 0",
+            notes=(
+                "Contour integral over the imaginary axis, parametrized s = i t. "
+                "n is restricted to 0..4.  At a = 1 the closed form is 0 because "
+                "the zeta factor in its denominator diverges while the contour "
+                "side stays regular."
+            ),
+            validate=_zeta_validate,
+            transform=None,
+        ),
     )
-)
-
-_register(
-    CaseDefinition(
-        case_id="bessel",
-        domain="real-line",
-        param_names=("a",),
-        defaults={"a": complex(7.0)},
-        constraints="a nonzero (real a > 0 canonical)",
-        notes=(
-            "Transform 1/sqrt(1+k^2) (principal square root).  The reference "
-            "check value 0.000708622 matches a=7, not the printed a=0.7: at "
-            "a=0.7 the closed form evaluates to about 0.5416121940."
-        ),
-        reference_check=({"a": complex(7.0)}, complex(0.000708622)),
-        make_integrand=_bessel_integrand,
-        closed_form=_bessel_closed_form,
-        validate=_bessel_validate,
-        is_experimental=_complex_a_experimental,
-    )
-)
-
-_register(
-    CaseDefinition(
-        case_id="gaussian",
-        domain="half-line",
-        param_names=("a", "b"),
-        defaults={"a": complex(0.3), "b": complex(0.3)},
-        constraints="a nonzero (real a > 0 canonical); b real > 0",
-        notes="Transform exp(-b k^2).",
-        reference_check=(
-            {"a": complex(0.3), "b": complex(0.3)},
-            complex(0.0240764),
-        ),
-        make_integrand=_gaussian_integrand,
-        closed_form=_gaussian_closed_form,
-        validate=_gaussian_validate,
-        is_experimental=_complex_a_experimental,
-    )
-)
-
-_register(
-    CaseDefinition(
-        case_id="cosine",
-        domain="half-line",
-        param_names=("alpha", "a"),
-        defaults={"alpha": complex(0.1), "a": complex(1.0, 2.0)},
-        constraints=(
-            "alpha real with alpha*pi <= 1 for convergence; a nonzero "
-            "(complex a experimental)"
-        ),
-        notes=(
-            "Transform cos(alpha k).  For alpha*pi > 1 the integrand grows "
-            "like exp((alpha*pi-1)x) and the run ends with a divergence "
-            "error instead of a number."
-        ),
-        reference_check=(
-            {"alpha": complex(0.1), "a": complex(1.0, 2.0)},
-            complex(-0.0783703, 0.00264214),
-        ),
-        make_integrand=_cosine_integrand,
-        closed_form=_cosine_closed_form,
-        validate=_cosine_validate,
-        is_experimental=_complex_a_experimental,
-    )
-)
-
-_register(
-    CaseDefinition(
-        case_id="gamma",
-        domain="real-line",
-        param_names=("a", "b"),
-        defaults={"a": complex(0.5), "b": complex(1.0)},
-        constraints="a real >= 0; b real",
-        notes=(
-            "Transform 1/gamma(4 a k / pi^2 + b) at the sech specialization, "
-            "rescaled x -> x/pi; the closed form is 1/gamma(a+b)."
-        ),
-        reference_check=None,
-        make_integrand=_gamma_integrand,
-        closed_form=_gamma_closed_form,
-        validate=_gamma_validate,
-        is_experimental=lambda params: False,
-    )
-)
-
-_register(
-    CaseDefinition(
-        case_id="zeta",
-        domain="imaginary-axis",
-        param_names=("n", "x", "a"),
-        defaults={"n": complex(1.0), "x": complex(0.5), "a": complex(2.0)},
-        constraints="n integer in 0..4; 0 < x < 1 real; a real > 0",
-        notes=(
-            "Contour integral over the imaginary axis, parametrized s = i t. "
-            "n is restricted to 0..4.  At a = 1 the closed form is 0 because "
-            "the zeta factor in its denominator diverges while the contour "
-            "side stays regular."
-        ),
-        reference_check=None,
-        make_integrand=_zeta_integrand,
-        closed_form=_zeta_closed_form,
-        validate=_zeta_validate,
-        is_experimental=lambda params: False,
-        run_lhs=_zeta_run_lhs,
-    )
-)
+}
 
 CATALOG_ORDER = ("rational", "bessel", "gaussian", "cosine", "gamma", "zeta")
 
@@ -536,21 +401,17 @@ def run_case(
             merged[name] = _as_complex(value)
     clean = case.validate(merged)
 
-    if case.run_lhs is not None:
-        lhs_result = case.run_lhs(clean, opts)
-    elif case.domain == "half-line":
-        lhs_result = integrate_half_line(case.make_integrand(clean), opts)
+    what = f"case {case_id!r}"
+    if case.transform is None:
+        lhs_result = require_converged(_zeta_lhs(clean, opts), what)
+        rhs = _zeta_closed_form(clean)
+        experimental = False
     else:
-        lhs_result = integrate_real_line(case.make_integrand(clean), opts)
-    if not lhs_result.converged:
-        raise NonConvergenceError(
-            f"case {case_id!r} did not converge (error estimate "
-            f"{lhs_result.error_estimate:.3e} after {lhs_result.evaluations} "
-            "evaluations)",
-            result=lhs_result,
-        )
-
-    rhs = case.closed_form(clean)
+        F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
+        kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
+        lhs_result = require_converged(master_integral(F, kp, opts, case.scale), what)
+        rhs = case.scale * master_rhs(F, kp)
+        experimental = not kp.is_real_positive
     return VerificationReport.from_sides(
         case_name=case_id,
         params=clean,
@@ -558,6 +419,6 @@ def run_case(
         rhs=rhs,
         tolerance=tolerance,
         diagnostics=lhs_result,
-        experimental=case.is_experimental(clean),
+        experimental=experimental,
         notes=case.notes,
     )

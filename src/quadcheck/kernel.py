@@ -10,6 +10,11 @@ The kernel is ``cosh x / (1 + 2 a^2 cosh 2x + a^4)``, which factors as
   against the kernel equals ``pi F(pi^2/4 + ln^2 a) / (2 a (1 + a^2))``
   for any admissible transform F;
 * its a = 1 specialization, where the kernel collapses to ``sech(x)/4``.
+
+The kernel is even and ``k(-x) = conj k(x)`` for ``k(x) = x^2 + i pi x``,
+so every master-identity integral is taken on one path: the half-line
+integral of ``(F(k) + F(conj k)) K``, which is ``2 Re F(k) K`` for
+Schwarz-symmetric F.
 """
 
 from __future__ import annotations
@@ -20,12 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import DomainError, NonConvergenceError
-from .quadrature import (
-    QuadratureOptions,
-    QuadratureResult,
-    integrate_half_line,
-    integrate_real_line,
-)
+from .quadrature import QuadratureOptions, QuadratureResult, integrate_half_line
 
 __all__ = [
     "KernelParams",
@@ -86,7 +86,10 @@ class TransformFunction:
 
     ``schwarz_symmetric`` asserts F(conj k) = conj F(k); that holds for
     Laplace images of real-valued functions and makes the full-line
-    integrals real for real a.
+    integrals real for real a.  It also selects how the folded integrand is
+    formed: ``2 Re F(k)`` when set, ``F(k) + F(conj k)`` otherwise.  A false
+    assertion therefore makes the left side wrong and the verification
+    fail; leave the flag unset when unsure.
     """
 
     fn: Callable[[complex], complex]
@@ -203,6 +206,17 @@ def seed_rhs(params: KernelParams, t: float) -> complex:
     )
 
 
+def require_converged(result: QuadratureResult, what: str) -> QuadratureResult:
+    """Return ``result``, or raise NonConvergenceError naming ``what``."""
+    if not result.converged:
+        raise NonConvergenceError(
+            f"{what} did not converge (error estimate "
+            f"{result.error_estimate:.3e} after {result.evaluations} evaluations)",
+            result=result,
+        )
+    return result
+
+
 def seed_lhs(
     params: KernelParams, t: float, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
@@ -225,6 +239,35 @@ def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
     return math.pi * F(k0) / (2.0 * _norm_factor(params))
 
 
+def master_integral(
+    F: TransformFunction,
+    params: KernelParams,
+    opts: QuadratureOptions | None = None,
+    scale: float = 1.0,
+) -> QuadratureResult:
+    """``scale`` times the full-line master integral, folded onto [0, inf).
+
+    The scale is applied inside the integrand, so the function integrated
+    is the scaled one.  a = +/- i raises DomainError before any quadrature,
+    inadmissible F raise DivergenceError, and convergence is left for the
+    caller to check.
+    """
+    _norm_factor(params)
+    if F.schwarz_symmetric:
+        w = 2.0 * scale
+
+        def f(x: float) -> complex:
+            return w * F(complex(x * x, math.pi * x)).real * kernel_weight(params, x)
+
+    else:
+
+        def f(x: float) -> complex:
+            k = complex(x * x, math.pi * x)
+            return scale * (F(k) + F(k.conjugate())) * kernel_weight(params, x)
+
+    return integrate_half_line(f, opts)
+
+
 def master_lhs(
     F: TransformFunction, params: KernelParams, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
@@ -233,19 +276,7 @@ def master_lhs(
     Raises DivergenceError for inadmissible F (detected empirically) and
     NonConvergenceError if the quadrature budget is exhausted first.
     """
-
-    def f(x: float) -> complex:
-        return F(complex(x * x, math.pi * x)) * kernel_weight(params, x)
-
-    result = integrate_real_line(f, opts)
-    if not result.converged:
-        raise NonConvergenceError(
-            "master-identity integral did not converge "
-            f"(error estimate {result.error_estimate:.3e} after "
-            f"{result.evaluations} evaluations)",
-            result=result,
-        )
-    return result
+    return require_converged(master_integral(F, params, opts), "master-identity integral")
 
 
 def verify_master(
@@ -283,13 +314,7 @@ def verify_seed(
 ) -> VerificationReport:
     """Evaluate both sides of the seed identity and compare."""
     params = KernelParams(a)
-    lhs_result = seed_lhs(params, t, opts)
-    if not lhs_result.converged:
-        raise NonConvergenceError(
-            "seed-identity integral did not converge "
-            f"(error estimate {lhs_result.error_estimate:.3e})",
-            result=lhs_result,
-        )
+    lhs_result = require_converged(seed_lhs(params, t, opts), "seed-identity integral")
     rhs = seed_rhs(params, t)
     return VerificationReport.from_sides(
         case_name="kernel",

@@ -1,10 +1,11 @@
 """Adaptive complex-valued quadrature.
 
 A Gauss-Kronrod 7/15 pair with interval bisection handles finite intervals;
-unbounded domains are covered by geometrically growing truncation windows
-whose contributions are monitored directly, which is cheap and honest for
-integrands that decay like exp(-|x|) or faster.  Everything is sequential
-and deterministic: identical inputs produce bit-identical results.
+the half-line is covered by geometrically growing truncation windows whose
+contributions are monitored directly, which is cheap and honest for
+integrands that decay like exp(-|x|) or faster.  The full line is folded
+onto the half-line.  Everything is sequential and deterministic: identical
+inputs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -233,16 +234,13 @@ def integrate_finite(
     return QuadratureResult(value, error, evals, 0.0, converged)
 
 
-def _integrate_unbounded(
-    f: Integrand, opts: QuadratureOptions, symmetric: bool
-) -> QuadratureResult:
-    """Shared driver for half-line and full-line integrals.
+def _integrate_unbounded(f: Integrand, opts: QuadratureOptions) -> QuadratureResult:
+    """Window driver for integrals over [0, infinity).
 
-    The domain is swept window by window: [0, L0] (or [-L0, L0]), then each
-    growth step appends [L, L*growth] and, when symmetric, its mirror image.
-    Iteration stops once the newest window contributes less than a fixed
-    fraction of the tolerance; two consecutive non-shrinking contributions
-    raise DivergenceError instead.
+    The domain is swept window by window: [0, L0], then each growth step
+    appends [L, L*growth].  Iteration stops once the newest window
+    contributes less than a fixed fraction of the tolerance; two
+    consecutive non-shrinking contributions raise DivergenceError instead.
     """
     budget = opts.max_subdivisions
     L0 = opts.initial_truncation
@@ -252,8 +250,7 @@ def _integrate_unbounded(
         return target * _WINDOW_TOL_FRACTION, opts.rel_tol * _WINDOW_TOL_FRACTION
 
     a_tol, r_tol = window_tols(0j)
-    first_lo = -L0 if symmetric else 0.0
-    value, error, evals, used, ok = _adaptive(f, first_lo, L0, a_tol, r_tol, budget)
+    value, error, evals, used, ok = _adaptive(f, 0.0, L0, a_tol, r_tol, budget)
     budget -= used
     all_converged = ok
     # the initial window participates in the divergence chain but never in
@@ -276,13 +273,6 @@ def _integrate_unbounded(
         v, e, n, used, ok = _adaptive(f, left, right, a_tol, r_tol, budget)
         budget -= used
         evals += n
-        if symmetric:
-            v2, e2, n2, used2, ok2 = _adaptive(f, -right, -left, a_tol, r_tol, budget)
-            budget -= used2
-            evals += n2
-            v += v2
-            e += e2
-            ok = ok and ok2
         value += v
         error += e
         all_converged = all_converged and ok
@@ -316,20 +306,20 @@ def integrate_half_line(
     f: Integrand, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
     """Integrate ``f`` over [0, infinity) by geometric window growth."""
-    return _integrate_unbounded(f, opts or QuadratureOptions(), symmetric=False)
+    return _integrate_unbounded(f, opts or QuadratureOptions())
 
 
 def integrate_real_line(
     f: Integrand, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
-    """Integrate ``f`` over the whole real line with symmetric windows."""
-    return _integrate_unbounded(f, opts or QuadratureOptions(), symmetric=True)
+    """Integrate ``f`` over the whole real line, folded onto [0, infinity).
 
-
-def with_truncation(result: QuadratureResult, half_width: float) -> QuadratureResult:
-    """Copy of ``result`` with ``truncation_used`` set.
-
-    For callers that pick their own truncation and integrate a finite
-    stand-in interval (e.g. contours with super-Gaussian decay).
+    The half-line windows integrate ``f(x) + f(-x)``; ``evaluations``
+    counts calls of ``f``, two per folded node.
     """
-    return replace(result, truncation_used=half_width)
+
+    def folded(x: float) -> complex:
+        return _eval(f, x) + _eval(f, -x)
+
+    result = _integrate_unbounded(folded, opts or QuadratureOptions())
+    return replace(result, evaluations=2 * result.evaluations)

@@ -1,12 +1,14 @@
 """Built-in cases: reference values, constraints, cross-links to the master
 identity, and the documented edge behaviors."""
 
+import cmath
 import math
 
 import pytest
 
 from quadcheck import (
     DivergenceError,
+    DomainError,
     KernelParams,
     ParameterError,
     PoleError,
@@ -14,6 +16,10 @@ from quadcheck import (
     TransformFunction,
     UnknownCaseError,
     gamma,
+    integrate_finite,
+    integrate_half_line,
+    integrate_real_line,
+    kernel_weight,
     list_cases,
     master_lhs,
     reciprocal_gamma,
@@ -256,3 +262,168 @@ def test_tight_budget_raises_nonconvergence():
     opts = QuadratureOptions(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
     with pytest.raises(NonConvergenceError):
         run_case("gaussian", opts=opts)
+
+
+# ---------------------------------------------------------------------------
+# hand-derived forms as oracles
+#
+# Each case's printed integrand, simplified by hand on its printed domain,
+# and its printed closed form.  The catalog computes neither: it folds the
+# master integral onto the half-line, so these check that path from outside.
+# ---------------------------------------------------------------------------
+
+_QUARTER_PI_SQ = math.pi * math.pi / 4.0
+
+
+def _ln_sq(a):
+    ln_a = cmath.log(a)
+    return ln_a * ln_a
+
+
+def _rational_hand(p):
+    kp, b = KernelParams(p["a"]), p["b"]
+    c1 = 2.0 * b + math.pi * math.pi
+
+    def f(x):
+        x2 = x * x
+        return (x2 + b) / (x2 * x2 + c1 * x2 + b * b) * kernel_weight(kp, x)
+
+    a = complex(p["a"])
+    rhs = math.pi / (4.0 * a * (1.0 + a * a) * (b + _QUARTER_PI_SQ + _ln_sq(a)))
+    return f, integrate_half_line, rhs
+
+
+def _bessel_hand(p):
+    kp = KernelParams(p["a"])
+
+    def f(x):
+        k = complex(x * x, math.pi * x)
+        return kernel_weight(kp, x) / cmath.sqrt(1.0 + k * k)
+
+    a = complex(p["a"])
+    s = _QUARTER_PI_SQ + _ln_sq(a)
+    rhs = math.pi / (2.0 * a * (1.0 + a * a) * cmath.sqrt(1.0 + s * s))
+    return f, integrate_real_line, rhs
+
+
+def _gaussian_hand(p):
+    kp, b = KernelParams(p["a"]), p["b"]
+    pi2 = math.pi * math.pi
+
+    def f(x):
+        x2 = x * x
+        return (
+            math.exp(-b * x2 * (x2 - pi2))
+            * math.cos(2.0 * b * math.pi * x2 * x)
+            * kernel_weight(kp, x)
+        )
+
+    a = complex(p["a"])
+    s = _QUARTER_PI_SQ + _ln_sq(a)
+    rhs = cmath.exp(-b * s * s) * math.pi / (4.0 * a * (1.0 + a * a))
+    return f, integrate_half_line, rhs
+
+
+def _cosine_hand(p):
+    kp, alpha = KernelParams(p["a"]), p["alpha"]
+
+    def f(x):
+        return (
+            math.cos(alpha * x * x) * math.cosh(alpha * math.pi * x) * kernel_weight(kp, x)
+        )
+
+    a = complex(p["a"])
+    s = _QUARTER_PI_SQ + _ln_sq(a)
+    rhs = math.pi * cmath.cos(alpha * s) / (4.0 * a * (1.0 + a * a))
+    return f, integrate_half_line, rhs
+
+
+def _gamma_hand(p):
+    a, b = p["a"], p["b"]
+
+    def f(x):
+        z = complex(4.0 * a * x * x + b, 4.0 * a * x)
+        return reciprocal_gamma(z) / math.cosh(math.pi * x)
+
+    return f, integrate_real_line, reciprocal_gamma(complex(a + b))
+
+
+_HAND_FORMS = {
+    "rational": _rational_hand,
+    "bessel": _bessel_hand,
+    "gaussian": _gaussian_hand,
+    "cosine": _cosine_hand,
+    "gamma": _gamma_hand,
+}
+
+
+@pytest.mark.parametrize("case_id,params", [
+    ("rational", {"a": 0.7, "b": 2.0}),
+    ("rational", {"a": 1 + 1j, "b": 2.0}),
+    ("rational", {"a": 3.0, "b": 0.1}),
+    ("bessel", {"a": 7.0}),
+    ("bessel", {"a": 0.7}),
+    ("bessel", {"a": 0.5 + 0.5j}),
+    ("gaussian", {"a": 0.3, "b": 0.3}),
+    ("gaussian", {"a": 1.0, "b": 0.1}),
+    ("gaussian", {"a": 2.0, "b": 0.25}),
+    ("cosine", {"alpha": 0.1, "a": 1 + 2j}),
+    ("cosine", {"alpha": 0.2, "a": 1.0}),
+    ("cosine", {"alpha": -0.1, "a": 0.5}),
+    ("gamma", {"a": 0.5, "b": 1.0}),
+    ("gamma", {"a": 0.25, "b": 2.0}),
+    ("gamma", {"a": 0.1, "b": -0.5}),
+])
+def test_master_cases_match_their_hand_derived_forms(case_id, params):
+    f, integrate, rhs = _HAND_FORMS[case_id](params)
+    oracle = integrate(f)
+    assert oracle.converged
+    rep = run_case(case_id, params)
+    combined = rep.diagnostics.error_estimate + oracle.error_estimate + 1e-14
+    assert abs(rep.lhs - oracle.value) <= combined
+    assert abs(rep.rhs - rhs) <= 1e-13 * abs(rhs)
+
+
+@pytest.mark.parametrize(
+    "n,x,a", [(1, 0.5, 2.0), (0, 0.5, 1.0), (2, 0.5, 2.0), (4, 0.9, 3.0)]
+)
+def test_zeta_case_matches_the_full_contour(n, x, a):
+    rep = run_case("zeta", {"n": n, "x": x, "a": a}, tolerance=1e-7)
+    T = rep.diagnostics.truncation_used
+    ln_x = math.log(x)
+
+    def f(t):
+        den = 2.0 * math.pi * math.cosh(math.pi * t)
+        den *= zeta(complex(4.0 * a * t * t, 4.0 * a * t)) ** n
+        return cmath.exp(complex(t * t * ln_x, t * ln_x)) / den
+
+    oracle = integrate_finite(f, -T, T)
+    combined = rep.diagnostics.error_estimate + oracle.error_estimate + 1e-14
+    assert abs(rep.lhs - oracle.value) <= combined
+
+
+def test_real_a_gives_exactly_real_lhs():
+    for case_id in CATALOG_ORDER:
+        assert run_case(case_id, {"a": 2.0}).lhs.imag == 0.0, case_id
+
+
+def test_gamma_case_does_not_converge_falsely_to_zero():
+    # the closed form is 1/gamma(2) = 1; an unfolded full-line run once
+    # stopped after 45 evaluations at a value near 0
+    rep = run_case("gamma", {"a": 3.0, "b": -1.0})
+    assert rep.passed
+    assert abs(rep.lhs - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-200])
+def test_zeta_case_at_tiny_a_ends_in_a_report(a):
+    rep = run_case("zeta", {"n": 1, "a": a})
+    assert rep.passed
+    assert rep.rhs == pytest.approx(0.5**0.25 / (2 * math.pi * zeta(complex(a))))
+
+
+@pytest.mark.parametrize("case_id", ["rational", "bessel", "gaussian", "cosine"])
+@pytest.mark.parametrize("a", [1j, -1j])
+def test_a_at_plus_minus_i_is_a_domain_error(case_id, a):
+    with pytest.raises(DomainError):
+        run_case(case_id, {"a": a})

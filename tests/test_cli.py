@@ -140,6 +140,24 @@ def test_custom_growing_transform_exits_3(capsys):
     capsys.readouterr()
 
 
+def test_a_at_plus_minus_i_exits_2(capsys):
+    # a (1 + a^2) vanishes: a domain error before any quadrature, not a
+    # numerical failure of the integral
+    for argv in (
+        ["verify", "rational", "--param", "a=i"],
+        ["verify", "cosine", "--param", "a=-i"],
+        ["custom", "--F", "1/(k+2)", "--a", "i"],
+        ["custom", "--F", "1/(k+2)", "--a=-i"],
+    ):
+        assert main(argv) == 2, argv
+        assert "a = +/- i" in capsys.readouterr().err
+
+
+def test_zeta_case_at_tiny_a_exits_0(capsys):
+    assert main(["verify", "zeta", "--param", "a=1e-300"]) == 0
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_2(capsys):
     bad_usages = [
         ["custom", "--F", "2*", "--a", "1"],        # expression syntax error

@@ -247,6 +247,25 @@ def test_verify_master_experimental_flags():
     assert verify_master(F2, KernelParams(0.7)).experimental
 
 
+def test_verify_master_at_a_plus_minus_i_is_a_domain_error():
+    F = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
+    for a in (1j, -1j):
+        with pytest.raises(DomainError):
+            verify_master(F, KernelParams(a))
+
+
+def test_false_schwarz_flag_fails_the_verification():
+    # the flag selects the 2 Re F(k) fold, which is wrong for this F
+    fn = lambda k: 1.0 / (k + 2.0 + 1j)  # noqa: E731
+    assert not detect_schwarz_symmetry(fn)
+    wrong = verify_master(TransformFunction(fn, schwarz_symmetric=True), KernelParams(0.7))
+    assert not wrong.passed
+    assert wrong.lhs.imag == 0.0
+    right = verify_master(TransformFunction(fn, schwarz_symmetric=False), KernelParams(0.7))
+    assert right.passed
+    assert right.experimental
+
+
 def test_master_rhs_inversion_covariance():
     F = TransformFunction(lambda k: 1.0 / (k + 3.0), schwarz_symmetric=True)
     for a in (0.3, 0.8, 2.5):

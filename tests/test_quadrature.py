@@ -73,6 +73,20 @@ def test_real_line_sech_scaled():
     assert abs(r.value - 1.0) < 1e-11
 
 
+def test_real_line_asymmetric_gaussian_counts_calls_of_f():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.exp(-(x - 1.0) ** 2)
+
+    r = integrate_real_line(f)
+    assert r.converged
+    assert abs(r.value - math.sqrt(math.pi)) <= max(r.error_estimate, 1e-13)
+    assert r.evaluations == len(calls)
+    assert any(x < 0 for x in calls)
+
+
 def test_integrand_purity_is_observable():
     f = lambda x: math.exp(-x * x) * complex(math.cos(x), math.sin(x))
     assert f(0.37) == f(0.37)
