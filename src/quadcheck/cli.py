@@ -141,14 +141,7 @@ def _emit(reports: Sequence[VerificationReport], ns) -> None:
 
 
 def _quad_options(ns) -> QuadratureOptions:
-    return QuadratureOptions(
-        abs_tol=ns.abs_tol,
-        rel_tol=ns.rel_tol,
-        max_subdivisions=ns.max_subdivisions,
-        initial_truncation=ns.initial_truncation,
-        max_truncation=ns.max_truncation,
-        window_growth=ns.window_growth,
-    )
+    return QuadratureOptions(ns.abs_tol, ns.rel_tol, ns.max_subdivisions)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -166,15 +159,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-subdivisions", type=int,
                      default=defaults.max_subdivisions,
                      help="adaptive bisection budget")
-    sub.add_argument("--initial-truncation", type=float,
-                     default=defaults.initial_truncation,
-                     help="first window half-width for unbounded domains")
-    sub.add_argument("--max-truncation", type=float,
-                     default=defaults.max_truncation,
-                     help="largest window half-width")
-    sub.add_argument("--window-growth", type=float,
-                     default=defaults.window_growth,
-                     help="geometric window growth factor")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -97,6 +97,13 @@ def _pole_distance(z: complex) -> float:
     return abs(z - n)
 
 
+def _sin_pi(z: complex) -> complex:
+    """sin(pi z) as (-1)^n sin(pi (z - n)), n = round(Re z): exact at and near integers."""
+    n = round(z.real)
+    s = cmath.sin(math.pi * (z - n))
+    return -s if n % 2 else s
+
+
 def _lanczos_sum(z: complex) -> complex:
     # z is already shifted by -1; valid for Re(z+1) >= 0.5
     acc = _LANCZOS_COEFFS[0]
@@ -118,7 +125,7 @@ def gamma(z: complex) -> complex:
         if _pole_distance(z) < POLE_GUARD_RADIUS:
             raise PoleError(f"gamma pole too close to z = {z!r}")
         # Reflection: gamma(z) = pi / (sin(pi z) gamma(1 - z))
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        return math.pi / (_sin_pi(z) * gamma(1.0 - z))
     w = z - 1.0
     t = w + _LANCZOS_G + 0.5
     return _SQRT_TWO_PI * cmath.exp((w + 0.5) * cmath.log(t) - t) * _lanczos_sum(w)
@@ -150,7 +157,7 @@ def reciprocal_gamma(z: complex) -> complex:
             # 1/gamma overflows only when gamma underflows; out of our domain
             raise DomainError(f"reciprocal_gamma overflows at z = {z!r}")
     # 1/gamma(z) = sin(pi z) gamma(1 - z) / pi
-    return cmath.sin(math.pi * z) * cmath.exp(_log_gamma_right(1.0 - z)) / math.pi
+    return _sin_pi(z) * cmath.exp(_log_gamma_right(1.0 - z)) / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Adaptive complex-valued quadrature.
 
-A Gauss-Kronrod 7/15 pair with interval bisection handles finite intervals;
-the half-line is covered by geometrically growing truncation windows whose
-contributions are monitored directly, which is cheap and honest for
-integrands that decay like exp(-|x|) or faster.  The full line is folded
-onto the half-line.  Everything is sequential and deterministic: identical
-inputs produce bit-identical results.
+One driver serves every domain: a single partition of Gauss-Kronrod 7/15
+segments under one global tolerance ``max(abs_tol, rel_tol * |value|)``,
+always bisecting the segment with the largest error estimate, as QUADPACK's
+``qag`` does.  A finite interval is the partition of [lo, hi].  The
+half-line starts as [0, 8] and grows by one window of ratio 1.5 (up to 120)
+each time the partition meets the tolerance, until the newest window's
+contribution is negligible; that contribution is charged to the error as
+the truncation tail.  This is cheap and honest for integrands that decay
+like exp(-|x|) or faster.  The full line is folded onto the half-line.
+Everything is sequential and deterministic: identical inputs produce
+bit-identical results.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -61,35 +67,29 @@ _EPS = 2.220446049250313e-16
 # partition this models the accumulated rounding of the weighted sums while
 # staying far below the default tolerances for well-scaled integrands.
 _ROUNDING_ULPS = 2.0
-_TAIL_FRACTION = 0.25  # window contribution must fall below this times tol
-_WINDOW_TOL_FRACTION = 0.125  # per-window refinement target, fraction of tol
+_TAIL_FRACTION = 0.25  # newest window's contribution must fall below this times tol
+# Half-line windows: [0, 8] first, then each ends 1.5 times further out, up to 120.
+_INITIAL_TRUNCATION = 8.0
+_WINDOW_GROWTH = 1.5
+_MAX_TRUNCATION = 120.0
 
 
 @dataclass(frozen=True)
 class QuadratureOptions:
-    """Tolerances and budgets for the adaptive integrator.
+    """Tolerances and budget for the adaptive integrator.
 
-    ``initial_truncation`` is the half-width of the first window used for
-    unbounded domains; windows then grow by ``window_growth`` up to
-    ``max_truncation``.
+    The tolerance ``max(abs_tol, rel_tol * |value|)`` holds for the whole
+    integral, tail included.  ``max_subdivisions`` caps the bisections of
+    the one partition, over all windows together.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    initial_truncation: float = 8.0
-    max_truncation: float = 120.0
-    window_growth: float = 1.5
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("tolerances must be positive")
-        if not (self.initial_truncation > 0):
-            raise DomainError("initial_truncation must be positive")
-        if not (self.initial_truncation < self.max_truncation):
-            raise DomainError("initial_truncation must be below max_truncation")
-        if not (self.window_growth > 1.0):
-            raise DomainError("window_growth must exceed 1")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
 
@@ -98,10 +98,11 @@ class QuadratureOptions:
 class QuadratureResult:
     """Integral value with an error estimate and diagnostics.
 
-    ``truncation_used`` is the final window half-width for unbounded
-    domains and 0.0 for finite ones.  ``converged`` is True iff
-    ``error_estimate <= max(abs_tol, rel_tol * |value|)`` was reached
-    within budget.
+    ``truncation_used`` is the right edge of the last window for unbounded
+    domains and 0.0 for finite ones.  ``error_estimate`` includes the
+    truncation tail.  ``converged`` is True iff ``error_estimate <=
+    max(abs_tol, rel_tol * |value|)`` and, on the half-line, the window
+    sweep ran to its end instead of stopping on the budget.
     """
 
     value: complex
@@ -155,158 +156,120 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float]:
     resabs *= h
     err = abs(resk - resg) * h
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        # the power is taken only below 1: above it, it can overflow
+        ratio = 200.0 * err / resasc
+        err = resasc * ratio**1.5 if ratio < 1.0 else resasc
     if resabs > 0.0:
         err = max(err, _ROUNDING_ULPS * _EPS * resabs)
     return resk * h, err
 
 
-def _resum(segments: list[tuple[float, float, complex, float]]) -> tuple[complex, float]:
-    """Canonical reduction: sum values and errors left to right."""
-    value = 0j
-    error = 0.0
-    for seg in sorted(segments, key=lambda s: s[0]):
-        value += seg[2]
-        error += seg[3]
-    return value, error
+def _totals(segments: list, left: float = -math.inf) -> tuple[complex, float]:
+    """Exact value and error sums over the segments that start at ``left`` or later.
 
-
-def _adaptive(
-    f: Integrand,
-    lo: float,
-    hi: float,
-    abs_tol: float,
-    rel_tol: float,
-    max_subdivisions: int,
-) -> tuple[complex, float, int, int, bool]:
-    """Adaptive bisection on one finite interval.
-
-    Returns (value, error, evaluations, subdivisions_used, converged).
-    Convergence is always judged on the canonical left-to-right
-    resummation of the current partition; a cheap incremental tracker
-    only gates when that exact sum is recomputed.
+    ``math.fsum`` is correctly rounded, so the sums do not depend on the
+    order of the segments.
     """
-    val, err = _gk15(f, lo, hi)
-    segments = [(lo, hi, val, err)]
+    chosen = [s for s in segments if s[1] >= left]
+    value = complex(math.fsum(s[3].real for s in chosen), math.fsum(s[3].imag for s in chosen))
+    return value, -math.fsum(s[0] for s in chosen)
+
+
+def _partition(
+    f: Integrand, lo: float, hi: float, opts: QuadratureOptions, windowed: bool
+) -> QuadratureResult:
+    """Worst-first bisection of one partition under one global tolerance.
+
+    The segments live in a heap keyed by (-error, left edge), so the worst
+    segment is bisected first and ties break the same way on every run.
+    A running total gates the stop test; every stop decision is taken on
+    the exact totals.  With ``windowed``, [lo, hi] is the first window, the
+    partition is refined to (1 - _TAIL_FRACTION) of the tolerance, and each
+    time it gets there one more geometric window is appended, until the
+    newest window contributes at most ``_TAIL_FRACTION`` of the tolerance;
+    that contribution is added to the error as the truncation tail.
+    """
+    segments: list[tuple[float, float, float, complex]] = []
+
+    def rule(a: float, b: float) -> tuple[complex, float]:
+        v, e = _gk15(f, a, b)
+        heapq.heappush(segments, (-e, a, b, v))
+        return v, e
+
+    value, error = rule(lo, hi)
     evals = 15
-    nsub = 0
-    track_val = val
-    track_err = err
+    budget = opts.max_subdivisions
+    fraction = 1.0 - _TAIL_FRACTION if windowed else 1.0
+    window = lo  # left edge of the newest window
+    contributions: list[float] = []
+    finished = not windowed
     while True:
-        if track_err <= max(abs_tol, rel_tol * abs(track_val)):
-            track_val, track_err = _resum(segments)
-            if track_err <= max(abs_tol, rel_tol * abs(track_val)):
-                return track_val, track_err, evals, nsub, True
-            # incremental tracker had drifted; continue from exact totals
-        if nsub >= max_subdivisions:
+        if error <= fraction * max(opts.abs_tol, opts.rel_tol * abs(value)):
+            value, error = _totals(segments)
+            target = max(opts.abs_tol, opts.rel_tol * abs(value))
+            if error <= fraction * target:
+                if not windowed:
+                    break
+                # the first window feeds the divergence test, never the tail stop
+                contributions.append(abs(_totals(segments, window)[0]))
+                if len(contributions) >= 2 and contributions[-1] <= _TAIL_FRACTION * target:
+                    finished = True
+                    break
+                if len(contributions) >= 3 and (
+                    contributions[-3] <= contributions[-2] <= contributions[-1]
+                ):
+                    raise DivergenceError(
+                        "window contributions are not decreasing "
+                        f"(last three: {contributions[-3]:.3e}, {contributions[-2]:.3e}, "
+                        f"{contributions[-1]:.3e}); integrand looks inadmissible"
+                    )
+                if hi >= _MAX_TRUNCATION:
+                    finished = True
+                    break
+                window, hi = hi, min(hi * _WINDOW_GROWTH, _MAX_TRUNCATION)
+                v, e = rule(window, hi)
+                evals += 15
+                value += v
+                error += e
+                continue
+        if budget == 0:
             break
-        worst = max(range(len(segments)), key=lambda i: segments[i][3])
-        a, b, v, e = segments[worst]
+        neg_e, a, b, v = segments[0]
         m = 0.5 * (a + b)
         if m <= a or m >= b:
-            # interval is at floating-point resolution; cannot refine further
+            # the worst segment is at floating-point resolution
             break
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
+        heapq.heappop(segments)
+        v1, e1 = rule(a, m)
+        v2, e2 = rule(m, b)
         evals += 30
-        nsub += 1
-        segments[worst] = (a, m, v1, e1)
-        segments.append((m, b, v2, e2))
-        track_val += v1 + v2 - v
-        track_err += e1 + e2 - e
-    value, error = _resum(segments)
-    converged = error <= max(abs_tol, rel_tol * abs(value))
-    return value, error, evals, nsub, converged
+        budget -= 1
+        value += v1 + v2 - v
+        error += e1 + e2 + neg_e
+
+    value, error = _totals(segments)
+    if windowed and window > lo:
+        error += abs(_totals(segments, window)[0])
+    converged = finished and error <= max(opts.abs_tol, opts.rel_tol * abs(value))
+    return QuadratureResult(value, error, evals, hi if windowed else 0.0, converged)
 
 
 def integrate_finite(
     f: Integrand, lo: float, hi: float, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
     """Integrate ``f`` over the finite interval [lo, hi]."""
-    opts = opts or QuadratureOptions()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integrate_finite requires finite endpoints")
     if not lo < hi:
         raise DomainError("integrate_finite requires lo < hi")
-    value, error, evals, _, converged = _adaptive(
-        f, lo, hi, opts.abs_tol, opts.rel_tol, opts.max_subdivisions
-    )
-    return QuadratureResult(value, error, evals, 0.0, converged)
-
-
-def _integrate_unbounded(f: Integrand, opts: QuadratureOptions) -> QuadratureResult:
-    """Window driver for integrals over [0, infinity).
-
-    The domain is swept window by window: [0, L0], then each growth step
-    appends [L, L*growth].  Iteration stops once the newest window
-    contributes less than a fixed fraction of the tolerance; two
-    consecutive non-shrinking contributions raise DivergenceError instead.
-    """
-    budget = opts.max_subdivisions
-    L0 = opts.initial_truncation
-
-    def window_tols(total: complex) -> tuple[float, float]:
-        target = max(opts.abs_tol, opts.rel_tol * abs(total))
-        return target * _WINDOW_TOL_FRACTION, opts.rel_tol * _WINDOW_TOL_FRACTION
-
-    a_tol, r_tol = window_tols(0j)
-    value, error, evals, used, ok = _adaptive(f, 0.0, L0, a_tol, r_tol, budget)
-    budget -= used
-    all_converged = ok
-    # the initial window participates in the divergence chain but never in
-    # the tail-stop decision (at least one growth window is always examined)
-    contributions: list[float] = [abs(value)]
-    truncation = L0
-    tail: float | None = None
-
-    left = L0
-    while left < opts.max_truncation:
-        target = max(opts.abs_tol, opts.rel_tol * abs(value))
-        if len(contributions) >= 2 and contributions[-1] <= _TAIL_FRACTION * target:
-            tail = contributions[-1]
-            break
-        if budget <= 0:
-            all_converged = False
-            break
-        right = min(left * opts.window_growth, opts.max_truncation)
-        a_tol, r_tol = window_tols(value)
-        v, e, n, used, ok = _adaptive(f, left, right, a_tol, r_tol, budget)
-        budget -= used
-        evals += n
-        value += v
-        error += e
-        all_converged = all_converged and ok
-        truncation = right
-        contributions.append(abs(v))
-        if (
-            len(contributions) >= 3
-            and contributions[-1] >= contributions[-2]
-            and contributions[-2] >= contributions[-3]
-            and contributions[-1]
-            > _TAIL_FRACTION * max(opts.abs_tol, opts.rel_tol * abs(value))
-        ):
-            raise DivergenceError(
-                "window contributions are not decreasing "
-                f"(last three: {contributions[-3]:.3e}, {contributions[-2]:.3e}, "
-                f"{contributions[-1]:.3e}); integrand looks inadmissible"
-            )
-        left = right
-
-    if tail is None:
-        # stopped by budget or by running into max_truncation
-        tail = contributions[-1] if len(contributions) >= 2 else 0.0
-        if tail > _TAIL_FRACTION * max(opts.abs_tol, opts.rel_tol * abs(value)):
-            all_converged = False
-    error += tail
-    converged = all_converged and error <= max(opts.abs_tol, opts.rel_tol * abs(value))
-    return QuadratureResult(value, error, evals, truncation, converged)
+    return _partition(f, lo, hi, opts or QuadratureOptions(), windowed=False)
 
 
 def integrate_half_line(
     f: Integrand, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
     """Integrate ``f`` over [0, infinity) by geometric window growth."""
-    return _integrate_unbounded(f, opts or QuadratureOptions())
+    return _partition(f, 0.0, _INITIAL_TRUNCATION, opts or QuadratureOptions(), windowed=True)
 
 
 def integrate_real_line(
@@ -321,5 +284,6 @@ def integrate_real_line(
     def folded(x: float) -> complex:
         return _eval(f, x) + _eval(f, -x)
 
-    result = _integrate_unbounded(folded, opts or QuadratureOptions())
+    opts = opts or QuadratureOptions()
+    result = _partition(folded, 0.0, _INITIAL_TRUNCATION, opts, windowed=True)
     return replace(result, evaluations=2 * result.evaluations)

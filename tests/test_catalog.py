@@ -5,6 +5,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadcheck import (
     DivergenceError,
@@ -12,9 +14,11 @@ from quadcheck import (
     KernelParams,
     ParameterError,
     PoleError,
+    QuadcheckError,
     QuadratureOptions,
     TransformFunction,
     UnknownCaseError,
+    VerificationReport,
     gamma,
     integrate_finite,
     integrate_half_line,
@@ -427,3 +431,58 @@ def test_zeta_case_at_tiny_a_ends_in_a_report(a):
 def test_a_at_plus_minus_i_is_a_domain_error(case_id, a):
     with pytest.raises(DomainError):
         run_case(case_id, {"a": a})
+
+
+#: Evaluation ceilings at each case's defaults: a separate bisection for
+#: each half-line window cost this much.
+_EVALUATION_CEILING = {
+    "rational": 225, "bessel": 465, "gaussian": 1320,
+    "cosine": 780, "gamma": 240, "zeta": 255,
+}
+
+
+@pytest.mark.parametrize("case_id", CATALOG_ORDER)
+def test_default_runs_stay_within_their_evaluation_ceiling(case_id):
+    assert run_case(case_id).diagnostics.evaluations <= _EVALUATION_CEILING[case_id]
+
+
+def test_gaussian_first_window_follows_rel_tol():
+    # the first window shares the tolerance max(abs_tol, rel_tol |lhs|);
+    # held to abs_tol/8, it spends the whole budget here
+    rep = run_case("gaussian", {"b": 0.32})
+    assert rep.passed
+    assert rep.diagnostics.evaluations < 1500
+
+
+@pytest.mark.parametrize("case_id,params", [
+    ("bessel", {"a": -1e-300 + 2j}),
+    ("cosine", {"alpha": 1.000000001, "a": 1e-300 + 2j}),
+])
+def test_tiny_variation_integral_does_not_overflow(case_id, params):
+    # a tiny resasc makes the Gauss-Kronrod damping ratio overflow a power
+    try:
+        run_case(case_id, params)
+    except QuadcheckError:
+        pass
+
+
+_EXTREME = st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0])
+_VALUE = st.one_of(
+    st.builds(complex, _EXTREME, _EXTREME),
+    st.builds(complex, _EXTREME),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.parametrize("case_id", CATALOG_ORDER)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_parameter_map_ends_in_a_report_or_a_typed_error(case_id, data):
+    names = get_case(case_id).param_names
+    params = data.draw(st.dictionaries(st.sampled_from(names), _VALUE))
+    opts = QuadratureOptions(max_subdivisions=200)
+    try:
+        result = run_case(case_id, params, opts)
+    except QuadcheckError:
+        return
+    assert isinstance(result, VerificationReport)

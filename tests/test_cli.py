@@ -226,6 +226,15 @@ def test_quadrature_overrides_are_honored(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [
+    "--initial-truncation", "--max-truncation", "--window-growth",
+])
+def test_window_geometry_flags_are_gone(capsys, flag):
+    # the window geometry is fixed in the quadrature module
+    assert main(["verify", "rational", flag, "10"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verification_failure_exits_1(capsys):
     # loose quadrature with an absurdly tight verification tolerance makes
     # the sides disagree beyond tolerance without any numerical error

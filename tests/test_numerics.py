@@ -174,13 +174,29 @@ def test_reciprocal_gamma_matches_gamma():
 
 
 def test_reciprocal_gamma_entire():
-    # zero (up to rounding of sin(pi n)) at the poles of gamma
+    # zero at the poles of gamma
     for n in (0, -1, -2, -5):
         assert abs(reciprocal_gamma(complex(n))) < 1e-13
     # underflows cleanly where gamma overflows double precision
     assert reciprocal_gamma(complex(300.0)) == 0
     v = reciprocal_gamma(complex(1000.0, 40.0))
     assert abs(v) == 0.0
+
+
+def test_reciprocal_gamma_is_exactly_zero_at_the_poles():
+    for n in range(21):
+        assert reciprocal_gamma(complex(-n)) == 0, n
+
+
+@pytest.mark.parametrize("n", range(21))
+@pytest.mark.parametrize("offset", [1e-6, -1e-6])
+def test_gamma_and_reciprocal_near_the_poles_match_mpmath(n, offset):
+    # sin(pi z) is reduced by the nearest integer, so no digits are lost
+    # to the rounding of pi z next to a pole
+    z = complex(-n + offset)
+    g = complex(mp.gamma(mp.mpc(z)))
+    assert abs(gamma(z) - g) <= 1e-12 * abs(g)
+    assert abs(reciprocal_gamma(z) - 1.0 / g) <= 1e-12 / abs(g)
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,6 @@ def test_options_validation():
     with pytest.raises(DomainError):
         QuadratureOptions(rel_tol=-1.0)
     with pytest.raises(DomainError):
-        QuadratureOptions(initial_truncation=10.0, max_truncation=5.0)
-    with pytest.raises(DomainError):
-        QuadratureOptions(window_growth=1.0)
-    with pytest.raises(DomainError):
         QuadratureOptions(max_subdivisions=0)
 
 
@@ -241,6 +237,21 @@ def test_converged_flag_respects_reported_tolerance():
     r = integrate_half_line(lambda x: math.exp(-x), opts)
     assert r.converged
     assert r.error_estimate <= max(opts.abs_tol, opts.rel_tol * abs(r.value))
+    for opts in (
+        QuadratureOptions(),
+        QuadratureOptions(abs_tol=1e-6, rel_tol=1e-4),
+        QuadratureOptions(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=40),
+    ):
+        for r in (
+            integrate_finite(lambda x: math.cos(300.0 * x), 0.0, 1.0, opts),
+            integrate_finite(lambda x: math.sqrt(x), 0.0, 1.0, opts),
+            integrate_half_line(lambda x: math.exp(-x) * math.cos(5.0 * x), opts),
+            integrate_half_line(lambda x: 1e6 * math.exp(-x * x), opts),
+            integrate_real_line(lambda x: 1.0 / math.cosh(x), opts),
+            integrate_real_line(lambda x: cmath.exp(-x * x + 2j * x), opts),
+        ):
+            if r.converged:
+                assert r.error_estimate <= max(opts.abs_tol, opts.rel_tol * abs(r.value))
 
 
 def test_result_is_a_value_object():
@@ -248,3 +259,47 @@ def test_result_is_a_value_object():
     assert r.value == 1 + 0j
     with pytest.raises(AttributeError):
         r.value = 2.0
+
+
+def test_oscillatory_finite_integral_evaluation_count():
+    # one partition under one tolerance costs at most what a separate
+    # bisection per window did (2805 evaluations)
+    r = integrate_finite(lambda x: math.cos(300.0 * x), 0.0, 1.0)
+    assert r.converged
+    assert abs(r.value - math.sin(300.0) / 300.0) <= r.error_estimate
+    assert r.evaluations <= 2805
+
+
+def test_half_line_converges_at_every_tolerance():
+    # refinement stops short of the tolerance, so the truncation tail
+    # always fits in what is left
+    def f(x):
+        return math.exp(-x) * math.cos(5.0 * x)
+
+    for i in range(60):
+        opts = QuadratureOptions(abs_tol=10.0 ** (-3.0 - i / 6.0), rel_tol=1e-15)
+        r = integrate_half_line(f, opts)
+        assert r.converged, opts.abs_tol
+        assert abs(r.value - 1.0 / 26.0) <= r.error_estimate + 1e-15
+
+
+def test_truncation_tail_is_charged_to_the_error():
+    def f(x):
+        return 1.0 / math.cosh(x)
+
+    r = integrate_half_line(f)
+    last = integrate_finite(f, r.truncation_used / 1.5, r.truncation_used)
+    assert r.error_estimate >= abs(last.value)
+
+
+def test_budget_stop_before_the_last_window_is_not_converged():
+    # nine bisections meet the tolerance on the first window, but the
+    # windows beyond it were never looked at
+    def f(x):
+        return math.exp(-x) * math.cos(5.0 * x)
+
+    opts = QuadratureOptions(max_subdivisions=9)
+    r = integrate_half_line(f, opts)
+    assert r.error_estimate <= max(opts.abs_tol, opts.rel_tol * abs(r.value))
+    assert r.truncation_used < integrate_half_line(f).truncation_used
+    assert not r.converged
