@@ -1,12 +1,11 @@
 """Built-in verification cases.
 
-Five cases are instances of the master identity and are pure data: a
+All six cases are instances of the master identity and are pure data: a
 transform F, the kernel parameter, and the scale of the printed form
 against the full-line master integral (1/2 for half-line forms, 1 for the
-full-line one, 4/pi for the sech specialization written in x = y/pi).  Both
-sides come from the one folded half-line path in ``kernel``.  The zeta
-contour is not a master instance and keeps its own integrand and closed
-form.
+full-line one, 4/pi for the sech specializations written in x = y/pi, as
+gamma and the zeta contour are).  Both sides come from the one folded
+half-line path in ``kernel``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import numerics
@@ -24,19 +23,17 @@ from .kernel import (
     KernelParams,
     TransformFunction,
     VerificationReport,
-    master_integral,
-    master_rhs,
-    require_converged,
+    _verify,
 )
 from .numerics import AccuracyWarning
-from .quadrature import QuadratureOptions, QuadratureResult, integrate_finite
+from .quadrature import _MAX_TRUNCATION, QuadratureOptions
 
 __all__ = ["CaseDefinition", "list_cases", "get_case", "run_case", "CATALOG_ORDER"]
 
 Params = Mapping[str, complex]
 Transform = Callable[[complex], complex]
 
-#: First ordinates of nontrivial zeta zeros; the contour case warns when its
+#: First ordinates of nontrivial zeta zeros; the zeta case warns when its
 #: argument parabola passes close to one of them (denominator accuracy).
 _ZETA_ZERO_ORDINATES = (
     14.134725141734693,
@@ -57,8 +54,7 @@ class CaseDefinition:
     transform F from validated parameters; the case's left side is
     ``scale`` times the full-line master integral of F at kernel parameter
     ``kernel_a`` (the case's own ``a`` when None), and its right side is
-    ``scale`` times the master closed form.  ``transform`` is None only for
-    the zeta contour, which is not a master instance.
+    ``scale`` times the master closed form.
     """
 
     case_id: str
@@ -67,7 +63,7 @@ class CaseDefinition:
     constraints: str
     notes: str
     validate: Callable[[dict[str, complex]], dict[str, complex]]
-    transform: Callable[[Params], Transform] | None
+    transform: Callable[[Params], Transform]
     scale: float = 0.5  # the half-line printed forms
     kernel_a: complex | None = None
 
@@ -164,7 +160,7 @@ def _gamma(p: Params) -> Transform:
     return lambda k: numerics.reciprocal_gamma(c * k + b)
 
 
-# --- zeta: contour integral on the imaginary axis --------------------------
+# --- zeta: the contour on the imaginary axis, in t = y/pi ------------------
 
 def _zeta_validate(params: dict) -> dict:
     n = _require_real(params, "n")
@@ -178,56 +174,39 @@ def _zeta_validate(params: dict) -> dict:
     return params
 
 
-def _zeta_truncation(x: float, abs_tol: float) -> float:
-    """Smallest half-width T with x^(T^2)/cosh(pi T) below abs_tol/100.
+def _zeta(p: Params) -> Transform:
+    """F(k) = x^u / (2 pi zeta(4 a u)^n) with u = k/pi^2.
 
-    Decay is super-Gaussian, so T stays below 8 for x <= 0.9.
+    On the folded path k = y^2 + i pi y is pi^2 (t^2 + i t) at y = pi t.
+    The closed form's k = pi^2/4 gives u = 1/4 exactly, so its zeta factor
+    is zeta(a) itself.  The zero warning covers every t the sweep reaches.
     """
-    ln_x = math.log(x)
-    threshold = math.log(abs_tol) + math.log(1e-2)
-    t = 1.0
-    while t < 40.0:
-        if t * t * ln_x - (math.pi * t - math.log(2.0)) <= threshold:
-            return t
-        t += 0.5
-    return 40.0
-
-
-def _zeta_integrand(params: Params) -> Callable[[float], complex]:
-    n = int(params["n"].real)
-    x = params["x"].real
-    a = params["a"].real
-    ln_x = math.log(x)
+    n = int(p["n"].real)
+    a = p["a"].real
+    ln_x = math.log(p["x"].real)
+    pi2 = math.pi * math.pi
     two_pi = 2.0 * math.pi
+    if n:
+        _zeta_warn_near_zero(a, _MAX_TRUNCATION / math.pi)
 
-    def f(t: float) -> complex:
-        # x^(t^2 + i t) with real ln x; no branch ambiguity for 0 < x < 1
-        num = cmath.exp(complex(t * t * ln_x, t * ln_x))
-        den = math.cosh(math.pi * t) * two_pi
-        if n:
-            den = den * numerics.zeta(complex(4.0 * a * t * t, 4.0 * a * t)) ** n
-        return num / den
+    def F(k: complex) -> complex:
+        u = k / pi2
+        num = cmath.exp(u * ln_x)
+        if not n:
+            return num / two_pi
+        s = 4.0 * a * u
+        if abs(s - 1.0) < numerics.POLE_GUARD_RADIUS:
+            # the closed form at a = 1: the zeta factor in the denominator
+            # diverges, so F is 0 there; the contour never comes this close
+            return 0j
+        return num / (two_pi * numerics.zeta(s) ** n)
 
-    return f
-
-
-def _zeta_closed_form(params: Params) -> complex:
-    n = int(params["n"].real)
-    x = params["x"].real
-    a = params["a"].real
-    base = x**0.25 / (2.0 * math.pi)
-    if n == 0:
-        return complex(base)
-    if abs(a - 1.0) < numerics.POLE_GUARD_RADIUS:
-        # the zeta factor in the denominator diverges at a = 1, so the
-        # closed form collapses to 0; the contour side stays regular
-        return 0j
-    return base / numerics.zeta(complex(a)) ** n
+    return F
 
 
 def _zeta_warn_near_zero(a: float, T: float) -> None:
     """Warn when the argument parabola w(t) = 4a(t^2 + i t) comes within
-    ``_ZETA_ZERO_WARN_DISTANCE`` of a nontrivial zeta zero.
+    ``_ZETA_ZERO_WARN_DISTANCE`` of a nontrivial zeta zero for 0 <= t <= T.
 
     The squared distance to a zero 1/2 + i g is minimized where
     8 a t^3 + (4a - 1) t - g = 0; Newton from t = g/(4a) converges in a
@@ -249,7 +228,7 @@ def _zeta_warn_near_zero(a: float, T: float) -> None:
             if abs(step) < 1e-14 * max(1.0, abs(t)):
                 break
         if not 0.0 <= t <= T:
-            continue  # the close approach lies outside the truncation window
+            continue  # the close approach lies beyond the reachable contour
         w = complex(4.0 * a * t * t, 4.0 * a * t)
         closest = min(closest, abs(w - complex(0.5, g)))
     if closest < _ZETA_ZERO_WARN_DISTANCE:
@@ -259,19 +238,6 @@ def _zeta_warn_near_zero(a: float, T: float) -> None:
             AccuracyWarning,
             stacklevel=3,
         )
-
-
-def _zeta_lhs(params: Params, opts: QuadratureOptions) -> QuadratureResult:
-    """Contour integral over [-T, T] as 2 Re f over [0, T].
-
-    The integrand is conjugate-even, f(-t) = conj f(t).
-    """
-    T = _zeta_truncation(params["x"].real, opts.abs_tol)
-    if int(params["n"].real) > 0:
-        _zeta_warn_near_zero(params["a"].real, T)
-    f = _zeta_integrand(params)
-    result = integrate_finite(lambda t: 2.0 * f(t).real, 0.0, T, opts)
-    return replace(result, truncation_used=T)
 
 
 # --- catalog ----------------------------------------------------------------
@@ -350,13 +316,16 @@ _CASES = {
             defaults={"n": complex(1.0), "x": complex(0.5), "a": complex(2.0)},
             constraints="n integer in 0..4; 0 < x < 1 real; a real > 0",
             notes=(
-                "Contour integral over the imaginary axis, parametrized s = i t. "
-                "n is restricted to 0..4.  At a = 1 the closed form is 0 because "
-                "the zeta factor in its denominator diverges while the contour "
-                "side stays regular."
+                "Contour integral over the imaginary axis, parametrized s = i t: "
+                "transform x^(k/pi^2) / (2 pi zeta(4 a k/pi^2)^n) at the sech "
+                "specialization, rescaled t -> t/pi.  n is restricted to 0..4.  At "
+                "a = 1 the closed form is 0 because the zeta factor in its "
+                "denominator diverges while the contour side stays regular."
             ),
             validate=_zeta_validate,
-            transform=None,
+            transform=_zeta,
+            scale=4.0 / math.pi,
+            kernel_a=1.0,
         ),
     )
 }
@@ -389,7 +358,6 @@ def run_case(
     names raise ParameterError.
     """
     case = get_case(case_id)
-    opts = opts or QuadratureOptions()
     merged = {k: _as_complex(v) for k, v in case.defaults.items()}
     if params:
         for name, value in params.items():
@@ -400,25 +368,8 @@ def run_case(
                 )
             merged[name] = _as_complex(value)
     clean = case.validate(merged)
-
-    what = f"case {case_id!r}"
-    if case.transform is None:
-        lhs_result = require_converged(_zeta_lhs(clean, opts), what)
-        rhs = _zeta_closed_form(clean)
-        experimental = False
-    else:
-        F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
-        kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
-        lhs_result = require_converged(master_integral(F, kp, opts, case.scale), what)
-        rhs = case.scale * master_rhs(F, kp)
-        experimental = not kp.is_real_positive
-    return VerificationReport.from_sides(
-        case_name=case_id,
-        params=clean,
-        lhs=lhs_result.value,
-        rhs=rhs,
-        tolerance=tolerance,
-        diagnostics=lhs_result,
-        experimental=experimental,
-        notes=case.notes,
+    F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
+    kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
+    return _verify(
+        case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes
     )

@@ -59,26 +59,9 @@ def parse_complex_literal(text: str) -> complex:
     if not s or any(c.isspace() for c in s):
         raise ParameterError(f"bad complex literal {text!r}")
     try:
-        if not s.endswith("i"):
-            return complex(float(s), 0.0)
-        body = s[:-1]
-        split = -1
-        for idx in range(len(body) - 1, 0, -1):
-            if body[idx] in "+-" and body[idx - 1] not in "eE":
-                split = idx
-                break
-        if split <= 0:
-            re_part, im_part = "", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im_val = 1.0
-        elif im_part == "-":
-            im_val = -1.0
-        else:
-            im_val = float(im_part)
-        re_val = float(re_part) if re_part else 0.0
-        return complex(re_val, im_val)
+        if s.endswith("i"):
+            return complex(s[:-1] + "j")
+        return complex(float(s))
     except ValueError:
         raise ParameterError(f"bad complex literal {text!r}") from None
 

@@ -68,6 +68,10 @@ _EPS = 2.220446049250313e-16
 # staying far below the default tolerances for well-scaled integrands.
 _ROUNDING_ULPS = 2.0
 _TAIL_FRACTION = 0.25  # newest window's contribution must fall below this times tol
+# The running error total is re-summed exactly each time it falls this many
+# times below the last exact sum: where large errors cancel, its rounding
+# drift would otherwise keep it above the tolerance the exact sum meets.
+_RESUM_DROP = 16.0
 # Half-line windows: [0, 8] first, then each ends 1.5 times further out, up to 120.
 _INITIAL_TRUNCATION = 8.0
 _WINDOW_GROWTH = 1.5
@@ -182,12 +186,14 @@ def _partition(
 
     The segments live in a heap keyed by (-error, left edge), so the worst
     segment is bisected first and ties break the same way on every run.
-    A running total gates the stop test; every stop decision is taken on
-    the exact totals.  With ``windowed``, [lo, hi] is the first window, the
-    partition is refined to (1 - _TAIL_FRACTION) of the tolerance, and each
-    time it gets there one more geometric window is appended, until the
-    newest window contributes at most ``_TAIL_FRACTION`` of the tolerance;
-    that contribution is added to the error as the truncation tail.
+    A running total gates the stop test and is re-summed exactly whenever
+    it falls ``_RESUM_DROP``-fold below the last exact sum; every stop
+    decision is taken on the exact totals.  With ``windowed``, [lo, hi] is
+    the first window, the partition is refined to (1 - _TAIL_FRACTION) of
+    the tolerance, and each time it gets there one more geometric window is
+    appended, until the newest window contributes at most
+    ``_TAIL_FRACTION`` of the tolerance; that contribution is added to the
+    error as the truncation tail.
     """
     segments: list[tuple[float, float, float, complex]] = []
 
@@ -197,6 +203,7 @@ def _partition(
         return v, e
 
     value, error = rule(lo, hi)
+    exact_error = error  # the error total at the last exact summation
     evals = 15
     budget = opts.max_subdivisions
     fraction = 1.0 - _TAIL_FRACTION if windowed else 1.0
@@ -204,8 +211,12 @@ def _partition(
     contributions: list[float] = []
     finished = not windowed
     while True:
-        if error <= fraction * max(opts.abs_tol, opts.rel_tol * abs(value)):
+        if (
+            error <= fraction * max(opts.abs_tol, opts.rel_tol * abs(value))
+            or error <= exact_error / _RESUM_DROP
+        ):
             value, error = _totals(segments)
+            exact_error = error
             target = max(opts.abs_tol, opts.rel_tol * abs(value))
             if error <= fraction * target:
                 if not windowed:

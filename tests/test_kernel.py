@@ -19,6 +19,7 @@ from quadcheck import (
     QuadratureOptions,
     TransformFunction,
     detect_schwarz_symmetry,
+    integrate_half_line,
     kernel_weight,
     master_lhs,
     master_rhs,
@@ -27,6 +28,7 @@ from quadcheck import (
     verify_master,
     verify_seed,
 )
+from quadcheck.cli import _SEED_GRID_A, _SEED_GRID_T
 from quadcheck.kernel import REL_DIFF_FLOOR, VerificationReport
 
 
@@ -146,6 +148,31 @@ def test_seed_lhs_requires_real_positive_a():
         seed_lhs(KernelParams(1 + 2j), 1.0)
     with pytest.raises(DomainError):
         seed_lhs(KernelParams(1.0), -2.0)
+
+
+@pytest.mark.parametrize("a,t", [
+    (0.3, 0.2), (0.3, 2.0), (3.0, 0.2), (3.0, 2.0), (1.0, 1.0), (0.7, 2.0), (1.65, 1.1),
+])
+def test_seed_lhs_matches_the_direct_seed_integrand(a, t):
+    # the seed integrand as printed, integrated on its own half-line run
+    kp = KernelParams(a)
+
+    def f(x):
+        return math.exp(-t * x * x) * math.cos(t * math.pi * x) * kernel_weight(kp, x)
+
+    oracle = integrate_half_line(f)
+    assert oracle.converged
+    lhs = seed_lhs(kp, t)
+    combined = lhs.error_estimate + oracle.error_estimate + 1e-14
+    assert abs(lhs.value - oracle.value) <= combined
+
+
+def test_seed_grid_evaluation_count():
+    # the 5x5 grid of kernel-check; each point's cost is deterministic
+    total = sum(
+        verify_seed(a, t).diagnostics.evaluations for a in _SEED_GRID_A for t in _SEED_GRID_T
+    )
+    assert total == 5265
 
 
 def test_verify_seed_report():
