@@ -18,6 +18,7 @@ from .errors import (
     ParseError,
     PoleError,
     QuadcheckError,
+    RoundoffError,
     UnknownCaseError,
 )
 from .expr import evaluate, parse, to_string
@@ -72,6 +73,7 @@ __all__ = [
     "QuadcheckError",
     "QuadratureOptions",
     "QuadratureResult",
+    "RoundoffError",
     "TransformFunction",
     "UnknownCaseError",
     "VerificationReport",

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by every quadcheck layer."""
+"""Exception hierarchy shared by every quadcheck layer.
+
+Every failure the library raises is a ``QuadcheckError``.  The CLI maps
+argument and domain errors to exit code 2, and numerical failures
+(``IntegrandError``, ``DivergenceError``, ``NonConvergenceError`` and its
+``RoundoffError``) to exit code 3.
+"""
 
 from __future__ import annotations
 
@@ -40,11 +46,24 @@ class DivergenceError(QuadcheckError):
 
 
 class NonConvergenceError(QuadcheckError):
-    """The quadrature budget was exhausted before reaching tolerance."""
+    """The quadrature did not reach its tolerance.
+
+    Carries the unconverged ``QuadratureResult`` as ``result``.
+    """
 
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
+
+
+class RoundoffError(NonConvergenceError):
+    """Rounding alone keeps the quadrature above its tolerance.
+
+    Raised when the rounding floor of the partition, a few ulps of the
+    integral of |f|, exceeds the tolerance: the integrand is large and its
+    integral small, so no number of subdivisions could reach it.  The
+    quadrature stops at once instead of spending its budget.
+    """
 
 
 class ExpressionError(QuadcheckError):

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, RoundoffError
 from .quadrature import QuadratureOptions, QuadratureResult, integrate_half_line
 
 __all__ = [
@@ -196,8 +196,26 @@ def _norm_factor(params: KernelParams) -> complex:
     return d
 
 
-def require_converged(result: QuadratureResult, what: str) -> QuadratureResult:
-    """Return ``result``, or raise NonConvergenceError naming ``what``."""
+def require_converged(
+    result: QuadratureResult, what: str, opts: QuadratureOptions | None = None
+) -> QuadratureResult:
+    """Return ``result``, or raise NonConvergenceError naming ``what``.
+
+    A run stopped by its rounding floor raises the RoundoffError subclass,
+    whose message gives the floor, the tolerance ``opts`` set and the
+    condition number ``l1_norm / |value|``.
+    """
+    if result.roundoff_limited:
+        opts = opts or QuadratureOptions()
+        size = abs(result.value)
+        raise RoundoffError(
+            f"{what} is limited by roundoff (rounding floor "
+            f"{result.rounding_floor:.3e} against tolerance "
+            f"{max(opts.abs_tol, opts.rel_tol * size):.3e}, condition number "
+            f"{result.l1_norm / size if size else math.inf:.3e}, "
+            f"after {result.evaluations} evaluations)",
+            result=result,
+        )
     if not result.converged:
         raise NonConvergenceError(
             f"{what} did not converge (error estimate "
@@ -228,7 +246,7 @@ def master_integral(
     caller to check.
     """
     _norm_factor(params)
-    fn = F.fn  # the quadrature's own check makes each value complex and finite
+    fn = F.fn  # the quadrature's own check rejects non-finite values
     if F.schwarz_symmetric:
         w = 2.0 * scale
 
@@ -250,9 +268,12 @@ def master_lhs(
     """Full-line integral of F(x^2 + i pi x) against the kernel.
 
     Raises DivergenceError for inadmissible F (detected empirically) and
-    NonConvergenceError if the quadrature budget is exhausted first.
+    NonConvergenceError if the quadrature budget is exhausted first
+    (RoundoffError if rounding alone keeps it above the tolerance).
     """
-    return require_converged(master_integral(F, params, opts), "master-identity integral")
+    return require_converged(
+        master_integral(F, params, opts), "master-identity integral", opts
+    )
 
 
 def _verify(
@@ -271,7 +292,7 @@ def _verify(
     The run is experimental off the canonical domain: complex a, or F
     without the Schwarz flag.
     """
-    lhs_result = require_converged(master_integral(F, params, opts, scale), what)
+    lhs_result = require_converged(master_integral(F, params, opts, scale), what, opts)
     return VerificationReport.from_sides(
         case_name=name,
         params=record,

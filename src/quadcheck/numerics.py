@@ -39,6 +39,10 @@ POLE_GUARD_RADIUS = 1e-8
 #: Region in which ``zeta`` is validated to >= 10 significant digits.
 ZETA_VALIDATED_RE_MIN = 0.0
 ZETA_VALIDATED_IM_MAX = 50.0
+_ZETA_OUTSIDE_MESSAGE = (
+    f"zeta is evaluated outside the validated region (Re >= {ZETA_VALIDATED_RE_MIN}, "
+    f"|Im| <= {ZETA_VALIDATED_IM_MAX}); accuracy may be reduced"
+)
 
 
 class AccuracyWarning(UserWarning):
@@ -280,13 +284,8 @@ def zeta(z: complex) -> complex:
         # accuracy warning is needed out here
         return _zeta_dirichlet(z)
     if abs(z.imag) > ZETA_VALIDATED_IM_MAX or z.real < ZETA_VALIDATED_RE_MIN:
-        warnings.warn(
-            f"zeta({z!r}) is outside the validated region "
-            f"(Re >= {ZETA_VALIDATED_RE_MIN}, |Im| <= {ZETA_VALIDATED_IM_MAX}); "
-            "accuracy may be reduced",
-            AccuracyWarning,
-            stacklevel=2,
-        )
+        # constant text, so the default filter shows it once per call site
+        warnings.warn(_ZETA_OUTSIDE_MESSAGE, AccuracyWarning, stacklevel=2)
     if z.real >= 0.5:
         return _zeta_alternating(z)
     # For Re z < 0.5 use the functional equation, except in a small disc

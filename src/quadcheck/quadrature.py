@@ -9,6 +9,14 @@ each time the partition meets the tolerance, until the newest window's
 contribution is negligible; that contribution is charged to the error as
 the truncation tail.  This is cheap and honest for integrands that decay
 like exp(-|x|) or faster.  The full line is folded onto the half-line.
+
+Each segment's error is floored at a few ulps of its integral of |f|, so
+the partition's error can never fall below ``2 eps * integral of |f|``,
+whatever the bisection does.  When the tolerance lies below that floor, as
+for large integrands with small, cancelling integrals, the run stops as
+``roundoff_limited`` (QUADPACK's ``ier=2``) as soon as the segments that
+resolve f already account for it, instead of spending its budget.
+
 Everything is sequential and deterministic: identical inputs produce
 bit-identical results.
 """
@@ -106,7 +114,15 @@ class QuadratureResult:
     domains and 0.0 for finite ones.  ``error_estimate`` includes the
     truncation tail.  ``converged`` is True iff ``error_estimate <=
     max(abs_tol, rel_tol * |value|)`` and, on the half-line, the window
-    sweep ran to its end instead of stopping on the budget.
+    sweep ran to its end instead of stopping on the budget or on roundoff.
+    ``l1_norm`` is the integral of |f| as the final partition's rules
+    estimate it, so ``l1_norm / |value|`` is the condition number of the
+    integral.
+    ``roundoff_limited`` is True iff the run stopped because the rounding
+    floor of its settled segments (those whose error sits at their floor)
+    alone exceeded the tolerance: the result is then not converged, and no
+    budget would have made it so.  ``rounding_floor``, the floor of all
+    segments, is then above the tolerance too.
     """
 
     value: complex
@@ -114,6 +130,13 @@ class QuadratureResult:
     evaluations: int
     truncation_used: float
     converged: bool
+    l1_norm: float = 0.0
+    roundoff_limited: bool = False
+
+    @property
+    def rounding_floor(self) -> float:
+        """Lower bound of ``error_estimate``: a few ulps of ``l1_norm``."""
+        return _ROUNDING_ULPS * _EPS * self.l1_norm
 
 
 def _eval(f: Integrand, x: float) -> complex:
@@ -126,31 +149,47 @@ def _eval(f: Integrand, x: float) -> complex:
     return v
 
 
-def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float]:
+def _name_bad_node(f: Integrand, c: float, h: float) -> None:
+    """Re-walk a rule's nodes in evaluation order; raise IntegrandError at the first bad one."""
+    _eval(f, c)
+    for x in _XGK[:7]:
+        _eval(f, c - h * x)
+        _eval(f, c + h * x)
+
+
+def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     """One Gauss-Kronrod 7/15 application on [lo, hi].
 
-    Returns (Kronrod value, error estimate).  The estimate follows the
-    QUADPACK recipe: the raw Gauss/Kronrod discrepancy is damped through
-    the variation integral resasc, and floored at a small multiple of
-    ulp(integral of |f|) to stay honest once discretization error is gone.
+    Returns (Kronrod value, error estimate, integral of |f|).  The estimate
+    follows the QUADPACK recipe: the raw Gauss/Kronrod discrepancy is damped
+    through the variation integral resasc, and floored at a small multiple
+    of ulp(integral of |f|) to stay honest once discretization error is
+    gone.  Finiteness is checked once, on the |f| sum: only when it fails,
+    or the integrand raises, are the nodes walked again to name the bad one.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fc = _eval(f, c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    resabs = _WGK[7] * abs(fc)
-    fv = []
-    for j in range(7):
-        dx = h * _XGK[j]
-        f1 = _eval(f, c - dx)
-        f2 = _eval(f, c + dx)
-        fv.append((f1, f2))
-        fsum = f1 + f2
-        resk += _WGK[j] * fsum
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += _WG[j // 2] * fsum
+    try:
+        fc = f(c)
+        resk = _WGK[7] * fc
+        resg = _WG[3] * fc
+        resabs = _WGK[7] * abs(fc)
+        fv = []
+        for j in range(7):
+            dx = h * _XGK[j]
+            f1 = f(c - dx)
+            f2 = f(c + dx)
+            fv.append((f1, f2))
+            fsum = f1 + f2
+            resk += _WGK[j] * fsum
+            resabs += _WGK[j] * (abs(f1) + abs(f2))
+            if j % 2 == 1:
+                resg += _WG[j // 2] * fsum
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        _name_bad_node(f, c, h)
+        raise IntegrandError(c, str(exc)) from exc  # only an impure f gets here
+    if not math.isfinite(resabs):
+        _name_bad_node(f, c, h)  # no bad node: only the sum overflowed
     mean = 0.5 * resk
     resasc = _WGK[7] * abs(fc - mean)
     for j in range(7):
@@ -165,7 +204,7 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float]:
         err = resasc * ratio**1.5 if ratio < 1.0 else resasc
     if resabs > 0.0:
         err = max(err, _ROUNDING_ULPS * _EPS * resabs)
-    return resk * h, err
+    return resk * h, err, resabs
 
 
 def _totals(segments: list, left: float = -math.inf) -> tuple[complex, float]:
@@ -194,15 +233,25 @@ def _partition(
     appended, until the newest window contributes at most
     ``_TAIL_FRACTION`` of the tolerance; that contribution is added to the
     error as the truncation tail.
+
+    A segment whose error sits at its rounding floor is settled: its rule
+    resolves f, so its |f| integral stays put under further bisection.
+    The settled segments' floors are therefore a lower bound of the error
+    of every refinement.  When an exact sum misses the target and that
+    bound alone exceeds it, no bisection can help, and the run stops as
+    roundoff limited.  Unsettled segments do not count: a coarse rule's
+    |f| integral can be off by more than the margin a run near the limit
+    has to spare.
     """
-    segments: list[tuple[float, float, float, complex]] = []
+    segments: list[tuple[float, float, float, complex, float, float]] = []
 
-    def rule(a: float, b: float) -> tuple[complex, float]:
-        v, e = _gk15(f, a, b)
-        heapq.heappush(segments, (-e, a, b, v))
-        return v, e
+    def rule(a: float, b: float) -> tuple[complex, float, float]:
+        v, e, l1 = _gk15(f, a, b)
+        settled = l1 if e <= _ROUNDING_ULPS * _EPS * l1 else 0.0
+        heapq.heappush(segments, (-e, a, b, v, l1, settled))
+        return v, e, settled
 
-    value, error = rule(lo, hi)
+    value, error, settled_l1 = rule(lo, hi)
     exact_error = error  # the error total at the last exact summation
     evals = 15
     budget = opts.max_subdivisions
@@ -210,10 +259,13 @@ def _partition(
     window = lo  # left edge of the newest window
     contributions: list[float] = []
     finished = not windowed
+    roundoff_limited = False
     while True:
+        running_target = fraction * max(opts.abs_tol, opts.rel_tol * abs(value))
         if (
-            error <= fraction * max(opts.abs_tol, opts.rel_tol * abs(value))
+            error <= running_target
             or error <= exact_error / _RESUM_DROP
+            or _ROUNDING_ULPS * _EPS * settled_l1 > running_target
         ):
             value, error = _totals(segments)
             exact_error = error
@@ -238,31 +290,50 @@ def _partition(
                     finished = True
                     break
                 window, hi = hi, min(hi * _WINDOW_GROWTH, _MAX_TRUNCATION)
-                v, e = rule(window, hi)
+                v, e, settled = rule(window, hi)
                 evals += 15
                 value += v
                 error += e
+                settled_l1 += settled
                 continue
+            settled_l1 = math.fsum(s[5] for s in segments)
+            if _ROUNDING_ULPS * _EPS * settled_l1 > fraction * target:
+                roundoff_limited = True
+                break
         if budget == 0:
             break
-        neg_e, a, b, v = segments[0]
+        neg_e, a, b, v, _, settled = segments[0]
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             # the worst segment is at floating-point resolution
             break
         heapq.heappop(segments)
-        v1, e1 = rule(a, m)
-        v2, e2 = rule(m, b)
+        v1, e1, settled1 = rule(a, m)
+        v2, e2, settled2 = rule(m, b)
         evals += 30
         budget -= 1
         value += v1 + v2 - v
         error += e1 + e2 + neg_e
+        settled_l1 += settled1 + settled2 - settled
 
     value, error = _totals(segments)
     if windowed and window > lo:
         error += abs(_totals(segments, window)[0])
-    converged = finished and error <= max(opts.abs_tol, opts.rel_tol * abs(value))
-    return QuadratureResult(value, error, evals, hi if windowed else 0.0, converged)
+    converged = (
+        finished
+        and not roundoff_limited
+        and math.isfinite(error)  # an overflowed sum meets any target relative to it
+        and error <= max(opts.abs_tol, opts.rel_tol * abs(value))
+    )
+    return QuadratureResult(
+        value,
+        error,
+        evals,
+        hi if windowed else 0.0,
+        converged,
+        math.fsum(s[4] for s in segments),
+        roundoff_limited,
+    )
 
 
 def integrate_finite(

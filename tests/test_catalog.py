@@ -15,7 +15,9 @@ from quadcheck import (
     ParameterError,
     PoleError,
     QuadcheckError,
+    NonConvergenceError,
     QuadratureOptions,
+    RoundoffError,
     TransformFunction,
     UnknownCaseError,
     VerificationReport,
@@ -496,3 +498,59 @@ def test_any_parameter_map_ends_in_a_report_or_a_typed_error(case_id, data):
     except QuadcheckError:
         return
     assert isinstance(result, VerificationReport)
+
+
+#: Evaluations at each case's defaults, exactly: the roundoff stop must
+#: not fire on a run that converges.
+_DEFAULT_EVALUATIONS = {
+    "rational": 195, "bessel": 405, "gaussian": 1170,
+    "cosine": 690, "gamma": 180, "zeta": 240,
+}
+
+
+@pytest.mark.parametrize("case_id", CATALOG_ORDER)
+def test_default_runs_keep_their_evaluation_counts(case_id):
+    assert run_case(case_id).diagnostics.evaluations == _DEFAULT_EVALUATIONS[case_id]
+
+
+@pytest.mark.parametrize("case_id,params,ceiling", [
+    # large integrands with small integrals: the rounding floor
+    # 2 eps * integral of |f| lies above the tolerance; each of these used
+    # to spend all 60015 evaluations
+    ("gaussian", {"b": 0.37}, 1245),
+    ("gaussian", {"b": 0.45}, 855),
+    ("gaussian", {"b": 2.0}, 1395),
+    ("gamma", {"a": 7, "b": -1}, 915),
+    ("gamma", {"a": 7, "b": -2}, 735),
+    # true value 0: the budget stop here reported an estimate six times
+    # below its true error
+    ("gamma", {"a": 3, "b": -3}, 765),
+])
+def test_roundoff_limited_cases_stop_early(case_id, params, ceiling):
+    with pytest.raises(RoundoffError) as err:
+        run_case(case_id, params)
+    result = err.value.result
+    assert isinstance(err.value, NonConvergenceError)
+    assert result.roundoff_limited and not result.converged
+    assert result.evaluations <= ceiling
+    assert result.error_estimate >= result.rounding_floor
+    message = str(err.value)
+    assert "roundoff" in message and "condition number" in message
+
+
+@pytest.mark.parametrize("case_id,params,evaluations", [
+    # early on, the rounding floor of these runs' coarse partitions exceeds
+    # the tolerance, but the converged partition's floor is below it
+    # (99.6 % of it at b = 0.36301); a stop on the floor of all segments,
+    # settled or not, ended each of them in a RoundoffError after 105 to
+    # 255 evaluations
+    ("gaussian", {"b": 0.3630130793341837}, 6960),
+    ("gaussian", {"a": 0.5, "b": 0.44}, 1830),
+    ("gaussian", {"a": 1.0, "b": 0.49}, 2280),
+    ("gamma", {"a": 6.3, "b": -1.4}, 1050),
+])
+def test_runs_near_the_rounding_limit_still_converge(case_id, params, evaluations):
+    rep = run_case(case_id, params)
+    assert rep.passed
+    assert rep.diagnostics.evaluations == evaluations
+    assert not rep.diagnostics.roundoff_limited

@@ -153,6 +153,35 @@ def test_a_at_plus_minus_i_exits_2(capsys):
         assert "a = +/- i" in capsys.readouterr().err
 
 
+def test_roundoff_limited_run_exits_3(capsys):
+    # the integral of |f| is about 1.2e4 and the integral 2.4e-3: rounding
+    # alone keeps the error above the tolerance
+    assert main(["verify", "gaussian", "--param", "b=0.45"]) == 3
+    assert "roundoff" in capsys.readouterr().err
+
+
+def test_zeta_accuracy_warning_is_printed_once_per_run():
+    # a = 1000 calls zeta far outside its validated region thousands of
+    # times; Python's default filter shows a constant message once
+    import os
+    import subprocess
+    import sys
+
+    import quadcheck
+
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadcheck.__file__)))
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadcheck.cli", "verify", "zeta", "--param", "a=1000"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode in (0, 1), proc.stderr[-2000:]
+    assert proc.stderr.count("AccuracyWarning") == 1, proc.stderr[:2000]
+    assert "outside the validated region" in proc.stderr
+
+
 def test_zeta_case_at_tiny_a_exits_0(capsys):
     assert main(["verify", "zeta", "--param", "a=1e-300"]) == 0
     capsys.readouterr()

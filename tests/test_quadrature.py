@@ -109,6 +109,57 @@ def test_overflowing_integrand_reports_abscissa():
         integrate_finite(f, 0.0, 40.0)
 
 
+def _reference_gk15(f, lo, hi):
+    # reference rule: every value is made complex and checked for
+    # finiteness by _eval before it enters the sums
+    from quadcheck.quadrature import _WG, _WGK, _XGK, _eval
+
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fc = _eval(f, c)
+    resk, resg, resabs = _WGK[7] * fc, _WG[3] * fc, _WGK[7] * abs(fc)
+    for j in range(7):
+        f1, f2 = _eval(f, c - h * _XGK[j]), _eval(f, c + h * _XGK[j])
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+        if j % 2 == 1:
+            resg += _WG[j // 2] * (f1 + f2)
+    return resk * h, resabs * h
+
+
+@pytest.mark.parametrize("f", [
+    math.sin,
+    lambda x: 1e6 * math.cos(300.0 * x) - 3.0,
+    lambda x: cmath.exp(1j * x) / (1.0 + x * x),
+    lambda x: 7,
+])
+def test_rule_sums_match_the_per_node_checked_reference(f):
+    from quadcheck.quadrature import _gk15
+
+    for lo, hi in ((0.0, 1.0), (-3.5, 0.25), (1e-3, 2e-3)):
+        value, _, l1 = _gk15(f, lo, hi)
+        ref_value, ref_l1 = _reference_gk15(f, lo, hi)
+        assert complex(value) == ref_value and l1 == ref_l1
+
+
+def test_integrand_error_names_the_first_bad_node_in_rule_order():
+    # the rule evaluates the centre, then c -/+ h x_j from the outermost
+    # node in; the first node past 0.9 is c + h x_0
+    def f(x):
+        return math.nan if x > 0.9 else 1.0
+
+    with pytest.raises(IntegrandError) as err:
+        integrate_finite(f, 0.0, 1.0)
+    assert err.value.abscissa == 0.5 + 0.5 * 0.991455371120812639206854697526329
+
+
+def test_overflowing_sum_of_finite_values_is_not_an_integrand_error():
+    # every value is finite; only the rule's weighted sums overflow, which
+    # must not pass as convergence either
+    r = integrate_finite(lambda x: 1.5e308, 0.0, 1e-300, QuadratureOptions(max_subdivisions=1))
+    assert not math.isfinite(r.error_estimate)
+    assert not r.converged
+
+
 def test_divergence_detection_constant():
     with pytest.raises(DivergenceError):
         integrate_half_line(lambda x: 1.0)
@@ -303,3 +354,55 @@ def test_budget_stop_before_the_last_window_is_not_converged():
     assert r.error_estimate <= max(opts.abs_tol, opts.rel_tol * abs(r.value))
     assert r.truncation_used < integrate_half_line(f).truncation_used
     assert not r.converged
+
+
+def test_large_cancelling_integrand_stops_on_its_rounding_floor():
+    # 2 eps * integral of |f| = 1.8e-9 is far above abs_tol = 1e-12: no
+    # partition can meet the tolerance, so the run stops instead of
+    # spending 60015 evaluations
+    r = integrate_finite(lambda x: 1e6 * math.sin(x), 0.0, 2.0 * math.pi)
+    assert r.roundoff_limited
+    assert not r.converged
+    assert r.l1_norm == pytest.approx(4e6, rel=0.05)
+    assert r.error_estimate >= r.rounding_floor > 1e-12
+    assert abs(r.value) <= r.error_estimate
+    assert r.evaluations < 100
+
+
+def test_rounding_floor_is_a_lower_bound_of_the_error():
+    for f, lo, hi in (
+        (math.sin, 0.0, math.pi),
+        (lambda x: 1e6 * math.sin(x), 0.0, 2.0 * math.pi),
+        (lambda x: math.cos(300.0 * x), 0.0, 1.0),
+        (lambda x: cmath.exp(1j * x), 0.0, 1.0),
+    ):
+        r = integrate_finite(f, lo, hi)
+        assert 0.0 < r.rounding_floor <= r.error_estimate
+
+
+def test_converged_runs_report_the_integral_of_abs_f():
+    # one rule converges here; its estimate of the integral of |sin| is rough
+    r = integrate_finite(math.sin, 0.0, 2.0 * math.pi)
+    assert r.converged and not r.roundoff_limited
+    assert r.l1_norm == pytest.approx(4.0, rel=0.05)
+    r = integrate_finite(math.sin, 0.0, math.pi)
+    assert r.l1_norm == pytest.approx(2.0, rel=1e-12)
+    r = integrate_half_line(lambda x: math.exp(-x) * math.cos(x))
+    assert r.converged and not r.roundoff_limited
+    assert r.l1_norm > abs(r.value)
+
+
+def test_budget_stops_are_not_roundoff_limited():
+    opts = QuadratureOptions(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)
+    r = integrate_finite(lambda x: math.cos(40.0 * x * x), 0.0, 6.0, opts)
+    assert r.evaluations == 105
+    assert not r.converged and not r.roundoff_limited
+    r = integrate_half_line(
+        lambda x: math.exp(-x) * math.cos(5.0 * x), QuadratureOptions(max_subdivisions=9)
+    )
+    assert not r.converged and not r.roundoff_limited
+
+
+def test_positional_construction_defaults_the_roundoff_diagnostics():
+    r = QuadratureResult(1 + 0j, 1e-12, 15, 0.0, True)
+    assert r.l1_norm == 0.0 and not r.roundoff_limited
