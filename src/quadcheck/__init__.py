@@ -5,6 +5,10 @@ identities built on the kernel ``cosh x / (1 + 2 a^2 cosh 2x + a^4)``:
 the left side by adaptive complex quadrature over unbounded or contour
 domains, the right side in closed form, for built-in worked cases and for
 user-supplied transforms written in a small expression language.
+
+The expression language, ``quadcheck.expr``, is imported on first use of
+``parse``, ``evaluate`` or ``to_string``, so commands that never parse an
+expression do not pay for it.
 """
 
 from .catalog import CaseDefinition, list_cases, run_case
@@ -21,7 +25,6 @@ from .errors import (
     RoundoffError,
     UnknownCaseError,
 )
-from .expr import evaluate, parse, to_string
 from .kernel import (
     DEFAULT_TOLERANCE,
     KernelParams,
@@ -54,6 +57,21 @@ from .quadrature import (
 )
 
 __version__ = "0.1.0"
+
+_EXPR_NAMES = ("evaluate", "parse", "to_string")
+
+
+def __getattr__(name: str):
+    # the first use imports quadcheck.expr, which binds these names here
+    if name in _EXPR_NAMES:
+        from . import expr
+
+        return getattr(expr, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPR_NAMES})
 
 __all__ = [
     "AccuracyWarning",

@@ -13,10 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import numerics
+from ._frozen import Frozen
 from .errors import ParameterError, UnknownCaseError
 from .kernel import (
     DEFAULT_TOLERANCE,
@@ -45,8 +45,7 @@ _ZETA_ZERO_ORDINATES = (
 _ZETA_ZERO_WARN_DISTANCE = 0.05
 
 
-@dataclass(frozen=True)
-class CaseDefinition:
+class CaseDefinition(Frozen):
     """A runnable verification case.
 
     ``validate`` normalizes a raw parameter map and raises ParameterError

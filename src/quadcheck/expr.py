@@ -20,10 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+import sys
 from typing import Iterator, Mapping, Union
 
 from . import numerics
+from ._frozen import Frozen
 from .errors import DomainError, EvaluationError, ParseError
 
 __all__ = [
@@ -43,35 +44,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(Frozen):
     value: float
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Frozen):
     name: str  # pi | e | i
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Frozen):
     name: str
 
 
-@dataclass(frozen=True)
-class Negate:
+class Negate(Frozen):
     operand: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Frozen):
     op: str  # + - * / ^
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Frozen):
     func: str
     arg: "ExprAst"
 
@@ -108,8 +103,7 @@ _UNARY_PREC = 25
 _RIGHT_ASSOC = {"^"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Frozen):
     kind: str  # number | ident | op | lparen | rparen | end
     text: str
     offset: int
@@ -300,3 +294,15 @@ def variables(ast: ExprAst) -> set[str]:
     if isinstance(ast, Call):
         return variables(ast.arg)
     return set()
+
+
+# ``quadcheck`` re-exports parse, evaluate and to_string, but imports this
+# module only on their first use.  Binding them there as soon as this module
+# is imported, by whichever route, makes each later ``quadcheck.evaluate`` a
+# plain attribute read: a lookup through the package's ``__getattr__`` costs
+# about a third of an ``evaluate`` call.  As with an eager import, the
+# package then holds the objects this module had when it was imported, so a
+# patch applied wherever a function is bound reaches both.
+_package = sys.modules[__package__]
+for _name in _package._EXPR_NAMES:
+    setattr(_package, _name, globals()[_name])

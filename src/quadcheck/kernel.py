@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from ._frozen import Frozen
 from .errors import DomainError, NonConvergenceError, RoundoffError
 from .quadrature import QuadratureOptions, QuadratureResult, integrate_half_line
 
@@ -54,8 +54,7 @@ REL_DIFF_FLOOR = 1e-300
 DEFAULT_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(Frozen):
     """Kernel parameter ``a``.
 
     The canonical domain is real a > 0.  Complex values are accepted but
@@ -82,8 +81,7 @@ class KernelParams:
         return cmath.log(self.a)
 
 
-@dataclass(frozen=True)
-class TransformFunction:
+class TransformFunction(Frozen):
     """A transform F mapping complex to complex, with a Schwarz flag.
 
     ``schwarz_symmetric`` asserts F(conj k) = conj F(k); that holds for
@@ -126,8 +124,7 @@ def detect_schwarz_symmetry(
     return usable > 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Both sides of an identity, their difference, and a pass flag."""
 
     case_name: str
@@ -290,8 +287,13 @@ def _verify(
     """Compare ``scale`` times both sides of the master identity for F.
 
     The run is experimental off the canonical domain: complex a, or F
-    without the Schwarz flag.
+    without the Schwarz flag.  A tolerance outside (0, inf) raises
+    DomainError: with it every comparison would fail, or pass unchecked.
     """
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(
+            f"verification tolerance must be positive and finite, got {tolerance!r}"
+        )
     lhs_result = require_converged(master_integral(F, params, opts, scale), what, opts)
     return VerificationReport.from_sides(
         case_name=name,

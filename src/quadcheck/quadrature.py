@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
+from ._frozen import Frozen, replace
 from .errors import DivergenceError, DomainError, IntegrandError
 
 __all__ = [
@@ -86,8 +86,7 @@ _WINDOW_GROWTH = 1.5
 _MAX_TRUNCATION = 120.0
 
 
-@dataclass(frozen=True)
-class QuadratureOptions:
+class QuadratureOptions(Frozen):
     """Tolerances and budget for the adaptive integrator.
 
     The tolerance ``max(abs_tol, rel_tol * |value|)`` holds for the whole
@@ -106,8 +105,7 @@ class QuadratureOptions:
             raise DomainError("max_subdivisions must be at least 1")
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Frozen):
     """Integral value with an error estimate and diagnostics.
 
     ``truncation_used`` is the right edge of the last window for unbounded
@@ -339,7 +337,14 @@ def _partition(
 def integrate_finite(
     f: Integrand, lo: float, hi: float, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
-    """Integrate ``f`` over the finite interval [lo, hi]."""
+    """Integrate ``f`` over the finite interval [lo, hi].
+
+    The first rule's 15 nodes are all the integrator sees of ``f`` before it
+    decides where to bisect, so a feature narrower than their spacing can
+    be missed: a Gaussian bump at 0.77 of width 5e-4 on [0, 1] comes back
+    as 0 with ``converged=True`` after 15 evaluations.  No sampling rule
+    is immune to this (Lyness, SIAM Review 25, 1983).
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integrate_finite requires finite endpoints")
     if not lo < hi:
@@ -350,7 +355,15 @@ def integrate_finite(
 def integrate_half_line(
     f: Integrand, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
-    """Integrate ``f`` over [0, infinity) by geometric window growth."""
+    """Integrate ``f`` over [0, infinity) by geometric window growth.
+
+    The integrator assumes that ``f`` decays like ``exp(-x)`` or faster from
+    its first window, [0, 8], on: a window is trusted once its rules meet
+    the tolerance, and the sweep stops once the newest window contributes
+    next to nothing.  A narrow feature that the rules of a window step
+    over, or one beyond the stopping window, is lost without warning; see
+    ``integrate_real_line`` for an example.
+    """
     return _partition(f, 0.0, _INITIAL_TRUNCATION, opts or QuadratureOptions(), windowed=True)
 
 
@@ -360,7 +373,13 @@ def integrate_real_line(
     """Integrate ``f`` over the whole real line, folded onto [0, infinity).
 
     The half-line windows integrate ``f(x) + f(-x)``; ``evaluations``
-    counts calls of ``f``, two per folded node.
+    counts calls of ``f``, two per folded node.  The precondition of
+    ``integrate_half_line`` applies to the folded integrand: ``f`` must
+    decay like ``exp(-|x|)`` from the first window on.  For instance
+    ``integrate_real_line(lambda x: math.exp(-((x - 3) / 0.02) ** 2))``
+    returns about 9e-32 with ``converged=True``, where the true value is
+    0.0354: the nearest nodes of the one rule on [0, 8] sit at 2.38 and
+    3.17, where the bump is below 1e-30.
     """
 
     def folded(x: float) -> complex:

@@ -300,3 +300,77 @@ def test_exit_code_contract_over_malformed_argv(tmp_path_factory, argv):
     finally:
         os.chdir(old)
     assert rc in (0, 1, 2, 3), argv
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_meaningless_tolerance_exits_2(capsys, tol):
+    for argv in (
+        ["verify", "rational"],
+        ["verify-all"],
+        ["custom", "--F", "1/(k+2)"],
+        ["kernel-check", "--a", "1", "--t", "1"],
+    ):
+        assert main([*argv, "--tol", tol]) == 2, argv
+        assert "tolerance" in capsys.readouterr().err
+
+
+_FOOTPRINT_PROBE = """
+import sys
+import quadcheck.cli
+heavy = ("dataclasses", "inspect", "quadcheck.expr")
+print(",".join(m for m in heavy if m in sys.modules))
+import quadcheck
+assert "parse" in dir(quadcheck) and "to_string" in dir(quadcheck)
+from quadcheck import evaluate, parse, to_string
+assert quadcheck.parse is parse and quadcheck.expr.parse is parse
+assert evaluate(parse("k+1"), {"k": 1}) == 2 and to_string(parse("k")) == "k"
+namespace = {}
+exec("from quadcheck import *", namespace)
+assert namespace["parse"] is parse and namespace["evaluate"] is evaluate
+try:
+    quadcheck.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("missing attribute did not raise")
+"""
+
+
+def _run_probe(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this package; return its stdout.
+
+    A fresh interpreter because these tests' own imports would hide what
+    the package loads.
+    """
+    import os
+    import subprocess
+    import sys
+
+    import quadcheck
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(quadcheck.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_expr():
+    assert _run_probe(_FOOTPRINT_PROBE).strip() == ""
+
+
+def test_custom_command_loads_expr():
+    _run_probe(
+        "import sys\n"
+        "from quadcheck.cli import main\n"
+        "assert 'quadcheck.expr' not in sys.modules\n"
+        "rc = main(['custom', '--F', '1/(k+2)', '--format', 'json'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'quadcheck.expr' in sys.modules\n"
+        # importing expr by any route binds the package's re-exports
+        "import quadcheck\n"
+        "for name in ('parse', 'evaluate', 'to_string'):\n"
+        "    assert vars(quadcheck)[name] is getattr(quadcheck.expr, name)\n"
+    )

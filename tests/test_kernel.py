@@ -23,6 +23,7 @@ from quadcheck import (
     kernel_weight,
     master_lhs,
     master_rhs,
+    run_case,
     seed_lhs,
     seed_rhs,
     verify_master,
@@ -335,3 +336,15 @@ def test_report_pass_uses_or_of_relative_and_absolute():
         "synthetic", {}, lhs=1.0 + 0j, rhs=0j, tolerance=1e-8, diagnostics=diag
     )
     assert not rep2.passed
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1.0, math.inf])
+def test_meaningless_verification_tolerance_is_a_domain_error(tolerance):
+    # nan, 0 and -1 would fail every comparison, inf would pass it unchecked
+    F = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
+    with pytest.raises(DomainError, match="tolerance"):
+        verify_master(F, KernelParams(0.7), tolerance=tolerance)
+    with pytest.raises(DomainError, match="tolerance"):
+        verify_seed(1.0, 1.0, tolerance=tolerance)
+    with pytest.raises(DomainError, match="tolerance"):
+        run_case("rational", tolerance=tolerance)

@@ -1,0 +1,192 @@
+"""Value objects: construction, defaults, equality, hashing, immutability."""
+
+import math
+import pickle
+
+import pytest
+
+from quadcheck import (
+    CaseDefinition,
+    DomainError,
+    KernelParams,
+    QuadratureOptions,
+    QuadratureResult,
+    TransformFunction,
+    VerificationReport,
+    integrate_half_line,
+    integrate_real_line,
+)
+from quadcheck.catalog import get_case
+from quadcheck.expr import Binary, Call, Constant, Negate, Number, Variable, _Token
+
+
+def _reciprocal(k):
+    return 1.0 / (k + 2.0)
+
+
+_RESULT = QuadratureResult(1 + 2j, 1e-12, 15, 8.0, True, 3.0, False)
+_RATIONAL = get_case("rational")
+
+# (class, positional arguments, the same with one field changed)
+VALUES = [
+    (QuadratureOptions, (1e-9, 1e-7, 50), (1e-9, 1e-7, 51)),
+    (QuadratureResult, (1 + 2j, 1e-12, 15, 8.0, True, 3.0, False),
+     (1 + 2j, 1e-12, 15, 8.0, True, 3.0, True)),
+    (KernelParams, (0.7 + 0j,), (0.8 + 0j,)),
+    (TransformFunction, (_reciprocal, True, "r"), (_reciprocal, True, "s")),
+    (VerificationReport,
+     ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, False, "n"),
+     ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, True, "n")),
+    (CaseDefinition,
+     ("id", ("a",), {"a": 1 + 0j}, "c", "n", _RATIONAL.validate, _RATIONAL.transform, 0.5, None),
+     ("id", ("a",), {"a": 1 + 0j}, "c", "n", _RATIONAL.validate, _RATIONAL.transform, 1.0, None)),
+    (Number, (2.0,), (3.0,)),
+    (Constant, ("pi",), ("e",)),
+    (Variable, ("k",), ("x",)),
+    (Negate, (Variable("k"),), (Variable("x"),)),
+    (Binary, ("+", Number(1.0), Variable("k")), ("-", Number(1.0), Variable("k"))),
+    (Call, ("exp", Variable("k")), ("log", Variable("k"))),
+    (_Token, ("ident", "k", 0), ("ident", "k", 1)),
+]
+IDS = [cls.__name__ for cls, _, _ in VALUES]
+
+
+def _hashable(values):
+    try:
+        hash(values)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls, args, other", VALUES, ids=IDS)
+def test_keyword_and_positional_construction_agree(cls, args, other):
+    fields = cls.__match_args__
+    assert len(fields) == len(args)
+    by_position = cls(*args)
+    by_keyword = cls(**dict(zip(fields, args)))
+    mixed = cls(*args[:1], **dict(zip(fields[1:], args[1:])))
+    assert by_position == by_keyword == mixed
+    for name, value in zip(fields, args):
+        assert getattr(by_position, name) == value
+
+
+@pytest.mark.parametrize("cls, args, other", VALUES, ids=IDS)
+def test_equality_is_by_class_and_fields(cls, args, other):
+    a, b, c = cls(*args), cls(*args), cls(*other)
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert a != args and a != object()
+
+
+@pytest.mark.parametrize("cls, args, other", VALUES, ids=IDS)
+def test_hash_follows_the_fields(cls, args, other):
+    a, b = cls(*args), cls(*args)
+    if _hashable(args):
+        assert hash(a) == hash(b)
+        assert len({a, b, cls(*other)}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+@pytest.mark.parametrize("cls, args, other", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, args, other):
+    obj = cls(*args)
+    for name in cls.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, args[0])
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert cls(*args) == obj
+
+
+@pytest.mark.parametrize("cls, args, other", VALUES, ids=IDS)
+def test_repr_names_every_field(cls, args, other):
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__match_args__, args))
+    assert repr(cls(*args)) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls, args, other", VALUES, ids=IDS)
+def test_pickle_round_trip(cls, args, other):
+    obj = cls(*args)
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("cls, args, other", VALUES, ids=IDS)
+def test_bad_arguments_raise_type_error(cls, args, other):
+    first = cls.__match_args__[0]
+    with pytest.raises(TypeError, match="positional"):
+        cls(*args, args[0])
+    if cls is not QuadratureOptions:  # the one class whose fields all have defaults
+        with pytest.raises(TypeError, match="missing"):
+            cls()
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        cls(*args, nosuchfield=1)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*args, **{first: args[0]})
+
+
+def test_nodes_of_different_classes_never_compare_equal():
+    assert Variable("k") != Constant("k")
+    assert Constant("pi") != Variable("pi")
+    assert Number(1.0) != 1.0
+    assert len({Variable("k"), Constant("k")}) == 2
+
+
+def test_defaults():
+    assert QuadratureOptions() == QuadratureOptions(1e-12, 1e-10, 2000)
+    r = QuadratureResult(1 + 0j, 1e-12, 15, 0.0, True)
+    assert r.l1_norm == 0.0 and r.roundoff_limited is False
+    t = TransformFunction(_reciprocal)
+    assert t.schwarz_symmetric is False and t.name == ""
+    rep = VerificationReport("c", {}, 0j, 0j, 0.0, 0.0, 1e-8, True, r)
+    assert rep.experimental is False and rep.notes == ""
+    case = CaseDefinition("id", ("a",), {}, "c", "n", _RATIONAL.validate, _RATIONAL.transform)
+    assert case.scale == 0.5 and case.kernel_a is None
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"abs_tol": 0.0}, "tolerances must be positive"),
+    ({"rel_tol": -1.0}, "tolerances must be positive"),
+    ({"abs_tol": math.nan}, "tolerances must be positive"),
+    ({"rel_tol": math.nan}, "tolerances must be positive"),
+    ({"max_subdivisions": 0}, "max_subdivisions must be at least 1"),
+])
+def test_quadrature_options_validation(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        QuadratureOptions(**kwargs)
+
+
+@pytest.mark.parametrize("a, message", [
+    (0.0, "must be nonzero"),
+    (0j, "must be nonzero"),
+    (math.inf, "must be finite"),
+    (math.nan, "must be finite"),
+    (complex(1.0, math.inf), "must be finite"),
+])
+def test_kernel_params_validation(a, message):
+    with pytest.raises(DomainError, match=message):
+        KernelParams(a)
+    with pytest.raises(DomainError, match=message):
+        KernelParams(a=a)
+
+
+def test_kernel_params_normalizes_a_to_complex():
+    p = KernelParams(2)
+    assert type(p.a) is complex and p.a == 2 + 0j
+    assert p == KernelParams(2.0) == KernelParams(a=2 + 0j)
+
+
+def test_real_line_doubles_evaluations_and_keeps_every_other_field():
+    def f(x):
+        return math.exp(-x * x) * math.cos(3.0 * x) + 0.5 * math.exp(-abs(x - 0.3))
+
+    full = integrate_real_line(f)
+    half = integrate_half_line(lambda x: complex(f(x)) + complex(f(-x)))
+    assert full.evaluations == 2 * half.evaluations
+    for name in QuadratureResult.__match_args__:
+        if name != "evaluations":
+            assert getattr(full, name) == getattr(half, name), name
