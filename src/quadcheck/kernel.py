@@ -71,6 +71,10 @@ class KernelParams(Frozen):
             raise DomainError("kernel parameter a must be nonzero")
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise DomainError("kernel parameter a must be finite")
+        # a^2 for kernel_weight, not a field: a float when it is real (real
+        # or purely imaginary a), so the kernel runs in float arithmetic
+        a2 = a * a
+        object.__setattr__(self, "_a2", a2.real if a2.imag == 0.0 else a2)
 
     @property
     def is_real_positive(self) -> bool:
@@ -174,10 +178,13 @@ def kernel_weight(params: KernelParams, x: float) -> complex:
 
     Evaluated through the factored form with exp(-|x|) scaling so nothing
     overflows even at |x| of a few hundred; using |x| also makes the
-    evenness in x exact.
+    evenness in x exact.  The value is a float when a^2 is real (real or
+    purely imaginary a): complex arithmetic with zero imaginary parts
+    rounds exactly as float arithmetic does, so it has the same bits as
+    the complex value's real part.
     """
     u = math.exp(-abs(x))  # in (0, 1]
-    a2 = params.a * params.a
+    a2 = params._a2
     num = 0.5 * (u + u**3)  # cosh(x) * exp(-2|x|)
     den = (1.0 + a2 * u * u) * (a2 + u * u)
     if den == 0:

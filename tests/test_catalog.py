@@ -503,8 +503,8 @@ def test_any_parameter_map_ends_in_a_report_or_a_typed_error(case_id, data):
 #: Evaluations at each case's defaults, exactly: the roundoff stop must
 #: not fire on a run that converges.
 _DEFAULT_EVALUATIONS = {
-    "rational": 195, "bessel": 405, "gaussian": 1170,
-    "cosine": 690, "gamma": 180, "zeta": 240,
+    "rational": 135, "bessel": 345, "gaussian": 1110,
+    "cosine": 630, "gamma": 150, "zeta": 180,
 }
 
 
@@ -544,10 +544,10 @@ def test_roundoff_limited_cases_stop_early(case_id, params, ceiling):
     # (99.6 % of it at b = 0.36301); a stop on the floor of all segments,
     # settled or not, ended each of them in a RoundoffError after 105 to
     # 255 evaluations
-    ("gaussian", {"b": 0.3630130793341837}, 6960),
-    ("gaussian", {"a": 0.5, "b": 0.44}, 1830),
-    ("gaussian", {"a": 1.0, "b": 0.49}, 2280),
-    ("gamma", {"a": 6.3, "b": -1.4}, 1050),
+    ("gaussian", {"b": 0.3630130793341837}, 6900),
+    ("gaussian", {"a": 0.5, "b": 0.44}, 1770),
+    ("gaussian", {"a": 1.0, "b": 0.49}, 2220),
+    ("gamma", {"a": 6.3, "b": -1.4}, 990),
 ])
 def test_runs_near_the_rounding_limit_still_converge(case_id, params, evaluations):
     rep = run_case(case_id, params)

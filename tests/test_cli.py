@@ -314,6 +314,15 @@ def test_meaningless_tolerance_exits_2(capsys, tol):
         assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_quadrature_tolerance_exits_2(capsys, flag, value):
+    # an infinite quadrature tolerance used to stop on the first rules and
+    # report lhs 0.1638897 against rhs 0.1638914, exit 1
+    assert main(["verify", "rational", flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 _FOOTPRINT_PROBE = """
 import sys
 import quadcheck.cli

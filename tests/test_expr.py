@@ -176,15 +176,18 @@ def test_precedence_against_reference_evaluator(atoms, ops):
     # flat expression with no parentheses; the reference is Python's own
     # precedence, which matches the grammar for these operators
     n = min(len(atoms) - 1, len(ops))
-    parts = [str(atoms[0])]
+    parts = [atoms[0]]
     for i in range(n):
         # keep exponents small so chains like 9^9^9 stay representable
         rhs = atoms[i + 1] if ops[i] != "^" else (atoms[i + 1] % 3) + 1
         parts.append(ops[i])
-        parts.append(str(rhs))
-    source = "".join(parts)
+        parts.append(rhs)
+    source = "".join(map(str, parts))
+    # float literals on the reference side: with ints, 9^3^3^3 would build
+    # the exact integer 9**(3**27) and never finish
+    reference = "".join(p if isinstance(p, str) else repr(float(p)) for p in parts)
     try:
-        expected = complex(eval(source.replace("^", "**")))
+        expected = complex(eval(reference.replace("^", "**")))
     except OverflowError:
         assume(False)  # right-associative ^ chains can exceed double range
     assume(abs(expected) < 1e300)

@@ -7,6 +7,7 @@ the closed-form side directly.
 
 import cmath
 import math
+import pickle
 import random
 
 import pytest
@@ -98,6 +99,46 @@ def test_kernel_weight_no_overflow_far_out():
     assert math.isfinite(v.real)
 
 
+def _complex_kernel(a: complex, x: float) -> complex:
+    # kernel_weight's formula, kept in complex arithmetic throughout
+    u = math.exp(-abs(x))
+    a = complex(a)
+    a2 = a * a
+    return 0.5 * (u + u**3) / ((1.0 + a2 * u * u) * (a2 + u * u))
+
+
+_NODES = [120.0 * (i / 600.0) ** 2 for i in range(601)] + [0.3, 4.0, 30.0]
+
+
+@pytest.mark.parametrize("a", [0.7, 1.0, 2.5, 1e-3, 40.0, -0.7, -3.0, 2j, -0.4j])
+def test_kernel_weight_is_a_float_bit_for_bit_when_a_squared_is_real(a):
+    kp = KernelParams(a)
+    for x in _NODES:
+        got = kernel_weight(kp, x)
+        reference = _complex_kernel(a, x)
+        assert type(got) is float
+        assert reference.imag == 0.0
+        assert got.hex() == reference.real.hex(), x
+
+
+@pytest.mark.parametrize("a", [1 + 1j, 0.5 - 2j, -3 + 0.1j])
+def test_kernel_weight_for_complex_a_is_unchanged(a):
+    kp = KernelParams(a)
+    for x in _NODES:
+        got = kernel_weight(kp, x)
+        assert type(got) is complex
+        assert got == _complex_kernel(a, x)
+
+
+def test_cached_a_squared_is_not_a_field():
+    kp = KernelParams(2.0)
+    assert KernelParams._fields == ("a",)
+    assert kp == KernelParams(2 + 0j) and hash(kp) == hash(KernelParams(2 + 0j))
+    assert repr(kp) == "KernelParams(a=(2+0j))"
+    copy = pickle.loads(pickle.dumps(kp))
+    assert copy == kp and kernel_weight(copy, 1.5) == kernel_weight(kp, 1.5)
+
+
 def test_kernel_inversion_covariance():
     rng = random.Random(4)
     for _ in range(200):
@@ -173,7 +214,7 @@ def test_seed_grid_evaluation_count():
     total = sum(
         verify_seed(a, t).diagnostics.evaluations for a in _SEED_GRID_A for t in _SEED_GRID_T
     )
-    assert total == 5265
+    assert total == 4125
 
 
 def test_verify_seed_report():

@@ -191,6 +191,14 @@ def test_options_validation():
         QuadratureOptions(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_options_reject_non_finite_tolerances(field, value):
+    # with abs_tol = inf, exp(-x) on the half-line "converged" to 0.9999939
+    with pytest.raises(DomainError, match="finite"):
+        QuadratureOptions(**{field: value})
+
+
 def test_linearity():
     rng = random.Random(21)
 
@@ -343,15 +351,31 @@ def test_truncation_tail_is_charged_to_the_error():
     assert r.error_estimate >= abs(last.value)
 
 
+_BUMPS = [
+    (centre, width) for centre in (0.3, 0.77, 1.5, 3.0, 5.3, 7.0) for width in (0.05, 0.1, 0.2)
+] + [(centre, 0.02) for centre in (0.77, 1.5, 3.0)]
+
+
+@pytest.mark.parametrize("centre,width", _BUMPS)
+def test_bumps_in_the_first_windows_are_found_or_not_claimed(centre, width):
+    # a single rule on [0, 8] stepped over four of these and claimed
+    # convergence; bumps past x = 12, and the one at 5.3 of width 0.02,
+    # are still lost (see integrate_real_line)
+    r = integrate_half_line(lambda x: math.exp(-(((x - centre) / width) ** 2)))
+    exact = 0.5 * width * math.sqrt(math.pi) * (1.0 + math.erf(centre / width))
+    assert not r.converged or abs(r.value - exact) <= r.error_estimate
+
+
 def test_budget_stop_before_the_last_window_is_not_converged():
-    # nine bisections meet the tolerance on the first window, but the
+    # five bisections meet the tolerance on the first window, but the
     # windows beyond it were never looked at
     def f(x):
         return math.exp(-x) * math.cos(5.0 * x)
 
-    opts = QuadratureOptions(max_subdivisions=9)
+    opts = QuadratureOptions(max_subdivisions=5)
     r = integrate_half_line(f, opts)
     assert r.error_estimate <= max(opts.abs_tol, opts.rel_tol * abs(r.value))
+    assert r.truncation_used == 8.0
     assert r.truncation_used < integrate_half_line(f).truncation_used
     assert not r.converged
 
