@@ -227,7 +227,8 @@ def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
     """Evaluate an AST over complex numbers.
 
     Unbound variables raise EvaluationError; domain errors from the
-    numerics layer (gamma/zeta poles, powers of zero) propagate as is.
+    numerics layer (gamma/zeta poles, powers of zero) propagate as is, and
+    a call or power whose value is beyond double range raises DomainError.
     """
     if isinstance(ast, Number):
         return complex(ast.value)
@@ -254,14 +255,17 @@ def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
                 raise EvaluationError("division by zero")
             return left / right
         if ast.op == "^":
-            return numerics.cpow(left, right)
+            try:
+                return numerics.cpow(left, right)
+            except OverflowError as exc:
+                raise DomainError(f"{left!r}^{right!r}: {exc}") from exc
         raise EvaluationError(f"unknown operator {ast.op!r}")
     if isinstance(ast, Call):
         value = evaluate(ast.arg, bindings)
         fn = FUNCTIONS[ast.func]
         try:
             return complex(fn(value))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             if isinstance(exc, DomainError):
                 raise
             raise DomainError(f"{ast.func}({value!r}): {exc}") from exc

@@ -230,10 +230,17 @@ def require_converged(
 
 
 def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
-    """Closed form of the master identity: pi F(pi^2/4 + ln^2 a) / (2a(1+a^2))."""
+    """Closed form of the master identity: pi F(pi^2/4 + ln^2 a) / (2a(1+a^2)).
+
+    Raises DomainError where F(pi^2/4 + ln^2 a) is beyond double range.
+    """
     ln_a = params.log_a()
     k0 = math.pi * math.pi / 4.0 + ln_a * ln_a
-    return math.pi * F(k0) / (2.0 * _norm_factor(params))
+    try:
+        value = F(k0)
+    except OverflowError:
+        raise DomainError(f"the closed form overflows: F({k0!r}) is beyond double range") from None
+    return math.pi * value / (2.0 * _norm_factor(params))
 
 
 def master_integral(

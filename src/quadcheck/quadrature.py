@@ -175,32 +175,45 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    d0, d1, d2, d3, d4, d5, d6 = h * x0, h * x1, h * x2, h * x3, h * x4, h * x5, h * x6
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g0, g1, g2, g3 = _WG
     try:
-        fc = f(c)
-        resk = _WGK[7] * fc
-        resg = _WG[3] * fc
-        resabs = _WGK[7] * abs(fc)
-        fv = []
-        for j in range(7):
-            dx = h * _XGK[j]
-            f1 = f(c - dx)
-            f2 = f(c + dx)
-            fv.append((f1, f2))
-            fsum = f1 + f2
-            resk += _WGK[j] * fsum
-            resabs += _WGK[j] * (abs(f1) + abs(f2))
-            if j % 2 == 1:
-                resg += _WG[j // 2] * fsum
+        fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = [
+            f(x)
+            for x in (
+                c, c - d0, c + d0, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3,
+                c - d4, c + d4, c - d5, c + d5, c - d6, c + d6,
+            )
+        ]
+        # The sums are written out, centre term first, then the node pairs
+        # outwards.  abs() of a huge complex value can overflow, so they stay
+        # inside the try.
+        s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+        resk = (
+            w7 * fc + w0 * (l0 + r0) + w1 * s1 + w2 * (l2 + r2) + w3 * s3
+            + w4 * (l4 + r4) + w5 * s5 + w6 * (l6 + r6)
+        )
+        resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+        resabs = (
+            w7 * abs(fc) + w0 * (abs(l0) + abs(r0)) + w1 * (abs(l1) + abs(r1))
+            + w2 * (abs(l2) + abs(r2)) + w3 * (abs(l3) + abs(r3))
+            + w4 * (abs(l4) + abs(r4)) + w5 * (abs(l5) + abs(r5))
+            + w6 * (abs(l6) + abs(r6))
+        )
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         _name_bad_node(f, c, h)
-        raise IntegrandError(c, str(exc)) from exc  # only an impure f gets here
+        raise IntegrandError(c, str(exc)) from exc  # an impure f, or an overflowing sum
     if not math.isfinite(resabs):
         _name_bad_node(f, c, h)  # no bad node: only the sum overflowed
     mean = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - mean)
-    for j in range(7):
-        f1, f2 = fv[j]
-        resasc += _WGK[j] * (abs(f1 - mean) + abs(f2 - mean))
+    resasc = (
+        w7 * abs(fc - mean) + w0 * (abs(l0 - mean) + abs(r0 - mean))
+        + w1 * (abs(l1 - mean) + abs(r1 - mean)) + w2 * (abs(l2 - mean) + abs(r2 - mean))
+        + w3 * (abs(l3 - mean) + abs(r3 - mean)) + w4 * (abs(l4 - mean) + abs(r4 - mean))
+        + w5 * (abs(l5 - mean) + abs(r5 - mean)) + w6 * (abs(l6 - mean) + abs(r6 - mean))
+    )
     resasc *= h
     resabs *= h
     err = abs(resk - resg) * h

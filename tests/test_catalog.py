@@ -478,6 +478,13 @@ def test_tiny_variation_integral_does_not_overflow(case_id, params):
         pass
 
 
+def test_closed_form_beyond_double_range_is_a_domain_error():
+    # ln(-1e300) makes cos(alpha k) at the closed form's k overflow, while
+    # the kernel makes the integral side 0
+    with pytest.raises(DomainError):
+        run_case("cosine", {"alpha": 1.0, "a": -1e300})
+
+
 _EXTREME = st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0])
 _VALUE = st.one_of(
     st.builds(complex, _EXTREME, _EXTREME),

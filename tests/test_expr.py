@@ -124,6 +124,12 @@ def test_domain_errors_propagate():
         evaluate(parse("0^(-1)"), {})
 
 
+@pytest.mark.parametrize("source", ["10^400", "exp(1000)", "cosh(1000)", "gamma(200)"])
+def test_values_beyond_double_range_are_domain_errors(source):
+    with pytest.raises(DomainError):
+        evaluate(parse(source), {})
+
+
 def test_variables_collection():
     assert variables(parse("1/(k+2)")) == {"k"}
     assert variables(parse("a*k+b*pi")) == {"a", "k", "b"}

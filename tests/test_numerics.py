@@ -8,6 +8,7 @@ numerics layer.
 import cmath
 import math
 import random
+import warnings
 
 import mpmath as mp
 import pytest
@@ -157,6 +158,35 @@ def test_gamma_pole_guard():
     assert math.isfinite(abs(v))
 
 
+def test_gamma_beyond_double_range_is_a_domain_error():
+    with pytest.raises(DomainError):
+        gamma(172.0)
+    with pytest.raises(DomainError):
+        gamma(500.0 + 1j)
+
+
+def test_gamma_that_underflows_is_zero():
+    assert gamma(-200.5) == 0
+    assert gamma(-171.5) == 0
+
+
+def test_reciprocal_gamma_beyond_double_range_is_a_domain_error():
+    # the reflection branch; the right branch maps overflow the same way
+    with pytest.raises(DomainError):
+        reciprocal_gamma(-200.5)
+    with pytest.raises(DomainError):
+        reciprocal_gamma(complex(-1000.0, 1e-3))
+    # at a pole the value is exactly 0, however large gamma(1 - z) is
+    assert reciprocal_gamma(-200.0) == 0
+
+
+def test_zeta_beyond_double_range_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        with pytest.raises(DomainError):
+            zeta(-300 + 1j)
+
+
 def test_gamma_rejects_nonfinite():
     with pytest.raises(DomainError):
         gamma(complex(math.inf, 0.0))
@@ -236,6 +266,7 @@ def test_zeta_truncated_series_where_tail_is_tiny():
 
 def test_zeta_against_independent_implementation():
     rng = random.Random(77)
+    worst = 0.0
     for _ in range(150):
         s = complex(rng.uniform(0.0, 12.0), rng.uniform(-50, 50))
         if abs(s - 1) < 0.05:
@@ -243,6 +274,18 @@ def test_zeta_against_independent_implementation():
         ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
         got = zeta(s)
         assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-6), s
+        worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-12
+
+
+def test_zeta_in_the_strip_below_one_half_against_mpmath():
+    # 0 <= Re s < 0.5 is taken by the alternating series directly, not by
+    # the functional equation
+    rng = random.Random(78)
+    for _ in range(300):
+        s = complex(rng.uniform(0.0, 0.5), rng.uniform(-50, 50))
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        assert abs(zeta(s) - ref) <= 1e-12 * abs(ref), s
 
 
 def test_zeta_functional_equation_1000_samples():
@@ -267,6 +310,18 @@ def test_zeta_functional_equation_1000_samples():
         reflected = chi * _zeta_alternating(1.0 - z)
         assert abs(direct - reflected) / abs(direct) < 1e-9, z
         checked += 1
+
+
+def test_zeta_left_of_the_strip_against_mpmath():
+    # Re s < 0 goes through the functional equation
+    rng = random.Random(79)
+    for _ in range(100):
+        s = complex(rng.uniform(-10.0, -0.05), rng.uniform(-50, 50))
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            got = zeta(s)
+        assert abs(got - ref) <= 1e-12 * abs(ref), s
 
 
 def test_zeta_pole_guard():

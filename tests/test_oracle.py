@@ -1,0 +1,118 @@
+"""Every catalog case against an independent oracle: ``mpmath.quad`` of the
+same folded half-line integrand, with F built from mpmath's own special
+functions, so neither the package's quadrature nor its gamma and zeta
+enter the reference value.
+"""
+
+import mpmath as mp
+import pytest
+
+from quadcheck import run_case, verify_seed
+from quadcheck.catalog import get_case
+
+_DPS = 20
+_REL = 1e-9
+# mpmath.quad's sub-intervals: geometric towards 0, where the rational case
+# with small b has a peak of width about b / pi, and out to 128, where the
+# slowest decay here (cosine at alpha = 0.2, like exp(-0.37 y)) leaves a
+# tail below 1e-20.
+_BREAKS = [0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 2, 4, 8, 16, 32, 64, 128]
+
+
+def _rational(p):
+    return lambda k: 1 / (k + p["b"])
+
+
+def _bessel(p):
+    return lambda k: 1 / mp.sqrt(1 + k * k)
+
+
+def _gaussian(p):
+    return lambda k: mp.exp(-p["b"] * k * k)
+
+
+def _cosine(p):
+    return lambda k: mp.cos(p["alpha"] * k)
+
+
+def _gamma(p):
+    c = 4 * mp.mpf(p["a"]) / mp.pi**2
+    return lambda k: mp.rgamma(c * k + p["b"])
+
+
+def _zeta(p):
+    n, x, a = p["n"], mp.mpf(p["x"]), mp.mpf(p["a"])
+
+    def F(k):
+        u = k / mp.pi**2
+        return mp.power(x, u) / (2 * mp.pi * mp.zeta(4 * a * u) ** n)
+
+    return F
+
+
+def _seed(p):
+    return lambda k: mp.exp(-p["t"] * k)
+
+
+_TRANSFORMS = {
+    "rational": _rational,
+    "bessel": _bessel,
+    "gaussian": _gaussian,
+    "cosine": _cosine,
+    "gamma": _gamma,
+    "zeta": _zeta,
+    "seed": _seed,
+}
+
+
+def _oracle(case_id, params):
+    """scale * integral over [0, inf) of 2 Re F(y^2 + i pi y) K(y), K the kernel."""
+    if case_id == "seed":
+        scale, kernel_a = 0.5, params["a"]
+    else:
+        case = get_case(case_id)
+        scale = case.scale
+        kernel_a = params["a"] if case.kernel_a is None else case.kernel_a
+    with mp.workdps(_DPS):
+        F = _TRANSFORMS[case_id](params)
+        a2 = mp.mpc(kernel_a) ** 2
+
+        def f(y):
+            K = mp.cosh(y) / (1 + 2 * a2 * mp.cosh(2 * y) + a2 * a2)
+            return 2 * scale * mp.re(F(mp.mpc(y * y, mp.pi * y))) * K
+
+        return complex(mp.quad(f, _BREAKS))
+
+
+_GRID = [
+    ("rational", {"a": 0.7, "b": 2.0}),
+    ("rational", {"a": 0.2, "b": 1e-3}),
+    ("rational", {"a": 5.0, "b": 10.0}),
+    ("bessel", {"a": 0.2}),
+    ("bessel", {"a": 0.7}),
+    ("bessel", {"a": 10.0}),
+    ("gaussian", {"a": 0.3, "b": 0.05}),
+    ("gaussian", {"a": 1.0, "b": 0.3}),
+    ("gaussian", {"a": 2.5, "b": 0.2}),
+    ("cosine", {"alpha": 0.0, "a": 0.5}),
+    ("cosine", {"alpha": 0.1, "a": 1 + 2j}),
+    ("cosine", {"alpha": 0.2, "a": 3.0}),
+    ("gamma", {"a": 0.5, "b": 1.0}),
+    ("gamma", {"a": 2.0, "b": 0.5}),
+    ("gamma", {"a": 5.0, "b": -1.5}),
+    ("zeta", {"n": 1, "x": 0.5, "a": 2.0}),
+    ("zeta", {"n": 4, "x": 0.9, "a": 0.3}),
+    ("zeta", {"n": 2, "x": 0.1, "a": 50.0}),
+    ("seed", {"a": 0.3, "t": 2.0}),
+    ("seed", {"a": 3.0, "t": 0.2}),
+]
+
+
+@pytest.mark.parametrize("case_id,params", _GRID)
+def test_lhs_matches_mpmath_quad_of_the_folded_integrand(case_id, params):
+    if case_id == "seed":
+        rep = verify_seed(params["a"], params["t"])
+    else:
+        rep = run_case(case_id, params)
+    expected = _oracle(case_id, params)
+    assert abs(rep.lhs - expected) <= _REL * abs(expected), (rep.lhs, expected)
