@@ -5,8 +5,8 @@ transform F, the kernel parameter, and the scale of the printed form
 against the full-line master integral (1/2 for half-line forms, 1 for the
 full-line one, 4/pi for the sech specializations written in x = y/pi, as
 gamma and the zeta contour are).  Both sides come from the one folded
-half-line path in ``kernel``.
-"""
+half-line path in ``kernel``.  Each case's parameters are data too: a
+default and a rule per name, which ``run_case`` applies in one place."""
 
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ __all__ = ["CaseDefinition", "list_cases", "get_case", "run_case", "CATALOG_ORDE
 
 Params = Mapping[str, complex]
 Transform = Callable[[complex], complex]
+Rule = Callable[[str, complex], complex]  # (name, value) -> normalized value
 
 #: First ordinates of nontrivial zeta zeros; the zeta case warns when its
 #: argument parabola passes close to one of them (denominator accuracy).
@@ -48,90 +49,75 @@ _ZETA_ZERO_WARN_DISTANCE = 0.05
 class CaseDefinition(Frozen):
     """A runnable verification case.
 
-    ``validate`` normalizes a raw parameter map and raises ParameterError
-    on constraint violations.  ``transform`` builds the Schwarz-symmetric
-    transform F from validated parameters; the case's left side is
-    ``scale`` times the full-line master integral of F at kernel parameter
-    ``kernel_a`` (the case's own ``a`` when None), and its right side is
-    ``scale`` times the master closed form.
+    ``params`` maps each parameter name, in record order, to its default
+    and its rule: ``rule(name, value)`` returns the normalized value or
+    raises ParameterError.  ``constraints`` states the domain in prose.
+    ``transform`` builds the Schwarz-symmetric transform F from checked
+    parameters; the case's left side is ``scale`` times the full-line
+    master integral of F at kernel parameter ``kernel_a`` (the case's own
+    ``a`` when None), and its right side is ``scale`` times the master
+    closed form.
     """
 
     case_id: str
-    param_names: tuple[str, ...]
-    defaults: Mapping[str, complex]
+    params: Mapping[str, tuple[complex, Rule]]
     constraints: str
     notes: str
-    validate: Callable[[dict[str, complex]], dict[str, complex]]
     transform: Callable[[Params], Transform]
     scale: float = 0.5  # the half-line printed forms
     kernel_a: complex | None = None
 
 
-def _as_complex(value) -> complex:
-    v = complex(value)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+def _as_complex(name: str, value) -> complex:
+    try:
+        v = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"parameter {name!r} must be a number, got {value!r}") from None
+    if not numerics.is_finite(v):
         raise ParameterError("parameter values must be finite")
     return v
 
 
-def _require_real(params: dict, name: str) -> float:
-    v = _as_complex(params[name])
-    if v.imag != 0.0:
-        raise ParameterError(f"parameter {name!r} must be real, got {v!r}")
-    params[name] = complex(v.real)
-    return v.real
+# --- parameter rules --------------------------------------------------------
 
-
-def _require_real_positive(params: dict, name: str) -> float:
-    v = _require_real(params, name)
-    if not v > 0:
-        raise ParameterError(f"parameter {name!r} must be positive, got {v!r}")
-    return v
-
-
-def _require_nonzero(params: dict, name: str) -> complex:
-    v = _as_complex(params[name])
+def _nonzero(name: str, v: complex) -> complex:
     if v == 0:
         raise ParameterError(f"parameter {name!r} must be nonzero")
-    params[name] = v
     return v
 
 
-def _rational_validate(params: dict) -> dict:
-    _require_nonzero(params, "a")
-    # the b -> 0 limit differs from b = 0, so zero and negative b are refused
-    _require_real_positive(params, "b")
-    return params
+def _real(name: str, v: complex) -> complex:
+    if v.imag != 0.0:
+        raise ParameterError(f"parameter {name!r} must be real, got {v!r}")
+    return complex(v.real)  # drops a -0j
 
 
-def _bessel_validate(params: dict) -> dict:
-    _require_nonzero(params, "a")
-    return params
+def _positive(name: str, v: complex) -> complex:
+    x = _real(name, v)
+    if not x.real > 0:
+        raise ParameterError(f"parameter {name!r} must be positive, got {x.real!r}")
+    return x
 
 
-def _gaussian_validate(params: dict) -> dict:
-    _require_nonzero(params, "a")
-    _require_real_positive(params, "b")
-    return params
+def _nonnegative(name: str, v: complex) -> complex:
+    x = _real(name, v)
+    if x.real < 0:
+        raise ParameterError(f"parameter {name!r} must be >= 0, got {x.real!r}")
+    return x
 
 
-def _cosine_validate(params: dict) -> dict:
-    _require_nonzero(params, "a")
-    _require_real(params, "alpha")
-    # alpha*pi > 1 is deliberately NOT rejected here: the integrand then
-    # grows like exp((alpha*pi - 1)|x|) and the divergence detector must
-    # report it, rather than a constraint check hiding the behavior.
-    return params
+def _order(name: str, v: complex) -> complex:
+    n = _real(name, v).real
+    if n != int(n) or not (0 <= n <= 4):
+        raise ParameterError(f"parameter {name!r} must be an integer in 0..4, got {n!r}")
+    return complex(int(n))
 
 
-def _gamma_validate(params: dict) -> dict:
-    a = _require_real(params, "a")
-    if a < 0:
-        # the argument parabola would head into the left half plane, where
-        # 1/gamma grows super-exponentially and the integral diverges
-        raise ParameterError(f"parameter 'a' must be >= 0, got {a!r}")
-    _require_real(params, "b")
-    return params
+def _unit(name: str, v: complex) -> complex:
+    x = _real(name, v)
+    if not (0.0 < x.real < 1.0):
+        raise ParameterError(f"parameter {name!r} must satisfy 0 < x < 1, got {x.real!r}")
+    return x
 
 
 def _rational(p: Params) -> Transform:
@@ -160,18 +146,6 @@ def _gamma(p: Params) -> Transform:
 
 
 # --- zeta: the contour on the imaginary axis, in t = y/pi ------------------
-
-def _zeta_validate(params: dict) -> dict:
-    n = _require_real(params, "n")
-    if n != int(n) or not (0 <= n <= 4):
-        raise ParameterError(f"parameter 'n' must be an integer in 0..4, got {n!r}")
-    params["n"] = complex(int(n))
-    x = _require_real(params, "x")
-    if not (0.0 < x < 1.0):
-        raise ParameterError(f"parameter 'x' must satisfy 0 < x < 1, got {x!r}")
-    _require_real_positive(params, "a")
-    return params
-
 
 def _zeta(p: Params) -> Transform:
     """F(k) = x^u / (2 pi zeta(4 a u)^n) with u = k/pi^2.
@@ -246,43 +220,46 @@ _CASES = {
     for case in (
         CaseDefinition(
             case_id="rational",
-            param_names=("a", "b"),
-            defaults={"a": complex(0.7), "b": complex(2.0)},
+            params={
+                "a": (0.7 + 0j, _nonzero),
+                # the b -> 0 limit differs from b = 0, so zero and negative b are refused
+                "b": (2.0 + 0j, _positive),
+            },
             constraints="a nonzero (real a > 0 canonical); b real > 0",
             notes=(
                 "Transform 1/(k+b).  b <= 0 is rejected: the b -> 0 limit of the "
                 "integral differs from its value at b = 0."
             ),
-            validate=_rational_validate,
             transform=_rational,
         ),
         CaseDefinition(
             case_id="bessel",
-            param_names=("a",),
-            defaults={"a": complex(7.0)},
+            params={"a": (7.0 + 0j, _nonzero)},
             constraints="a nonzero (real a > 0 canonical)",
             notes=(
                 "Transform 1/sqrt(1+k^2) (principal square root).  The reference "
                 "check value 0.000708622 matches a=7, not the printed a=0.7: at "
                 "a=0.7 the closed form evaluates to about 0.5416121940."
             ),
-            validate=_bessel_validate,
             transform=_bessel,
             scale=1.0,
         ),
         CaseDefinition(
             case_id="gaussian",
-            param_names=("a", "b"),
-            defaults={"a": complex(0.3), "b": complex(0.3)},
+            params={"a": (0.3 + 0j, _nonzero), "b": (0.3 + 0j, _positive)},
             constraints="a nonzero (real a > 0 canonical); b real > 0",
             notes="Transform exp(-b k^2).",
-            validate=_gaussian_validate,
             transform=_gaussian,
         ),
         CaseDefinition(
             case_id="cosine",
-            param_names=("alpha", "a"),
-            defaults={"alpha": complex(0.1), "a": complex(1.0, 2.0)},
+            params={
+                # alpha*pi > 1 is deliberately NOT refused: the integrand then
+                # grows like exp((alpha*pi - 1)|x|) and the divergence detector
+                # must report it, rather than a constraint check hiding it
+                "alpha": (0.1 + 0j, _real),
+                "a": (1.0 + 2.0j, _nonzero),
+            },
             constraints=(
                 "alpha real with alpha*pi <= 1 for convergence; a nonzero "
                 "(complex a experimental)"
@@ -292,27 +269,29 @@ _CASES = {
                 "like exp((alpha*pi-1)x) and the run ends with a divergence "
                 "error instead of a number."
             ),
-            validate=_cosine_validate,
             transform=_cosine,
         ),
         CaseDefinition(
             case_id="gamma",
-            param_names=("a", "b"),
-            defaults={"a": complex(0.5), "b": complex(1.0)},
+            params={
+                # a < 0 would send the argument parabola into the left half
+                # plane, where 1/gamma grows super-exponentially and the
+                # integral diverges
+                "a": (0.5 + 0j, _nonnegative),
+                "b": (1.0 + 0j, _real),
+            },
             constraints="a real >= 0; b real",
             notes=(
                 "Transform 1/gamma(4 a k / pi^2 + b) at the sech specialization, "
                 "rescaled x -> x/pi; the closed form is 1/gamma(a+b)."
             ),
-            validate=_gamma_validate,
             transform=_gamma,
             scale=4.0 / math.pi,
             kernel_a=1.0,
         ),
         CaseDefinition(
             case_id="zeta",
-            param_names=("n", "x", "a"),
-            defaults={"n": complex(1.0), "x": complex(0.5), "a": complex(2.0)},
+            params={"n": (1.0 + 0j, _order), "x": (0.5 + 0j, _unit), "a": (2.0 + 0j, _positive)},
             constraints="n integer in 0..4; 0 < x < 1 real; a real > 0",
             notes=(
                 "Contour integral over the imaginary axis, parametrized s = i t: "
@@ -321,7 +300,6 @@ _CASES = {
                 "a = 1 the closed form is 0 because the zeta factor in its "
                 "denominator diverges while the contour side stays regular."
             ),
-            validate=_zeta_validate,
             transform=_zeta,
             scale=4.0 / math.pi,
             kernel_a=1.0,
@@ -329,12 +307,12 @@ _CASES = {
     )
 }
 
-CATALOG_ORDER = ("rational", "bessel", "gaussian", "cosine", "gamma", "zeta")
+CATALOG_ORDER = tuple(_CASES)
 
 
 def list_cases() -> list[CaseDefinition]:
     """The built-in cases, in stable catalog order."""
-    return [_CASES[cid] for cid in CATALOG_ORDER]
+    return list(_CASES.values())
 
 
 def get_case(case_id: str) -> CaseDefinition:
@@ -353,20 +331,23 @@ def run_case(
 ) -> VerificationReport:
     """Evaluate both sides of a built-in case and compare.
 
-    Missing parameters fall back to the case defaults; unknown parameter
-    names raise ParameterError.
+    The one place parameters are checked: unknown names raise
+    ParameterError, missing ones take the case defaults, every value must
+    be a finite number, and then each passes its rule.
     """
     case = get_case(case_id)
-    merged = {k: _as_complex(v) for k, v in case.defaults.items()}
-    if params:
-        for name, value in params.items():
-            if name not in case.param_names:
-                raise ParameterError(
-                    f"case {case_id!r} has no parameter {name!r} "
-                    f"(expected one of {', '.join(case.param_names)})"
-                )
-            merged[name] = _as_complex(value)
-    clean = case.validate(merged)
+    given = params or {}
+    for name in given:
+        if name not in case.params:
+            raise ParameterError(
+                f"case {case_id!r} has no parameter {name!r} "
+                f"(expected one of {', '.join(case.params)})"
+            )
+    merged = {
+        name: _as_complex(name, given.get(name, default))
+        for name, (default, _) in case.params.items()
+    }
+    clean = {name: rule(name, merged[name]) for name, (_, rule) in case.params.items()}
     F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
     kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
     return _verify(

@@ -21,13 +21,9 @@ from typing import Sequence
 
 from .catalog import CATALOG_ORDER, run_case
 from .errors import (
-    DivergenceError,
     DomainError,
-    EvaluationError,
-    IntegrandError,
-    NonConvergenceError,
+    ExpressionError,
     ParameterError,
-    ParseError,
     QuadcheckError,
     UnknownCaseError,
 )
@@ -259,20 +255,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         reports = _HANDLERS[ns.command](ns)
-    except (DivergenceError, NonConvergenceError, IntegrandError) as exc:
-        print(f"quadcheck: numerical failure: {exc}", file=sys.stderr)
-        return _NUMERIC_EXIT
-    except (ParseError, ParameterError, UnknownCaseError, EvaluationError,
-            DomainError) as exc:
+    except (DomainError, ExpressionError, ParameterError, UnknownCaseError) as exc:
         print(f"quadcheck: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except QuadcheckError as exc:
-        print(f"quadcheck: {exc}", file=sys.stderr)
-        return _NUMERIC_EXIT
-    except ArithmeticError as exc:
-        # overflow or a vanishing denominator in a closed form at exotic
-        # parameters; still a numerical failure, never a traceback
-        print(f"quadcheck: numerical failure: {exc!r}", file=sys.stderr)
+    except (QuadcheckError, ArithmeticError) as exc:
+        # a bare ArithmeticError is overflow or a vanishing denominator in a
+        # closed form at exotic parameters: its repr names it, never a traceback
+        detail = exc if isinstance(exc, QuadcheckError) else repr(exc)
+        print(f"quadcheck: numerical failure: {detail}", file=sys.stderr)
         return _NUMERIC_EXIT
 
     try:

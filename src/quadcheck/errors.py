@@ -1,9 +1,11 @@
 """Exception hierarchy shared by every quadcheck layer.
 
 Every failure the library raises is a ``QuadcheckError``.  The CLI maps
-argument and domain errors to exit code 2, and numerical failures
-(``IntegrandError``, ``DivergenceError``, ``NonConvergenceError`` and its
-``RoundoffError``) to exit code 3.
+argument, expression and domain errors (``ParameterError``,
+``UnknownCaseError``, ``ExpressionError``, ``DomainError``) to exit code 2,
+and numerical failures (``IntegrandError``, ``DivergenceError``,
+``NonConvergenceError`` and its ``RoundoffError``, any other
+``QuadcheckError`` and a bare ``ArithmeticError``) to exit code 3.
 """
 
 from __future__ import annotations

@@ -65,7 +65,10 @@ class KernelParams(Frozen):
     a: complex
 
     def __post_init__(self):
-        a = complex(self.a)
+        try:
+            a = complex(self.a)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"kernel parameter a must be a number, got {self.a!r}") from None
         object.__setattr__(self, "a", a)
         if a == 0:
             raise DomainError("kernel parameter a must be nonzero")
@@ -104,9 +107,12 @@ class TransformFunction(Frozen):
         return complex(self.fn(k))
 
 
-def detect_schwarz_symmetry(
-    fn: Callable[[complex], complex], samples: int = 32, tol: float = 1e-12
-) -> bool:
+#: Sample count and relative tolerance of ``detect_schwarz_symmetry``.
+_SCHWARZ_SAMPLES = 32
+_SCHWARZ_TOL = 1e-12
+
+
+def detect_schwarz_symmetry(fn: Callable[[complex], complex]) -> bool:
     """Numerically test F(conj k) = conj F(k) on a fixed sample grid.
 
     Sample points where ``fn`` is undefined are skipped; if it cannot be
@@ -114,7 +120,7 @@ def detect_schwarz_symmetry(
     """
     # deterministic low-discrepancy-ish grid over a box in the right half plane
     usable = 0
-    for i in range(samples):
+    for i in range(_SCHWARZ_SAMPLES):
         k = complex(0.3 + 2.9 * ((i * 0.6180339887498949) % 1.0),
                     -3.0 + 6.0 * ((i * 0.7548776662466927) % 1.0))
         try:
@@ -122,7 +128,7 @@ def detect_schwarz_symmetry(
             rhs = complex(fn(k)).conjugate()
         except Exception:
             continue
-        if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
+        if abs(lhs - rhs) > _SCHWARZ_TOL * max(1.0, abs(rhs)):
             return False
         usable += 1
     return usable > 0
@@ -344,9 +350,13 @@ _SEED_SCALE = 0.5
 def _seed(t: float) -> TransformFunction:
     """The seed identity's transform exp(-t k), whose real part on the
     contour is exp(-t x^2) cos(t pi x)."""
-    if not t > 0:
-        raise DomainError("seed identity requires t > 0")
-    return TransformFunction(lambda k: cmath.exp(-t * k), schwarz_symmetric=True, name="seed")
+    try:
+        x = float(t)
+    except (TypeError, ValueError, OverflowError):  # complex t, text, a huge int
+        x = math.nan
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"seed identity requires a finite t > 0, got {t!r}")
+    return TransformFunction(lambda k: cmath.exp(-x * k), schwarz_symmetric=True, name="seed")
 
 
 def _require_seed_domain(params: KernelParams) -> None:

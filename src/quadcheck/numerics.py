@@ -141,14 +141,20 @@ def gamma(z: complex) -> complex:
             raise PoleError(f"gamma pole too close to z = {z!r}")
         # Reflection: gamma(z) = pi / (sin(pi z) gamma(1 - z))
         try:
-            return math.pi / (_sin_pi(z) * _gamma_right(1.0 - z))
+            den = _sin_pi(z) * _gamma_right(1.0 - z)
         except OverflowError:
-            # sin(pi z) gamma(1 - z) is beyond double range
-            return 0j
+            den = complex(math.inf)
+        # sin(pi z) gamma(1 - z) beyond double range, silently so or not
+        return math.pi / den if is_finite(den) else 0j
     try:
-        return _gamma_right(z)
+        value = _gamma_right(z)
     except OverflowError:
-        raise DomainError(f"gamma overflows at z = {z!r}") from None
+        value = complex(math.inf)
+    if not is_finite(value):
+        # just below 171.8 the exponential stays finite and only the product
+        # with the Lanczos sum overflows, which complex arithmetic does silently
+        raise DomainError(f"gamma overflows at z = {z!r}")
+    return value
 
 
 def _log_gamma_right(z: complex) -> complex:
@@ -197,6 +203,7 @@ def reciprocal_gamma(z: complex) -> complex:
 
 _ETA_COEFF_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 _LN2 = math.log(2.0)
+_LN_PI = math.log(math.pi)
 
 
 def _eta_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -285,14 +292,13 @@ def _zeta_dirichlet(s: complex) -> complex:
 
 
 def _zeta_reflect(s: complex) -> complex:
-    """Functional equation: zeta(s) = chi(s) zeta(1-s), for Re s < 0."""
-    chi = (
-        cpow(2.0, s)
-        * cpow(math.pi, s - 1.0)
-        * cmath.sin(0.5 * math.pi * s)
-        * _gamma_right(1.0 - s)
-    )
-    return chi * _zeta_alternating(1.0 - s)
+    """Functional equation: zeta(s) = chi(s) zeta(1-s), for Re s < 0.
+
+    chi is formed in log space, so gamma(1-s) may exceed double range as
+    long as chi itself does not.
+    """
+    log_chi = s * _LN2 + (s - 1.0) * _LN_PI + _log_gamma_right(1.0 - s)
+    return cmath.exp(log_chi) * cmath.sin(0.5 * math.pi * s) * _zeta_alternating(1.0 - s)
 
 
 def zeta(z: complex) -> complex:
@@ -302,7 +308,8 @@ def zeta(z: complex) -> complex:
     region our contour integrals sweep); an AccuracyWarning is emitted when
     asked for points far outside it.  Raises PoleError within
     ``POLE_GUARD_RADIUS`` of z = 1, and DomainError where the functional
-    equation's gamma factor overflows (Re z below about -170).
+    equation's value is beyond double range (Re z below about -260 near the
+    real axis).
     """
     z = complex(z)
     if not is_finite(z):
@@ -322,6 +329,9 @@ def zeta(z: complex) -> complex:
     if z.real >= 0.0 or abs(z) <= 0.01:
         return _zeta_alternating(z)
     try:
-        return _zeta_reflect(z)
+        value = _zeta_reflect(z)
     except OverflowError:
-        raise DomainError(f"zeta overflows at z = {z!r}") from None
+        value = complex(math.inf)
+    if not is_finite(value):
+        raise DomainError(f"zeta overflows at z = {z!r}")
+    return value

@@ -497,7 +497,7 @@ _VALUE = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_any_parameter_map_ends_in_a_report_or_a_typed_error(case_id, data):
-    names = get_case(case_id).param_names
+    names = tuple(get_case(case_id).params)
     params = data.draw(st.dictionaries(st.sampled_from(names), _VALUE))
     opts = QuadratureOptions(max_subdivisions=200)
     try:

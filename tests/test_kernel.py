@@ -17,6 +17,7 @@ from quadcheck import (
     DomainError,
     KernelParams,
     NonConvergenceError,
+    ParameterError,
     QuadratureOptions,
     TransformFunction,
     detect_schwarz_symmetry,
@@ -32,6 +33,23 @@ from quadcheck import (
 )
 from quadcheck.cli import _SEED_GRID_A, _SEED_GRID_T
 from quadcheck.kernel import REL_DIFF_FLOOR, VerificationReport
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: run_case("rational", {"a": "x"}), ParameterError),
+    (lambda: run_case("rational", {"a": None}), ParameterError),
+    (lambda: KernelParams("x"), DomainError),
+    (lambda: verify_seed("x", 1.0), DomainError),
+    (lambda: verify_seed(1.0, "x"), DomainError),
+    (lambda: verify_seed(1.0, 1j), DomainError),
+    (lambda: verify_seed(1.0, math.inf), DomainError),
+    (lambda: verify_seed(1.0, 10**400), DomainError),
+    (lambda: verify_seed(10**400, 1.0), DomainError),
+], ids=["case-str", "case-none", "kernel-str", "seed-a-str", "seed-t-str", "seed-t-complex",
+        "seed-t-inf", "seed-t-huge", "seed-a-huge"])
+def test_non_numeric_inputs_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _direct_kernel(a: complex, x: float) -> complex:

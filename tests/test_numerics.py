@@ -187,6 +187,37 @@ def test_zeta_beyond_double_range_is_a_domain_error():
             zeta(-300 + 1j)
 
 
+def test_zeta_far_left_in_double_range_against_mpmath():
+    # gamma(1 - s) is about 1e375 here, but chi(s) and zeta(s) are in range
+    s = -200 + 1j
+    ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        got = zeta(s)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("step", range(9))
+def test_gamma_near_the_overflow_threshold_is_finite_or_a_domain_error(step):
+    # from 171.6 to 172 by 0.05; just past 171.62 the Lanczos product
+    # overflows while its exponential does not
+    x = 171.6 + 0.05 * step
+    ref = mp.gamma(x)
+    if ref > 1.7976931348623157e308:
+        with pytest.raises(DomainError):
+            gamma(x)
+    else:
+        assert abs(gamma(x) - float(ref)) <= 1e-12 * float(ref)
+
+
+@pytest.mark.parametrize("x", [-170.65, -170.7, -170.8, -171.3])
+def test_gamma_below_double_range_on_the_left_is_zero(x):
+    # 1 - x is past the overflow threshold, so the reflection gives 0,
+    # not nan; the true values are subnormal
+    assert abs(mp.gamma(x)) < 2.3e-308
+    assert gamma(x) == 0
+
+
 def test_gamma_rejects_nonfinite():
     with pytest.raises(DomainError):
         gamma(complex(math.inf, 0.0))

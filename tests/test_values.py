@@ -38,8 +38,8 @@ VALUES = [
      ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, False, "n"),
      ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, True, "n")),
     (CaseDefinition,
-     ("id", ("a",), {"a": 1 + 0j}, "c", "n", _RATIONAL.validate, _RATIONAL.transform, 0.5, None),
-     ("id", ("a",), {"a": 1 + 0j}, "c", "n", _RATIONAL.validate, _RATIONAL.transform, 1.0, None)),
+     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, None),
+     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, None)),
     (Number, (2.0,), (3.0,)),
     (Constant, ("pi",), ("e",)),
     (Variable, ("k",), ("x",)),
@@ -144,7 +144,7 @@ def test_defaults():
     assert t.schwarz_symmetric is False and t.name == ""
     rep = VerificationReport("c", {}, 0j, 0j, 0.0, 0.0, 1e-8, True, r)
     assert rep.experimental is False and rep.notes == ""
-    case = CaseDefinition("id", ("a",), {}, "c", "n", _RATIONAL.validate, _RATIONAL.transform)
+    case = CaseDefinition("id", _RATIONAL.params, "c", "n", _RATIONAL.transform)
     assert case.scale == 0.5 and case.kernel_a is None
 
 
