@@ -159,20 +159,24 @@ def _zeta(p: Params) -> Transform:
     ln_x = math.log(p["x"].real)
     pi2 = math.pi * math.pi
     two_pi = 2.0 * math.pi
+    four_a = 4.0 * a
+    guard = numerics.POLE_GUARD_RADIUS
+    # looked up now, not at import: a wrapper put on numerics.zeta still sees every call
+    zeta, exp = numerics.zeta, cmath.exp
     if n:
         _zeta_warn_near_zero(a, _MAX_TRUNCATION / math.pi)
 
     def F(k: complex) -> complex:
         u = k / pi2
-        num = cmath.exp(u * ln_x)
+        num = exp(u * ln_x)
         if not n:
             return num / two_pi
-        s = 4.0 * a * u
-        if abs(s - 1.0) < numerics.POLE_GUARD_RADIUS:
+        s = four_a * u
+        if abs(s - 1.0) < guard:
             # the closed form at a = 1: the zeta factor in the denominator
             # diverges, so F is 0 there; the contour never comes this close
             return 0j
-        return num / (two_pi * numerics.zeta(s) ** n)
+        return num / (two_pi * zeta(s) ** n)
 
     return F
 

@@ -53,6 +53,8 @@ REL_DIFF_FLOOR = 1e-300
 #: above the 6 digits of the reference check values.
 DEFAULT_TOLERANCE = 1e-8
 
+_exp = math.exp
+
 
 class KernelParams(Frozen):
     """Kernel parameter ``a``.
@@ -189,7 +191,7 @@ def kernel_weight(params: KernelParams, x: float) -> complex:
     rounds exactly as float arithmetic does, so it has the same bits as
     the complex value's real part.
     """
-    u = math.exp(-abs(x))  # in (0, 1]
+    u = _exp(-abs(x))  # in (0, 1]
     a2 = params._a2
     num = 0.5 * (u + u**3)  # cosh(x) * exp(-2|x|)
     den = (1.0 + a2 * u * u) * (a2 + u * u)
@@ -264,17 +266,22 @@ def master_integral(
     """
     _norm_factor(params)
     fn = F.fn  # the quadrature's own check rejects non-finite values
+    # looked up now, not at import: a wrapper put on the module still sees every node
+    weight = kernel_weight
+    # k = x^2 + i pi x as x (x + i pi): the one complex product rounds to
+    # the bits of complex(x * x, pi * x), with no call
+    i_pi = complex(0.0, math.pi)
     if F.schwarz_symmetric:
         w = 2.0 * scale
 
         def f(x: float) -> complex:
-            return w * fn(complex(x * x, math.pi * x)).real * kernel_weight(params, x)
+            return w * fn(x * (x + i_pi)).real * weight(params, x)
 
     else:
 
         def f(x: float) -> complex:
-            k = complex(x * x, math.pi * x)
-            return scale * (fn(k) + fn(k.conjugate())) * kernel_weight(params, x)
+            k = x * (x + i_pi)
+            return scale * (fn(k) + fn(k.conjugate())) * weight(params, x)
 
     return integrate_half_line(f, opts)
 
@@ -310,7 +317,11 @@ def _verify(
     without the Schwarz flag.  A tolerance outside (0, inf) raises
     DomainError: with it every comparison would fail, or pass unchecked.
     """
-    if not 0.0 < tolerance < math.inf:
+    try:
+        admissible = 0.0 < tolerance < math.inf
+    except TypeError:  # text, None, a complex number
+        admissible = False
+    if not admissible:
         raise DomainError(
             f"verification tolerance must be positive and finite, got {tolerance!r}"
         )

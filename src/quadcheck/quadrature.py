@@ -76,6 +76,7 @@ _EPS = 2.220446049250313e-16
 # partition this models the accumulated rounding of the weighted sums while
 # staying far below the default tolerances for well-scaled integrands.
 _ROUNDING_ULPS = 2.0
+_FLOOR = _ROUNDING_ULPS * _EPS  # a segment's floor is this times its |f| integral
 _TAIL_FRACTION = 0.25  # newest window's contribution must fall below this times tol
 # The running error total is re-summed exactly each time it falls this many
 # times below the last exact sum: where large errors cancel, its rounding
@@ -94,8 +95,9 @@ class QuadratureOptions(Frozen):
 
     The tolerance ``max(abs_tol, rel_tol * |value|)`` holds for the whole
     integral, tail included; both tolerances must be positive and finite.
-    ``max_subdivisions`` caps the bisections of the one partition, over all
-    windows together.
+    ``max_subdivisions``, an ``int`` of at least 1, caps the bisections of
+    the one partition, over all windows together.  Other values raise
+    DomainError.
     """
 
     abs_tol: float = 1e-12
@@ -104,13 +106,28 @@ class QuadratureOptions(Frozen):
 
     def __post_init__(self):
         # an infinite tolerance would let every run converge on its first rules
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+        try:
+            finite = 0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf
+        except TypeError:  # text, None, a complex number
+            finite = False
+        if not finite:
             raise DomainError(
                 "tolerances must be positive and finite, got "
                 f"abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}"
             )
-        if self.max_subdivisions < 1:
+        # a Decimal compares with floats but does not mix with them in the stop test
+        object.__setattr__(self, "abs_tol", float(self.abs_tol))
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
+        # the budget counts down to exactly 0: a fraction, NaN or inf never gets there
+        n = self.max_subdivisions
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise DomainError(f"max_subdivisions must be an integer, got {n!r}")
+        if n < 1:
             raise DomainError("max_subdivisions must be at least 1")
+
+
+#: The options of every call that passes none; immutable, so one object serves all.
+_DEFAULT_OPTIONS = QuadratureOptions()
 
 
 class QuadratureResult(Frozen):
@@ -142,7 +159,7 @@ class QuadratureResult(Frozen):
     @property
     def rounding_floor(self) -> float:
         """Lower bound of ``error_estimate``: a few ulps of ``l1_norm``."""
-        return _ROUNDING_ULPS * _EPS * self.l1_norm
+        return _FLOOR * self.l1_norm
 
 
 def _eval(f: Integrand, x: float) -> complex:
@@ -180,13 +197,22 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
     g0, g1, g2, g3 = _WG
     try:
-        fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = [
-            f(x)
-            for x in (
-                c, c - d0, c + d0, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3,
-                c - d4, c + d4, c - d5, c + d5, c - d6, c + d6,
-            )
-        ]
+        # in the order _name_bad_node walks: the centre, then the pairs outwards
+        fc = f(c)
+        l0 = f(c - d0)
+        r0 = f(c + d0)
+        l1 = f(c - d1)
+        r1 = f(c + d1)
+        l2 = f(c - d2)
+        r2 = f(c + d2)
+        l3 = f(c - d3)
+        r3 = f(c + d3)
+        l4 = f(c - d4)
+        r4 = f(c + d4)
+        l5 = f(c - d5)
+        r5 = f(c + d5)
+        l6 = f(c - d6)
+        r6 = f(c + d6)
         # The sums are written out, centre term first, then the node pairs
         # outwards.  abs() of a huge complex value can overflow, so they stay
         # inside the try.
@@ -222,19 +248,28 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         ratio = 200.0 * err / resasc
         err = resasc * ratio**1.5 if ratio < 1.0 else resasc
     if resabs > 0.0:
-        err = max(err, _ROUNDING_ULPS * _EPS * resabs)
+        err = max(err, _FLOOR * resabs)
     return resk * h, err, resabs
 
 
-def _totals(segments: list, left: float = -math.inf) -> tuple[complex, float]:
-    """Exact value and error sums over the segments that start at ``left`` or later.
+def _totals(segments: list) -> tuple[complex, float]:
+    """Exact value and error sums over the segments.
 
     ``math.fsum`` is correctly rounded, so the sums do not depend on the
     order of the segments.
     """
-    chosen = [s for s in segments if s[1] >= left]
-    value = complex(math.fsum(s[3].real for s in chosen), math.fsum(s[3].imag for s in chosen))
-    return value, -math.fsum(s[0] for s in chosen)
+    fsum = math.fsum
+    value = complex(fsum([s[3].real for s in segments]), fsum([s[3].imag for s in segments]))
+    return value, -fsum([s[0] for s in segments])
+
+
+def _contribution(segments: list, left: float) -> float:
+    """|Exact value sum| over the segments that start at ``left`` or later."""
+    fsum = math.fsum
+    return abs(complex(
+        fsum([s[3].real for s in segments if s[1] >= left]),
+        fsum([s[3].imag for s in segments if s[1] >= left]),
+    ))
 
 
 def _partition(
@@ -264,11 +299,12 @@ def _partition(
     has to spare.
     """
     segments: list[tuple[float, float, float, complex, float, float]] = []
+    push, gk15, floor = heapq.heappush, _gk15, _FLOOR
 
     def rule(a: float, b: float) -> tuple[complex, float, float]:
-        v, e, l1 = _gk15(f, a, b)
-        settled = l1 if e <= _ROUNDING_ULPS * _EPS * l1 else 0.0
-        heapq.heappush(segments, (-e, a, b, v, l1, settled))
+        v, e, l1 = gk15(f, a, b)
+        settled = l1 if e <= floor * l1 else 0.0
+        push(segments, (-e, a, b, v, l1, settled))
         return v, e, settled
 
     lo, hi = edges[0], edges[-1]
@@ -291,7 +327,7 @@ def _partition(
         if (
             error <= running_target
             or error <= exact_error / _RESUM_DROP
-            or _ROUNDING_ULPS * _EPS * settled_l1 > running_target
+            or floor * settled_l1 > running_target
         ):
             value, error = _totals(segments)
             exact_error = error
@@ -300,7 +336,7 @@ def _partition(
                 if not windowed:
                     break
                 # the first window feeds the divergence test, never the tail stop
-                contributions.append(abs(_totals(segments, window)[0]))
+                contributions.append(_contribution(segments, window))
                 if len(contributions) >= 2 and contributions[-1] <= _TAIL_FRACTION * target:
                     finished = True
                     break
@@ -323,7 +359,7 @@ def _partition(
                 settled_l1 += settled
                 continue
             settled_l1 = math.fsum(s[5] for s in segments)
-            if _ROUNDING_ULPS * _EPS * settled_l1 > fraction * target:
+            if floor * settled_l1 > fraction * target:
                 roundoff_limited = True
                 break
         if budget == 0:
@@ -344,7 +380,7 @@ def _partition(
 
     value, error = _totals(segments)
     if windowed and window > lo:
-        error += abs(_totals(segments, window)[0])
+        error += _contribution(segments, window)
     converged = (
         finished
         and not roundoff_limited
@@ -373,11 +409,18 @@ def integrate_finite(
     as 0 with ``converged=True`` after 15 evaluations.  No sampling rule
     is immune to this (Lyness, SIAM Review 25, 1983).
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    try:
+        finite = math.isfinite(lo) and math.isfinite(hi)
+    except TypeError:  # text, a complex number
+        raise DomainError(
+            f"integrate_finite requires real endpoints, got {lo!r} and {hi!r}"
+        ) from None
+    if not finite:
         raise DomainError("integrate_finite requires finite endpoints")
+    lo, hi = float(lo), float(hi)  # a Decimal does not mix with the rule's floats
     if not lo < hi:
         raise DomainError("integrate_finite requires lo < hi")
-    return _partition(f, (lo, hi), opts or QuadratureOptions(), windowed=False)
+    return _partition(f, (lo, hi), opts or _DEFAULT_OPTIONS, windowed=False)
 
 
 def integrate_half_line(
@@ -391,9 +434,14 @@ def integrate_half_line(
     the tolerance, and the sweep stops once the newest window contributes
     next to nothing.  A narrow feature that the rules of a window step
     over, or one beyond the stopping window, is lost without warning; see
-    ``integrate_real_line`` for examples.
+    ``integrate_real_line`` for examples.  A feature that rises late is
+    refused instead: ``integrate_half_line(lambda x: math.exp(-((x - 13) /
+    0.2) ** 2))`` raises DivergenceError, where the true value is 0.354,
+    because the contributions of the windows [0, 8], [8, 12] and [12, 18]
+    grow along the bump's rising flank, and three growing contributions
+    read as a growing integrand.
     """
-    return _partition(f, _FIRST_WINDOW_EDGES, opts or QuadratureOptions(), windowed=True)
+    return _partition(f, _FIRST_WINDOW_EDGES, opts or _DEFAULT_OPTIONS, windowed=True)
 
 
 def integrate_real_line(
@@ -410,12 +458,13 @@ def integrate_real_line(
     where the true value is 0.354: the sweep stops once the window [8, 12]
     contributes nothing, and never looks past 12.  A bump at 5.3 of width
     0.02 returns 1.1e-14 for 0.0354: the nearest nodes of the rule on
-    [4, 8] sit at 5.19 and 5.58.
+    [4, 8] sit at 5.19 and 5.58.  The same bump at 13 raises
+    DivergenceError instead, since the contributions of the windows
+    [0, 8], [8, 12] and [12, 18] grow along its rising flank.
     """
 
     def folded(x: float) -> complex:
         return _eval(f, x) + _eval(f, -x)
 
-    opts = opts or QuadratureOptions()
-    result = _partition(folded, _FIRST_WINDOW_EDGES, opts, windowed=True)
+    result = _partition(folded, _FIRST_WINDOW_EDGES, opts or _DEFAULT_OPTIONS, windowed=True)
     return replace(result, evaluations=2 * result.evaluations)

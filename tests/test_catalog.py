@@ -30,6 +30,8 @@ from quadcheck import (
     master_lhs,
     reciprocal_gamma,
     run_case,
+    verify_master,
+    verify_seed,
     zeta,
 )
 from quadcheck.catalog import CATALOG_ORDER, get_case
@@ -509,15 +511,45 @@ def test_any_parameter_map_ends_in_a_report_or_a_typed_error(case_id, data):
 
 #: Evaluations at each case's defaults, exactly: the roundoff stop must
 #: not fire on a run that converges.
-_DEFAULT_EVALUATIONS = {
-    "rational": 135, "bessel": 345, "gaussian": 1110,
-    "cosine": 630, "gamma": 150, "zeta": 180,
+# Every bit of the left side (float.hex of both parts) and the evaluation
+# count of the default runs: a change meant to be faster, not different,
+# keeps them all.  When a result changes on purpose, they are restated from
+# the new run, never loosened to tolerances or ceilings.
+_DEFAULT_RESULTS = {
+    "rational": ("0x1.4fa64ab3370e8p-3", "0x0.0p+0", 135),
+    "bessel": ("0x1.7385840c718a9p-11", "0x0.0p+0", 345),
+    "gaussian": ("0x1.8a77d2de04a44p-6", "0x0.0p+0", 1110),
+    "cosine": ("-0x1.41014205c87dep-4", "0x1.5a4f9ac1265aep-9", 630),
+    "gamma": ("0x1.20dd750429b6dp+0", "0x0.0p+0", 150),
+    "zeta": ("0x1.4d40c58349ac9p-4", "0x0.0p+0", 180),
+    # the seed identity at a = t = 1
+    "seed": ("0x1.10d11b4c55b2ep-5", "0x0.0p+0", 180),
+    # 1/(k+2) at a = 0.7 without the Schwarz flag: the fold sums
+    # F(k) + F(conj k), the branch no catalog case takes
+    "non-schwarz": ("0x1.4fa64ab3370e8p-2", "0x0.0p+0", 135),
 }
+
+
+def _default_report(name):
+    if name == "seed":
+        return verify_seed(1.0, 1.0)
+    if name == "non-schwarz":
+        return verify_master(TransformFunction(lambda k: 1.0 / (k + 2.0)), KernelParams(0.7))
+    return run_case(name)
 
 
 @pytest.mark.parametrize("case_id", CATALOG_ORDER)
 def test_default_runs_keep_their_evaluation_counts(case_id):
-    assert run_case(case_id).diagnostics.evaluations == _DEFAULT_EVALUATIONS[case_id]
+    assert run_case(case_id).diagnostics.evaluations == _DEFAULT_RESULTS[case_id][2]
+
+
+@pytest.mark.parametrize("name", list(_DEFAULT_RESULTS))
+def test_default_results_keep_every_bit(name):
+    rep = _default_report(name)
+    re_hex, im_hex, evaluations = _DEFAULT_RESULTS[name]
+    assert (rep.lhs.real.hex(), rep.lhs.imag.hex()) == (re_hex, im_hex)
+    assert rep.diagnostics.evaluations == evaluations
+    assert rep.passed
 
 
 @pytest.mark.parametrize("case_id,params,ceiling", [

@@ -397,9 +397,10 @@ def test_report_pass_uses_or_of_relative_and_absolute():
     assert not rep2.passed
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1.0, math.inf, "x", "1e-8", None, 1e-8j])
 def test_meaningless_verification_tolerance_is_a_domain_error(tolerance):
-    # nan, 0 and -1 would fail every comparison, inf would pass it unchecked
+    # nan, 0 and -1 would fail every comparison, inf would pass it
+    # unchecked, and a value that is not a real number cannot be compared
     F = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
     with pytest.raises(DomainError, match="tolerance"):
         verify_master(F, KernelParams(0.7), tolerance=tolerance)
@@ -407,3 +408,4 @@ def test_meaningless_verification_tolerance_is_a_domain_error(tolerance):
         verify_seed(1.0, 1.0, tolerance=tolerance)
     with pytest.raises(DomainError, match="tolerance"):
         run_case("rational", tolerance=tolerance)
+

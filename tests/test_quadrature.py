@@ -46,6 +46,32 @@ def test_finite_rejects_bad_interval():
         integrate_finite(lambda x: 1.0, 0.0, math.inf)
 
 
+@pytest.mark.parametrize("lo, hi", [("0", 1.0), (0.0, "1"), (1j, 2.0), (0.0, 1 + 0j), (None, 1.0)])
+def test_finite_rejects_endpoints_that_are_not_real(lo, hi):
+    with pytest.raises(DomainError, match="real endpoints"):
+        integrate_finite(lambda x: 1.0, lo, hi)
+
+
+def test_finite_takes_real_endpoints_of_any_type():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    expected = integrate_finite(math.sin, 0.0, 2.0)
+    for lo, hi in ((0, 2), (Decimal(0), Decimal(2)), (Fraction(0), Fraction(2))):
+        assert integrate_finite(math.sin, lo, hi) == expected
+
+
+def test_options_take_real_tolerances_of_any_type():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    opts = QuadratureOptions(abs_tol=Decimal("1e-12"), rel_tol=Fraction(1, 10**10))
+    assert opts == QuadratureOptions()
+    assert integrate_half_line(lambda x: math.exp(-x), opts) == integrate_half_line(
+        lambda x: math.exp(-x)
+    )
+
+
 def test_half_line_exponential():
     r = integrate_half_line(lambda x: math.exp(-x))
     assert abs(r.value - 1.0) < 1e-11
@@ -180,6 +206,7 @@ def test_budget_exhaustion_sets_converged_false():
     r = integrate_finite(lambda x: math.cos(40.0 * x * x), 0.0, 6.0, opts)
     assert not r.converged
     assert r.error_estimate > 0
+    assert r.evaluations == 15 + 3 * 30  # one rule, then two per bisection
 
 
 def test_options_validation():

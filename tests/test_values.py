@@ -154,6 +154,17 @@ def test_defaults():
     ({"abs_tol": math.nan}, "tolerances must be positive"),
     ({"rel_tol": math.nan}, "tolerances must be positive"),
     ({"max_subdivisions": 0}, "max_subdivisions must be at least 1"),
+    ({"abs_tol": "x"}, "tolerances must be positive"),
+    ({"abs_tol": 1e-12j}, "tolerances must be positive"),
+    ({"rel_tol": None}, "tolerances must be positive"),
+    # the budget counts down to 0: at 2.5 a run to tolerance 1e-15 spent
+    # 15165 evaluations where a budget of 2 stops at 75
+    ({"max_subdivisions": 2.5}, "max_subdivisions must be an integer"),
+    ({"max_subdivisions": 2.0}, "max_subdivisions must be an integer"),
+    ({"max_subdivisions": math.nan}, "max_subdivisions must be an integer"),
+    ({"max_subdivisions": math.inf}, "max_subdivisions must be an integer"),
+    ({"max_subdivisions": True}, "max_subdivisions must be an integer"),
+    ({"max_subdivisions": "3"}, "max_subdivisions must be an integer"),
 ])
 def test_quadrature_options_validation(kwargs, message):
     with pytest.raises(DomainError, match=message):
