@@ -46,9 +46,6 @@ _ZETA_OUTSIDE_MESSAGE = (
 )
 
 
-_isfinite = math.isfinite
-
-
 class AccuracyWarning(UserWarning):
     """The result may carry fewer correct digits than the documented target."""
 
@@ -179,7 +176,7 @@ def reciprocal_gamma(z: complex) -> complex:
     left half plane, away from the poles).
     """
     z = complex(z)
-    if not (_isfinite(z.real) and _isfinite(z.imag)):
+    if not is_finite(z):
         raise DomainError("reciprocal_gamma requires a finite argument")
     if z.real >= 0.5:
         try:
@@ -256,13 +253,11 @@ def _eta_table(s: complex) -> tuple[tuple[float, ...], tuple[float, ...]]:
         n += 4
     # quantize so the coefficient cache gets reused
     n = min(((n + 3) // 4) * 4, 160)
-    return _ETA_COEFF_CACHE.get(n) or _eta_coefficients(n)
+    return _eta_coefficients(n)
 
 
 def _expm1_complex(w: complex) -> complex:
-    """exp(w) - 1 without cancellation for small |w|."""
-    if abs(w) > 0.25:
-        return cmath.exp(w) - 1.0
+    """exp(w) - 1 by its Taylor series, without cancellation, for |w| <= 0.25."""
     term = 1.0 + 0j
     acc = 0j
     for k in range(1, 20):
@@ -282,7 +277,7 @@ def _zeta_alternating(s: complex) -> complex:
     for c, ln_k in zip(coeffs, logs):
         acc += c * exp(minus_s * ln_k)
     # zeta = eta / (1 - 2^(1-s)); the denominator cancels badly near s = 1,
-    # so build it from expm1, whose large-|w| branch is written out here.
+    # so build it from the expm1 series there.
     w = (1.0 - s) * _LN2
     den = -(exp(w) - 1.0) if abs(w) > 0.25 else -_expm1_complex(w)
     return acc / den
@@ -320,7 +315,7 @@ def zeta(z: complex) -> complex:
     real axis).
     """
     z = complex(z)
-    if not (_isfinite(z.real) and _isfinite(z.imag)):
+    if not is_finite(z):
         raise DomainError("zeta requires a finite argument")
     if abs(z - 1.0) < POLE_GUARD_RADIUS:
         raise PoleError(f"zeta pole too close to z = {z!r}")

@@ -105,19 +105,21 @@ class QuadratureOptions(Frozen):
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        # an infinite tolerance would let every run converge on its first rules
+        # an infinite tolerance would let every run converge on its first rules;
+        # a Decimal compares with floats but does not mix with them in the stop test
         try:
             finite = 0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf
-        except TypeError:  # text, None, a complex number
+            abs_tol, rel_tol = float(self.abs_tol), float(self.rel_tol)
+        except (TypeError, ArithmeticError):
+            # text, None, a complex number; a Decimal NaN; an int beyond double range
             finite = False
         if not finite:
             raise DomainError(
                 "tolerances must be positive and finite, got "
                 f"abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}"
             )
-        # a Decimal compares with floats but does not mix with them in the stop test
-        object.__setattr__(self, "abs_tol", float(self.abs_tol))
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "rel_tol", rel_tol)
         # the budget counts down to exactly 0: a fraction, NaN or inf never gets there
         n = self.max_subdivisions
         if not isinstance(n, int) or isinstance(n, bool):
@@ -415,6 +417,8 @@ def integrate_finite(
         raise DomainError(
             f"integrate_finite requires real endpoints, got {lo!r} and {hi!r}"
         ) from None
+    except (ValueError, OverflowError):  # a signaling NaN, an int beyond double range
+        finite = False
     if not finite:
         raise DomainError("integrate_finite requires finite endpoints")
     lo, hi = float(lo), float(hi)  # a Decimal does not mix with the rule's floats

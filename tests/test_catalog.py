@@ -3,6 +3,7 @@ identity, and the documented edge behaviors."""
 
 import cmath
 import math
+import platform
 
 import pytest
 from hypothesis import given, settings
@@ -514,7 +515,10 @@ def test_any_parameter_map_ends_in_a_report_or_a_typed_error(case_id, data):
 # Every bit of the left side (float.hex of both parts) and the evaluation
 # count of the default runs: a change meant to be faster, not different,
 # keeps them all.  When a result changes on purpose, they are restated from
-# the new run, never loosened to tolerances or ceilings.
+# the new run, never loosened to tolerances or ceilings.  The bits are those
+# of glibc on x86-64: math.exp and cmath's exp and log are not correctly
+# rounded, so another libm may differ in the last place with no fault here.
+_GLIBC = platform.libc_ver()[0] == "glibc"
 _DEFAULT_RESULTS = {
     "rational": ("0x1.4fa64ab3370e8p-3", "0x0.0p+0", 135),
     "bessel": ("0x1.7385840c718a9p-11", "0x0.0p+0", 345),
@@ -547,7 +551,8 @@ def test_default_runs_keep_their_evaluation_counts(case_id):
 def test_default_results_keep_every_bit(name):
     rep = _default_report(name)
     re_hex, im_hex, evaluations = _DEFAULT_RESULTS[name]
-    assert (rep.lhs.real.hex(), rep.lhs.imag.hex()) == (re_hex, im_hex)
+    if _GLIBC:
+        assert (rep.lhs.real.hex(), rep.lhs.imag.hex()) == (re_hex, im_hex)
     assert rep.diagnostics.evaluations == evaluations
     assert rep.passed
 

@@ -46,6 +46,15 @@ def test_finite_rejects_bad_interval():
         integrate_finite(lambda x: 1.0, 0.0, math.inf)
 
 
+@pytest.mark.parametrize("hi", [10**400, "sNaN", "NaN"])
+def test_finite_rejects_endpoints_beyond_double_range(hi):
+    from decimal import Decimal
+
+    hi = Decimal(hi) if isinstance(hi, str) else hi
+    with pytest.raises(DomainError, match="finite endpoints"):
+        integrate_finite(lambda x: 1.0, 0.0, hi)
+
+
 @pytest.mark.parametrize("lo, hi", [("0", 1.0), (0.0, "1"), (1j, 2.0), (0.0, 1 + 0j), (None, 1.0)])
 def test_finite_rejects_endpoints_that_are_not_real(lo, hi):
     with pytest.raises(DomainError, match="real endpoints"):

@@ -2,6 +2,8 @@
 
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +159,11 @@ def test_defaults():
     ({"abs_tol": "x"}, "tolerances must be positive"),
     ({"abs_tol": 1e-12j}, "tolerances must be positive"),
     ({"rel_tol": None}, "tolerances must be positive"),
+    ({"abs_tol": "1e-3"}, "tolerances must be positive"),
+    # beyond double range, and unordered: each must fail as a DomainError
+    ({"abs_tol": 10**400}, "tolerances must be positive"),
+    ({"rel_tol": Fraction(10**400)}, "tolerances must be positive"),
+    ({"abs_tol": Decimal("NaN")}, "tolerances must be positive"),
     # the budget counts down to 0: at 2.5 a run to tolerance 1e-15 spent
     # 15165 evaluations where a budget of 2 stops at 75
     ({"max_subdivisions": 2.5}, "max_subdivisions must be an integer"),
