@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from . import numerics
 from ._frozen import Frozen
-from .errors import ParameterError, UnknownCaseError
+from .errors import ParameterError, UnknownCaseError, complex_
 from .kernel import (
     DEFAULT_TOLERANCE,
     KernelParams,
@@ -66,16 +66,6 @@ class CaseDefinition(Frozen):
     transform: Callable[[Params], Transform]
     scale: float = 0.5  # the half-line printed forms
     kernel_a: complex | None = None
-
-
-def _as_complex(name: str, value) -> complex:
-    try:
-        v = complex(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"parameter {name!r} must be a number, got {value!r}") from None
-    if not numerics.is_finite(v):
-        raise ParameterError("parameter values must be finite")
-    return v
 
 
 # --- parameter rules --------------------------------------------------------
@@ -337,7 +327,7 @@ def run_case(
 
     The one place parameters are checked: unknown names raise
     ParameterError, missing ones take the case defaults, every value must
-    be a finite number, and then each passes its rule.
+    be a finite number (not text), and then each passes its rule.
     """
     case = get_case(case_id)
     given = params or {}
@@ -347,11 +337,10 @@ def run_case(
                 f"case {case_id!r} has no parameter {name!r} "
                 f"(expected one of {', '.join(case.params)})"
             )
-    merged = {
-        name: _as_complex(name, given.get(name, default))
-        for name, (default, _) in case.params.items()
-    }
-    clean = {name: rule(name, merged[name]) for name, (_, rule) in case.params.items()}
+    clean = {}
+    for name, (default, rule) in case.params.items():
+        what = f"parameter {name!r} must be a finite number"
+        clean[name] = rule(name, complex_(what, given.get(name, default), ParameterError))
     F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
     kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
     return _verify(

@@ -1,14 +1,20 @@
-"""Exception hierarchy shared by every quadcheck layer.
+"""Exception hierarchy shared by every quadcheck layer, and the input coercers.
 
-Every failure the library raises is a ``QuadcheckError``.  The CLI maps
-argument, expression and domain errors (``ParameterError``,
-``UnknownCaseError``, ``ExpressionError``, ``DomainError``) to exit code 2,
-and numerical failures (``IntegrandError``, ``DivergenceError``,
-``NonConvergenceError`` and its ``RoundoffError``, any other
-``QuadcheckError`` and a bare ``ArithmeticError``) to exit code 3.
+Every failure the library raises is a ``QuadcheckError``.  Numbers enter
+through ``real`` and ``complex_``, which take any finite int, float,
+Fraction or Decimal in double range (and complex, for ``complex_``), refuse
+text, numeric text included, and raise the caller's ``DomainError`` or
+``ParameterError`` for anything else.  The CLI maps argument, expression
+and domain errors (``ParameterError``, ``UnknownCaseError``,
+``ExpressionError``, ``DomainError``) to exit code 2, and numerical
+failures (``IntegrandError``, ``DivergenceError``, ``NonConvergenceError``
+and its ``RoundoffError``, any other ``QuadcheckError`` and a bare
+``ArithmeticError``) to exit code 3.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class QuadcheckError(Exception):
@@ -93,3 +99,31 @@ class UnknownCaseError(QuadcheckError, KeyError):
 
 class ParameterError(QuadcheckError, ValueError):
     """A case parameter violates its domain constraint."""
+
+
+#: text, which float() and complex() would parse as a number
+_TEXT = (str, bytes, bytearray, memoryview)
+
+
+def real(what: str, value, error=DomainError, lo=-math.inf, hi=math.inf) -> float:
+    """``value`` as a float strictly inside (lo, hi); else ``error`` stating ``what``."""
+    try:
+        if not isinstance(value, _TEXT):
+            x = float(value)
+            if lo < x < hi:  # NaN fails here
+                return x
+    except (TypeError, ValueError, ArithmeticError):  # complex, None; sNaN, 10**400
+        pass
+    raise error(f"{what}, got {value!r}")
+
+
+def complex_(what: str, value, error=DomainError) -> complex:
+    """``value`` as a finite complex; else ``error`` stating ``what``."""
+    try:
+        if not isinstance(value, _TEXT):
+            z = complex(value)
+            if math.isfinite(z.real) and math.isfinite(z.imag):
+                return z
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise error(f"{what}, got {value!r}")

@@ -26,8 +26,8 @@ import math
 from typing import Callable, Mapping
 
 from ._frozen import Frozen
-from .errors import DomainError, NonConvergenceError, RoundoffError
-from .quadrature import QuadratureOptions, QuadratureResult, integrate_half_line
+from .errors import DomainError, NonConvergenceError, RoundoffError, complex_, real
+from .quadrature import QuadratureOptions, QuadratureResult, integrate_half_line, options
 
 __all__ = [
     "KernelParams",
@@ -67,15 +67,10 @@ class KernelParams(Frozen):
     a: complex
 
     def __post_init__(self):
-        try:
-            a = complex(self.a)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"kernel parameter a must be a number, got {self.a!r}") from None
+        a = complex_("kernel parameter a must be finite and numeric", self.a)
         object.__setattr__(self, "a", a)
         if a == 0:
             raise DomainError("kernel parameter a must be nonzero")
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise DomainError("kernel parameter a must be finite")
         # a^2 for kernel_weight, not a field: a float when it is real (real
         # or purely imaginary a), so the kernel runs in float arithmetic
         a2 = a * a
@@ -104,6 +99,10 @@ class TransformFunction(Frozen):
     fn: Callable[[complex], complex]
     schwarz_symmetric: bool = False
     name: str = ""
+
+    def __post_init__(self):
+        if not callable(self.fn):
+            raise DomainError(f"transform F must be callable, got {self.fn!r}")
 
     def __call__(self, k: complex) -> complex:
         return complex(self.fn(k))
@@ -218,7 +217,7 @@ def require_converged(
     condition number ``l1_norm / |value|``.
     """
     if result.roundoff_limited:
-        opts = opts or QuadratureOptions()
+        opts = options(opts)
         size = abs(result.value)
         raise RoundoffError(
             f"{what} is limited by roundoff (rounding floor "
@@ -240,14 +239,14 @@ def require_converged(
 def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
     """Closed form of the master identity: pi F(pi^2/4 + ln^2 a) / (2a(1+a^2)).
 
-    Raises DomainError where F(pi^2/4 + ln^2 a) is beyond double range.
+    Raises DomainError where F(pi^2/4 + ln^2 a) overflows or is undefined.
     """
     ln_a = params.log_a()
     k0 = math.pi * math.pi / 4.0 + ln_a * ln_a
     try:
         value = F(k0)
-    except OverflowError:
-        raise DomainError(f"the closed form overflows: F({k0!r}) is beyond double range") from None
+    except ArithmeticError as exc:
+        raise DomainError(f"the closed form fails: F({k0!r}) raised {exc!r}") from None
     return math.pi * value / (2.0 * _norm_factor(params))
 
 
@@ -317,14 +316,7 @@ def _verify(
     without the Schwarz flag.  A tolerance outside (0, inf) raises
     DomainError: with it every comparison would fail, or pass unchecked.
     """
-    try:
-        admissible = 0.0 < tolerance < math.inf
-    except TypeError:  # text, None, a complex number
-        admissible = False
-    if not admissible:
-        raise DomainError(
-            f"verification tolerance must be positive and finite, got {tolerance!r}"
-        )
+    tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
     lhs_result = require_converged(master_integral(F, params, opts, scale), what, opts)
     return VerificationReport.from_sides(
         case_name=name,
@@ -361,12 +353,7 @@ _SEED_SCALE = 0.5
 def _seed(t: float) -> TransformFunction:
     """The seed identity's transform exp(-t k), whose real part on the
     contour is exp(-t x^2) cos(t pi x)."""
-    try:
-        x = float(t)
-    except (TypeError, ValueError, OverflowError):  # complex t, text, a huge int
-        x = math.nan
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"seed identity requires a finite t > 0, got {t!r}")
+    x = real("seed identity requires a finite t > 0", t, lo=0.0)
     return TransformFunction(lambda k: cmath.exp(-x * k), schwarz_symmetric=True, name="seed")
 
 
@@ -399,7 +386,7 @@ def verify_seed(
     params = KernelParams(a)
     F = _seed(t)
     _require_seed_domain(params)
-    record = {"a": complex(a), "t": complex(t)}
+    record = {"a": params.a, "t": complex(t)}
     return _verify(
         "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral"
     )

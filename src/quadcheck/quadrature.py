@@ -29,7 +29,7 @@ import math
 from typing import Callable
 
 from ._frozen import Frozen, replace
-from .errors import DivergenceError, DomainError, IntegrandError
+from .errors import DivergenceError, DomainError, IntegrandError, real
 
 __all__ = [
     "Integrand",
@@ -105,21 +105,10 @@ class QuadratureOptions(Frozen):
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        # an infinite tolerance would let every run converge on its first rules;
-        # a Decimal compares with floats but does not mix with them in the stop test
-        try:
-            finite = 0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf
-            abs_tol, rel_tol = float(self.abs_tol), float(self.rel_tol)
-        except (TypeError, ArithmeticError):
-            # text, None, a complex number; a Decimal NaN; an int beyond double range
-            finite = False
-        if not finite:
-            raise DomainError(
-                "tolerances must be positive and finite, got "
-                f"abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}"
-            )
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "rel_tol", rel_tol)
+        # an infinite tolerance would let every run converge on its first rules
+        for name in ("abs_tol", "rel_tol"):
+            what = f"tolerances must be positive and finite ({name})"
+            object.__setattr__(self, name, real(what, getattr(self, name), lo=0.0))
         # the budget counts down to exactly 0: a fraction, NaN or inf never gets there
         n = self.max_subdivisions
         if not isinstance(n, int) or isinstance(n, bool):
@@ -130,6 +119,15 @@ class QuadratureOptions(Frozen):
 
 #: The options of every call that passes none; immutable, so one object serves all.
 _DEFAULT_OPTIONS = QuadratureOptions()
+
+
+def options(opts: QuadratureOptions | None) -> QuadratureOptions:
+    """``opts``, or the default options for None; anything else raises DomainError."""
+    if opts is None:
+        return _DEFAULT_OPTIONS
+    if not isinstance(opts, QuadratureOptions):
+        raise DomainError(f"opts must be a QuadratureOptions or None, got {opts!r}")
+    return opts
 
 
 class QuadratureResult(Frozen):
@@ -411,20 +409,10 @@ def integrate_finite(
     as 0 with ``converged=True`` after 15 evaluations.  No sampling rule
     is immune to this (Lyness, SIAM Review 25, 1983).
     """
-    try:
-        finite = math.isfinite(lo) and math.isfinite(hi)
-    except TypeError:  # text, a complex number
-        raise DomainError(
-            f"integrate_finite requires real endpoints, got {lo!r} and {hi!r}"
-        ) from None
-    except (ValueError, OverflowError):  # a signaling NaN, an int beyond double range
-        finite = False
-    if not finite:
-        raise DomainError("integrate_finite requires finite endpoints")
-    lo, hi = float(lo), float(hi)  # a Decimal does not mix with the rule's floats
-    if not lo < hi:
-        raise DomainError("integrate_finite requires lo < hi")
-    return _partition(f, (lo, hi), opts or _DEFAULT_OPTIONS, windowed=False)
+    what = "integrate_finite requires real endpoints, finite endpoints and lo < hi"
+    lo = real(what, lo)
+    hi = real(what, hi, lo=lo)
+    return _partition(f, (lo, hi), options(opts), windowed=False)
 
 
 def integrate_half_line(
@@ -445,7 +433,7 @@ def integrate_half_line(
     grow along the bump's rising flank, and three growing contributions
     read as a growing integrand.
     """
-    return _partition(f, _FIRST_WINDOW_EDGES, opts or _DEFAULT_OPTIONS, windowed=True)
+    return _partition(f, _FIRST_WINDOW_EDGES, options(opts), windowed=True)
 
 
 def integrate_real_line(
@@ -470,5 +458,5 @@ def integrate_real_line(
     def folded(x: float) -> complex:
         return _eval(f, x) + _eval(f, -x)
 
-    result = _partition(folded, _FIRST_WINDOW_EDGES, opts or _DEFAULT_OPTIONS, windowed=True)
+    result = _partition(folded, _FIRST_WINDOW_EDGES, options(opts), windowed=True)
     return replace(result, evaluations=2 * result.evaluations)

@@ -323,6 +323,31 @@ def test_non_finite_quadrature_tolerance_exits_2(capsys, flag, value):
     assert "finite" in capsys.readouterr().err
 
 
+# the CLI forms of the hostile values of test_inputs.py that argv can carry
+_CLI_VALUES = ["nan", "inf", "-inf", "1e400", "-1e400"]
+
+_CLI_CELLS = [
+    *(["kernel-check", f"--a={v}", "--t=1"] for v in [*_CLI_VALUES, "1+2i", "x"]),
+    *(["kernel-check", "--a=1", f"--t={v}"] for v in [*_CLI_VALUES, "1+2i", "x"]),
+    *(["verify", "rational", "--param", f"a={v}"] for v in [*_CLI_VALUES, "x"]),
+    *(["verify", "rational", "--param", f"b={v}"] for v in [*_CLI_VALUES, "1+2i", "x"]),
+    *(["custom", "--F", "1/(k+2)", f"--a={v}"] for v in [*_CLI_VALUES, "x"]),
+    *(
+        ["verify", "rational", f"{flag}={v}"]
+        for flag in ("--tol", "--abs-tol", "--rel-tol")
+        for v in [*_CLI_VALUES, "1+2i", "x"]
+    ),
+    *(["verify", "rational", f"--max-subdivisions={v}"] for v in ("nan", "2.5", "1e400", "x")),
+]
+
+
+@pytest.mark.parametrize("argv", _CLI_CELLS, ids=" ".join)
+def test_hostile_cli_value_exits_2(capsys, argv):
+    assert main(argv) == 2
+    # reported as the library's refusal or as argparse's usage error
+    assert capsys.readouterr().err.startswith(("quadcheck: ", "usage: "))
+
+
 _FOOTPRINT_PROBE = """
 import sys
 import quadcheck.cli

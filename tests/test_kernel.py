@@ -409,3 +409,11 @@ def test_meaningless_verification_tolerance_is_a_domain_error(tolerance):
     with pytest.raises(DomainError, match="tolerance"):
         run_case("rational", tolerance=tolerance)
 
+
+
+def test_pole_of_F_at_the_closed_form_point_is_a_domain_error():
+    # F has its pole at k0 = pi^2/4, the closed form's point at a = 1; the
+    # contour never reaches it, so only the closed form divides by zero
+    F = TransformFunction(lambda k: 1 / (k - math.pi**2 / 4), schwarz_symmetric=True)
+    with pytest.raises(DomainError, match="closed form"):
+        verify_master(F, KernelParams(1.0))
