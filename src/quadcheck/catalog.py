@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from . import numerics
 from ._frozen import Frozen
@@ -312,7 +312,7 @@ def list_cases() -> list[CaseDefinition]:
 def get_case(case_id: str) -> CaseDefinition:
     try:
         return _CASES[case_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         known = ", ".join(CATALOG_ORDER)
         raise UnknownCaseError(f"unknown case {case_id!r}; known cases: {known}") from None
 
@@ -325,12 +325,15 @@ def run_case(
 ) -> VerificationReport:
     """Evaluate both sides of a built-in case and compare.
 
-    The one place parameters are checked: unknown names raise
-    ParameterError, missing ones take the case defaults, every value must
-    be a finite number (not text), and then each passes its rule.
+    The one place parameters are checked: ``params`` must be a mapping or
+    None, unknown names raise ParameterError, missing ones take the case
+    defaults, every value must be a finite number (not text), and then each
+    passes its rule.
     """
     case = get_case(case_id)
-    given = params or {}
+    given = {} if params is None else params
+    if not isinstance(given, Mapping):
+        raise ParameterError(f"case parameters must be a mapping or None, got {params!r}")
     for name in given:
         if name not in case.params:
             raise ParameterError(

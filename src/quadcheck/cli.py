@@ -8,8 +8,9 @@ Commands:
 * ``kernel-check``    verify the seed identity on a point or a 5x5 grid
 
 Exit codes: 0 all verifications passed, 1 some comparison failed its
-tolerance, 2 usage or expression errors, 3 numerical non-convergence or
-divergence detection.
+tolerance, 2 usage, expression or domain errors (an F that fails at the
+closed form among them), 3 numerical non-convergence, divergence
+detection, or an integrand that fails at a quadrature node.
 """
 
 from __future__ import annotations

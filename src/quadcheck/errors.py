@@ -4,12 +4,20 @@ Every failure the library raises is a ``QuadcheckError``.  Numbers enter
 through ``real`` and ``complex_``, which take any finite int, float,
 Fraction or Decimal in double range (and complex, for ``complex_``), refuse
 text, numeric text included, and raise the caller's ``DomainError`` or
-``ParameterError`` for anything else.  The CLI maps argument, expression
-and domain errors (``ParameterError``, ``UnknownCaseError``,
-``ExpressionError``, ``DomainError``) to exit code 2, and numerical
-failures (``IntegrandError``, ``DivergenceError``, ``NonConvergenceError``
-and its ``RoundoffError``, any other ``QuadcheckError`` and a bare
-``ArithmeticError``) to exit code 3.
+``ParameterError`` for anything else.
+
+User code, an integrand or a transform F, fails in one of two ways: it
+returns a value ``complex_`` refuses (text, None, a non-finite number), or
+it raises one of ``FAILURES``.  At a quadrature node either becomes an
+``IntegrandError`` naming the node; outside the quadrature, at a closed
+form or in the expression language, a ``QuadcheckError`` passes through
+unchanged and anything in ``FAILURES`` becomes a ``DomainError``.
+
+The CLI maps argument, expression and domain errors (``ParameterError``,
+``UnknownCaseError``, ``ExpressionError``, ``DomainError``) to exit code 2,
+and numerical failures (``IntegrandError``, ``DivergenceError``,
+``NonConvergenceError`` and its ``RoundoffError``, any other
+``QuadcheckError`` and a bare ``ArithmeticError``) to exit code 3.
 """
 
 from __future__ import annotations
@@ -30,15 +38,15 @@ class PoleError(DomainError):
 
 
 class IntegrandError(QuadcheckError):
-    """The integrand produced a non-finite value.
+    """The integrand raised, or returned a value that is not a finite number.
 
     Carries the offending abscissa so the caller can see where the
-    integrand blew up.
+    integrand failed.
     """
 
     def __init__(self, abscissa: float, detail: str = ""):
         self.abscissa = abscissa
-        msg = f"integrand is not finite at x = {abscissa!r}"
+        msg = f"integrand fails at x = {abscissa!r}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
@@ -101,6 +109,12 @@ class ParameterError(QuadcheckError, ValueError):
     """A case parameter violates its domain constraint."""
 
 
+#: What a conversion or a call of user code raises for a value it cannot
+#: use: None or text where a number belongs, a domain error, an overflow, a
+#: division by zero, a missing attribute.  The one set of Python exceptions
+#: that names a failure of user code.
+FAILURES = (TypeError, ValueError, ArithmeticError, AttributeError)
+
 #: text, which float() and complex() would parse as a number
 _TEXT = (str, bytes, bytearray, memoryview)
 
@@ -112,7 +126,7 @@ def real(what: str, value, error=DomainError, lo=-math.inf, hi=math.inf) -> floa
             x = float(value)
             if lo < x < hi:  # NaN fails here
                 return x
-    except (TypeError, ValueError, ArithmeticError):  # complex, None; sNaN, 10**400
+    except FAILURES:  # complex, None; sNaN, 10**400
         pass
     raise error(f"{what}, got {value!r}")
 
@@ -124,6 +138,6 @@ def complex_(what: str, value, error=DomainError) -> complex:
             z = complex(value)
             if math.isfinite(z.real) and math.isfinite(z.imag):
                 return z
-    except (TypeError, ValueError, ArithmeticError):
+    except FAILURES:
         pass
     raise error(f"{what}, got {value!r}")

@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Union
 
 from . import numerics
 from ._frozen import Frozen
-from .errors import DomainError, EvaluationError, ParseError
+from .errors import FAILURES, DomainError, EvaluationError, ParseError, QuadcheckError
 
 __all__ = [
     "ExprAst",
@@ -102,6 +102,13 @@ _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_PREC = 25
 _RIGHT_ASSOC = {"^"}
 
+#: Deepest nesting ``parse`` accepts, counted both as open parentheses,
+#: calls and operands (the parser's recursion, two frames a level) and as
+#: the height of the tree (``evaluate``'s recursion, one frame a level).
+#: Both stay well inside Python's default recursion limit of 1000, so a
+#: deep expression is a ParseError, never a RecursionError.
+MAX_DEPTH = 256
+
 
 class _Token(Frozen):
     kind: str  # number | ident | op | lparen | rparen | end
@@ -146,9 +153,16 @@ def _tokenize(source: str) -> Iterator[_Token]:
 
 
 class _Parser:
+    """Precedence climbing over the token list.
+
+    ``parse_expression`` and ``parse_atom`` return each subtree with its
+    height; ``level`` counts the open ``parse_expression`` calls.
+    """
+
     def __init__(self, source: str):
         self.tokens = list(_tokenize(source))
         self.pos = 0
+        self.level = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -166,44 +180,52 @@ class _Parser:
             raise ParseError(f"expected {what}, found {found}", tok.offset)
         return self.advance()
 
-    def parse_expression(self, min_prec: int) -> ExprAst:
-        left = self.parse_atom()
+    def parse_expression(self, min_prec: int) -> tuple[ExprAst, int]:
+        self.level += 1
+        _check_depth(self.level, self.peek())
+        left, height = self.parse_atom()
         while True:
             tok = self.peek()
             if tok.kind != "op" or tok.text not in _PREC:
-                return left
+                break
             prec = _PREC[tok.text]
             if prec < min_prec:
-                return left
+                break
             self.advance()
             next_min = prec if tok.text in _RIGHT_ASSOC else prec + 1
-            right = self.parse_expression(next_min)
-            left = Binary(tok.text, left, right)
+            right, right_height = self.parse_expression(next_min)
+            left, height = Binary(tok.text, left, right), 1 + max(height, right_height)
+            _check_depth(height, tok)
+        self.level -= 1
+        return left, height
 
-    def parse_atom(self) -> ExprAst:
+    def parse_atom(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Negate(self.parse_expression(_UNARY_PREC))
+            operand, height = self.parse_expression(_UNARY_PREC)
+            _check_depth(height + 1, tok)
+            return Negate(operand), height + 1
         if tok.kind == "op" and tok.text == "+":
             # unary plus is a no-op but accepted for symmetry
             self.advance()
             return self.parse_expression(_UNARY_PREC)
         if tok.kind == "number":
             self.advance()
-            return Number(float(tok.text))
+            return Number(float(tok.text)), 1
         if tok.kind == "ident":
             self.advance()
             if self.peek().kind == "lparen":
                 if tok.text not in FUNCTIONS:
                     raise ParseError(f"unknown function {tok.text!r}", tok.offset)
                 self.advance()
-                arg = self.parse_expression(0)
+                arg, height = self.parse_expression(0)
                 self.expect("rparen", "')' closing the call")
-                return Call(tok.text, arg)
+                _check_depth(height + 1, tok)
+                return Call(tok.text, arg), height + 1
             if tok.text in CONSTANTS:
-                return Constant(tok.text)
-            return Variable(tok.text)
+                return Constant(tok.text), 1
+            return Variable(tok.text), 1
         if tok.kind == "lparen":
             self.advance()
             inner = self.parse_expression(0)
@@ -213,10 +235,18 @@ class _Parser:
         raise ParseError(f"expected an operand, found {found}", tok.offset)
 
 
+def _check_depth(depth: int, tok: _Token) -> None:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.offset)
+
+
 def parse(source: str) -> ExprAst:
-    """Parse ``source`` into an AST; raises ParseError with a byte offset."""
+    """Parse ``source`` into an AST; raises ParseError with a byte offset.
+
+    An expression nested deeper than ``MAX_DEPTH`` levels is a ParseError.
+    """
     parser = _Parser(source)
-    ast = parser.parse_expression(0)
+    ast, _ = parser.parse_expression(0)
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
@@ -226,9 +256,10 @@ def parse(source: str) -> ExprAst:
 def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
     """Evaluate an AST over complex numbers.
 
-    Unbound variables raise EvaluationError; domain errors from the
-    numerics layer (gamma/zeta poles, powers of zero) propagate as is, and
-    a call or power whose value is beyond double range raises DomainError.
+    Unbound variables and division by zero raise EvaluationError.  A
+    QuadcheckError from the numerics layer (gamma/zeta poles, powers of
+    zero) propagates as is; any other failure of a call or a power, a value
+    beyond double range among them, raises DomainError.
     """
     if isinstance(ast, Number):
         return complex(ast.value)
@@ -257,7 +288,9 @@ def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
         if ast.op == "^":
             try:
                 return numerics.cpow(left, right)
-            except OverflowError as exc:
+            except QuadcheckError:
+                raise
+            except FAILURES as exc:
                 raise DomainError(f"{left!r}^{right!r}: {exc}") from exc
         raise EvaluationError(f"unknown operator {ast.op!r}")
     if isinstance(ast, Call):
@@ -265,9 +298,9 @@ def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
         fn = FUNCTIONS[ast.func]
         try:
             return complex(fn(value))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            if isinstance(exc, DomainError):
-                raise
+        except QuadcheckError:
+            raise
+        except FAILURES as exc:
             raise DomainError(f"{ast.func}({value!r}): {exc}") from exc
     raise EvaluationError(f"unknown AST node {ast!r}")
 

@@ -26,7 +26,15 @@ import math
 from typing import Callable, Mapping
 
 from ._frozen import Frozen
-from .errors import DomainError, NonConvergenceError, RoundoffError, complex_, real
+from .errors import (
+    FAILURES,
+    DomainError,
+    NonConvergenceError,
+    QuadcheckError,
+    RoundoffError,
+    complex_,
+    real,
+)
 from .quadrature import QuadratureOptions, QuadratureResult, integrate_half_line, options
 
 __all__ = [
@@ -93,7 +101,10 @@ class TransformFunction(Frozen):
     integrals real for real a.  It also selects how the folded integrand is
     formed: ``2 Re F(k)`` when set, ``F(k) + F(conj k)`` otherwise.  A false
     assertion therefore makes the left side wrong and the verification
-    fail; leave the flag unset when unsure.
+    fail; leave the flag unset when unsure.  The flag must be a ``bool``.
+
+    Calling the transform returns ``fn(k)`` as a finite complex; a value
+    that is not a finite number raises DomainError.
     """
 
     fn: Callable[[complex], complex]
@@ -103,9 +114,13 @@ class TransformFunction(Frozen):
     def __post_init__(self):
         if not callable(self.fn):
             raise DomainError(f"transform F must be callable, got {self.fn!r}")
+        if not isinstance(self.schwarz_symmetric, bool):
+            raise DomainError(
+                f"schwarz_symmetric must be a bool, got {self.schwarz_symmetric!r}"
+            )
 
     def __call__(self, k: complex) -> complex:
-        return complex(self.fn(k))
+        return complex_("F(k) must be a finite number", self.fn(k))
 
 
 #: Sample count and relative tolerance of ``detect_schwarz_symmetry``.
@@ -116,8 +131,9 @@ _SCHWARZ_TOL = 1e-12
 def detect_schwarz_symmetry(fn: Callable[[complex], complex]) -> bool:
     """Numerically test F(conj k) = conj F(k) on a fixed sample grid.
 
-    Sample points where ``fn`` is undefined are skipped; if it cannot be
-    evaluated anywhere, the symmetry is conservatively reported absent.
+    Sample points where ``fn`` is undefined (it raises, or returns a value
+    that is not a finite number) are skipped; if it cannot be evaluated
+    anywhere, the symmetry is conservatively reported absent.
     """
     # deterministic low-discrepancy-ish grid over a box in the right half plane
     usable = 0
@@ -125,9 +141,9 @@ def detect_schwarz_symmetry(fn: Callable[[complex], complex]) -> bool:
         k = complex(0.3 + 2.9 * ((i * 0.6180339887498949) % 1.0),
                     -3.0 + 6.0 * ((i * 0.7548776662466927) % 1.0))
         try:
-            lhs = complex(fn(k.conjugate()))
-            rhs = complex(fn(k)).conjugate()
-        except Exception:
+            lhs = complex_("F must be a finite number", fn(k.conjugate()))
+            rhs = complex_("F must be a finite number", fn(k)).conjugate()
+        except (QuadcheckError, *FAILURES):
             continue
         if abs(lhs - rhs) > _SCHWARZ_TOL * max(1.0, abs(rhs)):
             return False
@@ -236,18 +252,31 @@ def require_converged(
     return result
 
 
+def _operands(F: TransformFunction, params: KernelParams) -> None:
+    """Refuse an F or params of the wrong type before any attribute is read."""
+    if not isinstance(F, TransformFunction):
+        raise DomainError(f"F must be a TransformFunction, got {F!r}")
+    if not isinstance(params, KernelParams):
+        raise DomainError(f"params must be a KernelParams, got {params!r}")
+
+
 def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
     """Closed form of the master identity: pi F(pi^2/4 + ln^2 a) / (2a(1+a^2)).
 
-    Raises DomainError where F(pi^2/4 + ln^2 a) overflows or is undefined.
+    Raises DomainError where F(pi^2/4 + ln^2 a) is undefined, or the closed
+    form is not a finite number.  A QuadcheckError that F raises, such as a
+    PoleError, passes through unchanged.
     """
+    _operands(F, params)
     ln_a = params.log_a()
     k0 = math.pi * math.pi / 4.0 + ln_a * ln_a
     try:
-        value = F(k0)
-    except ArithmeticError as exc:
+        value = math.pi * F(k0) / (2.0 * _norm_factor(params))
+    except QuadcheckError:
+        raise
+    except FAILURES as exc:
         raise DomainError(f"the closed form fails: F({k0!r}) raised {exc!r}") from None
-    return math.pi * value / (2.0 * _norm_factor(params))
+    return complex_("the closed form must be a finite number", value)
 
 
 def master_integral(
@@ -263,6 +292,7 @@ def master_integral(
     inadmissible F raise DivergenceError, and convergence is left for the
     caller to check.
     """
+    _operands(F, params)
     _norm_factor(params)
     fn = F.fn  # the quadrature's own check rejects non-finite values
     # looked up now, not at import: a wrapper put on the module still sees every node
@@ -342,6 +372,7 @@ def verify_master(
     (1/4) integral of F(x^2 + i pi x) sech x and the right side is
     pi F(pi^2/4) / 4.
     """
+    _operands(F, params)
     name = "master" if not F.name else f"master[{F.name}]"
     return _verify(name, {"a": params.a}, F, params, opts, tolerance)
 
@@ -372,6 +403,7 @@ def seed_lhs(
 ) -> QuadratureResult:
     """Half-line integral side of the seed identity (real a > 0 only)."""
     F = _seed(t)
+    _operands(F, params)
     _require_seed_domain(params)
     return master_integral(F, params, opts, _SEED_SCALE)
 

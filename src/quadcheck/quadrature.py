@@ -29,7 +29,15 @@ import math
 from typing import Callable
 
 from ._frozen import Frozen, replace
-from .errors import DivergenceError, DomainError, IntegrandError, real
+from .errors import (
+    FAILURES,
+    DivergenceError,
+    DomainError,
+    IntegrandError,
+    QuadcheckError,
+    complex_,
+    real,
+)
 
 __all__ = [
     "Integrand",
@@ -163,13 +171,11 @@ class QuadratureResult(Frozen):
 
 
 def _eval(f: Integrand, x: float) -> complex:
+    """``f(x)`` as a finite complex; else IntegrandError at ``x``."""
     try:
-        v = complex(f(x))
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        return complex_("f(x) must be a finite number", f(x))
+    except (QuadcheckError, *FAILURES) as exc:
         raise IntegrandError(x, str(exc)) from exc
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise IntegrandError(x)
-    return v
 
 
 def _name_bad_node(f: Integrand, c: float, h: float) -> None:
@@ -188,7 +194,8 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     through the variation integral resasc, and floored at a small multiple
     of ulp(integral of |f|) to stay honest once discretization error is
     gone.  Finiteness is checked once, on the |f| sum: only when it fails,
-    or the integrand raises, are the nodes walked again to name the bad one.
+    or the integrand or a sum raises, are the nodes walked again, through
+    ``_eval``, to name the bad one.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -228,7 +235,7 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
             + w4 * (abs(l4) + abs(r4)) + w5 * (abs(l5) + abs(r5))
             + w6 * (abs(l6) + abs(r6))
         )
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+    except (QuadcheckError, *FAILURES) as exc:
         _name_bad_node(f, c, h)
         raise IntegrandError(c, str(exc)) from exc  # an impure f, or an overflowing sum
     if not math.isfinite(resabs):
@@ -256,20 +263,37 @@ def _totals(segments: list) -> tuple[complex, float]:
     """Exact value and error sums over the segments.
 
     ``math.fsum`` is correctly rounded, so the sums do not depend on the
-    order of the segments.
+    order of the segments.  It raises where a sum leaves double range, or
+    meets inf - inf; the value is then nan and the error infinite, so the
+    run ends unconverged.
     """
     fsum = math.fsum
-    value = complex(fsum([s[3].real for s in segments]), fsum([s[3].imag for s in segments]))
-    return value, -fsum([s[0] for s in segments])
+    try:
+        value = complex(fsum([s[3].real for s in segments]), fsum([s[3].imag for s in segments]))
+        return value, -fsum([s[0] for s in segments])
+    except (OverflowError, ValueError):
+        return complex(math.nan, math.nan), math.inf
 
 
 def _contribution(segments: list, left: float) -> float:
-    """|Exact value sum| over the segments that start at ``left`` or later."""
+    """|Exact value sum| over the segments that start at ``left`` or later;
+    nan where it leaves double range."""
     fsum = math.fsum
-    return abs(complex(
-        fsum([s[3].real for s in segments if s[1] >= left]),
-        fsum([s[3].imag for s in segments if s[1] >= left]),
-    ))
+    try:
+        return abs(complex(
+            fsum([s[3].real for s in segments if s[1] >= left]),
+            fsum([s[3].imag for s in segments if s[1] >= left]),
+        ))
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _l1_sum(segments: list, field: int) -> float:
+    """Exact sum of a non-negative field of the segments; inf past double range."""
+    try:
+        return math.fsum([s[field] for s in segments])
+    except OverflowError:
+        return math.inf
 
 
 def _partition(
@@ -330,6 +354,8 @@ def _partition(
             or floor * settled_l1 > running_target
         ):
             value, error = _totals(segments)
+            if not math.isfinite(error):
+                break  # a sum left double range: no bisection brings it back
             exact_error = error
             target = max(opts.abs_tol, opts.rel_tol * abs(value))
             if error <= fraction * target:
@@ -358,7 +384,7 @@ def _partition(
                 error += e
                 settled_l1 += settled
                 continue
-            settled_l1 = math.fsum(s[5] for s in segments)
+            settled_l1 = _l1_sum(segments, 5)
             if floor * settled_l1 > fraction * target:
                 roundoff_limited = True
                 break
@@ -393,7 +419,7 @@ def _partition(
         evals,
         hi if windowed else 0.0,
         converged,
-        math.fsum(s[4] for s in segments),
+        _l1_sum(segments, 4),
         roundoff_limited,
     )
 
@@ -442,9 +468,15 @@ def integrate_real_line(
     """Integrate ``f`` over the whole real line, folded onto [0, infinity).
 
     The half-line windows integrate ``f(x) + f(-x)``; ``evaluations``
-    counts calls of ``f``, two per folded node.  The precondition of
-    ``integrate_half_line`` applies to the folded integrand: ``f`` must
-    decay like ``exp(-|x|)`` from the first window on.  For instance
+    counts calls of ``f``, two per folded node.  The fold calls ``f``
+    directly, and the rule checks the folded values once, as for any
+    integrand.  When that check fails, ``f`` is evaluated again at the
+    folded node ``x`` and then at ``-x``, so the IntegrandError names the
+    side that failed: ``lambda x: math.nan if x < -3 else math.exp(-abs(x))``
+    fails at x = -3.99..., the first node past -3 that the rules evaluate.
+    The precondition of ``integrate_half_line`` applies to the folded
+    integrand: ``f`` must decay like ``exp(-|x|)`` from the first window
+    on.  For instance
     ``integrate_real_line(lambda x: math.exp(-((x - 14) / 0.2) ** 2))``
     returns about 3.1e-46 with ``converged=True`` after 180 evaluations,
     where the true value is 0.354: the sweep stops once the window [8, 12]
@@ -456,7 +488,12 @@ def integrate_real_line(
     """
 
     def folded(x: float) -> complex:
-        return _eval(f, x) + _eval(f, -x)
+        return f(x) + f(-x)
 
-    result = _partition(folded, _FIRST_WINDOW_EDGES, options(opts), windowed=True)
+    try:
+        result = _partition(folded, _FIRST_WINDOW_EDGES, options(opts), windowed=True)
+    except IntegrandError as exc:
+        _eval(f, exc.abscissa)
+        _eval(f, -exc.abscissa)
+        raise  # each side alone is fine: only their sum failed
     return replace(result, evaluations=2 * result.evaluations)

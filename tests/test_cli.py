@@ -140,6 +140,23 @@ def test_custom_growing_transform_exits_3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("F", ["1/(k-k)", "log(0*k)"])
+def test_transform_undefined_on_the_contour_exits_3(capsys, F):
+    # the same failure either way: F is undefined at the first node
+    assert main(["custom", "--F", F, "--a", "1"]) == 3
+    assert "integrand fails at x = 0.25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("F", [
+    "(" * 1000 + "k" + ")" * 1000,
+    "k+" + "-" * 1000 + "k",
+    "+".join(["k"] * 1000),
+])
+def test_too_deep_expression_exits_2(capsys, F):
+    assert main(["custom", "--F", F, "--a", "1"]) == 2
+    assert "nests deeper than" in capsys.readouterr().err
+
+
 def test_a_at_plus_minus_i_exits_2(capsys):
     # a (1 + a^2) vanishes: a domain error before any quadrature, not a
     # numerical failure of the integral

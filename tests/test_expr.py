@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quadcheck import DomainError, EvaluationError, ParseError, PoleError
 from quadcheck.expr import (
+    MAX_DEPTH,
     Binary,
     Call,
     Constant,
@@ -128,6 +129,29 @@ def test_domain_errors_propagate():
 def test_values_beyond_double_range_are_domain_errors(source):
     with pytest.raises(DomainError):
         evaluate(parse(source), {})
+
+
+def _nested(depth):
+    """Sources whose nesting, in the parser or in the tree, is ``depth``."""
+    return [
+        "(" * (depth - 1) + "k" + ")" * (depth - 1),
+        "-" * (depth - 1) + "k",
+        "sin(" * (depth - 1) + "k" + ")" * (depth - 1),
+        "+".join(["k"] * depth),
+        "^".join(["1"] * depth),
+    ]
+
+
+@pytest.mark.parametrize("source", _nested(MAX_DEPTH))
+def test_expression_at_the_nesting_cap_parses_and_evaluates(source):
+    value = evaluate(parse(source), {"k": 1e-3})
+    assert math.isfinite(value.real)
+
+
+@pytest.mark.parametrize("source", _nested(MAX_DEPTH + 1) + _nested(1000))
+def test_expression_past_the_nesting_cap_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="nests deeper than 256 levels"):
+        parse(source)
 
 
 def test_variables_collection():

@@ -5,6 +5,11 @@ quadrature options.  Each refusal must be a ``DomainError`` or a
 ``ParameterError``, never a bare Python error; the CLI maps both to exit
 code 2, which ``test_cli.py`` checks on the values the command line can
 pass.
+
+Two more corpora cover user code, an integrand or a transform F: the
+values it returns and the exceptions it raises.  On the left side each
+must end in an ``IntegrandError`` naming the node, at the closed form in a
+``DomainError``.
 """
 
 import math
@@ -14,7 +19,14 @@ from fractions import Fraction
 import pytest
 
 import quadcheck as qc
-from quadcheck import DomainError, ParameterError
+from quadcheck import (
+    DomainError,
+    IntegrandError,
+    NonConvergenceError,
+    ParameterError,
+    PoleError,
+    UnknownCaseError,
+)
 
 _CORPUS = [
     ("text", "x"),
@@ -105,3 +117,132 @@ def test_the_cells_left_out_are_valid_arguments():
 def test_verification_tolerance_is_stored_as_the_float_compared():
     report = qc.run_case("rational", tolerance=Fraction(1, 10**8))
     assert type(report.tolerance) is float and report.tolerance == 1e-8
+
+
+# --- user code: what it returns, and what it raises ---------------------------
+
+_RETURNED = [
+    ("text", "x"),
+    ("numeric-text", "1e-3"),
+    ("none", None),
+    ("nan", math.nan),
+    ("inf", math.inf),
+    ("int-huge", 10**400),
+    ("decimal-snan", Decimal("sNaN")),
+]
+
+
+def _raise_attribute_error(k):
+    return None.real
+
+
+_RAISED = [
+    ("sqrt-complex", lambda k: math.sqrt(1j)),  # TypeError
+    ("sqrt-negative", lambda k: math.sqrt(-1)),  # ValueError
+    ("division-by-zero", lambda k: 1 / 0),  # ZeroDivisionError
+    ("exp-overflow", lambda k: math.exp(1000)),  # OverflowError
+    ("attribute", _raise_attribute_error),  # AttributeError
+]
+
+_USER_CODE = [(name, (lambda k, v=v: v)) for name, v in _RETURNED] + _RAISED
+
+# the left side: every integrator, and the master integral with either fold
+_LEFT = {
+    "integrate_finite": lambda fn: qc.integrate_finite(fn, 0.0, 1.0),
+    "integrate_half_line": qc.integrate_half_line,
+    "integrate_real_line": qc.integrate_real_line,
+    "verify_master flag": lambda fn: qc.verify_master(
+        qc.TransformFunction(fn, schwarz_symmetric=True), _A
+    ),
+    "verify_master no flag": lambda fn: qc.verify_master(qc.TransformFunction(fn), _A),
+}
+
+
+@pytest.mark.parametrize("fn", [f for _, f in _USER_CODE], ids=[n for n, _ in _USER_CODE])
+@pytest.mark.parametrize("entry", list(_LEFT))
+def test_failing_user_code_on_the_left_side_is_an_integrand_error(entry, fn):
+    with pytest.raises(IntegrandError) as err:
+        _LEFT[entry](fn)
+    assert "integrand fails at x = " in str(err.value)
+
+
+@pytest.mark.parametrize("schwarz", [True, False])
+@pytest.mark.parametrize("fn", [f for _, f in _USER_CODE], ids=[n for n, _ in _USER_CODE])
+def test_failing_user_code_at_the_closed_form_is_a_domain_error(fn, schwarz):
+    with pytest.raises(DomainError):
+        qc.master_rhs(qc.TransformFunction(fn, schwarz_symmetric=schwarz), _A)
+
+
+@pytest.mark.parametrize("value, a", [
+    (1e300, 1e-300),  # the quotient overflows
+    (8e307, 1.0),  # pi F overflows before the division
+])
+def test_closed_form_beyond_double_range_is_a_domain_error(value, a):
+    F = qc.TransformFunction(lambda k: value, schwarz_symmetric=True)
+    with pytest.raises(DomainError):
+        qc.master_rhs(F, qc.KernelParams(a))
+
+
+def test_pole_error_at_the_closed_form_stays_a_pole_error():
+    # F is regular on the contour (complex k) and hits a gamma pole at the
+    # real k0 of the closed form
+    F = qc.TransformFunction(
+        lambda k: 1.0 if k.imag else qc.gamma(0), schwarz_symmetric=True
+    )
+    with pytest.raises(PoleError):
+        qc.master_rhs(F, _A)
+
+
+def test_real_line_integrand_error_names_the_side_that_failed():
+    with pytest.raises(IntegrandError) as err:
+        qc.integrate_real_line(lambda x: math.nan if x < -3 else math.exp(-abs(x)))
+    assert err.value.abscissa == -3.9914553711208125
+
+
+def test_real_line_fold_does_not_parse_numeric_text():
+    with pytest.raises(IntegrandError):
+        qc.integrate_real_line(lambda x: "1e-3")
+
+
+def test_sum_beyond_double_range_ends_unconverged():
+    # each rule is finite; only the exact sum of the first window overflows
+    r = qc.integrate_half_line(lambda x: 4e307 if x < 8 else 0.0)
+    assert not r.converged
+    assert not math.isfinite(r.error_estimate)
+    F = qc.TransformFunction(lambda k: 2e305, schwarz_symmetric=True)
+    with pytest.raises(NonConvergenceError):
+        qc.master_lhs(F, qc.KernelParams(1e-3))
+
+
+def test_sum_just_inside_double_range_still_converges():
+    r = qc.integrate_half_line(lambda x: 2e307 if x < 8 else 0.0)
+    assert r.converged and r.value == 1.6000000000000002e308
+
+
+# --- object arguments ----------------------------------------------------------
+
+_OBJECTS = {
+    "verify_master params": (lambda: qc.verify_master(_F, 0.7), DomainError),
+    "verify_master F": (lambda: qc.verify_master(0.7, _A), DomainError),
+    "master_lhs F": (lambda: qc.master_lhs("x", _A), DomainError),
+    "master_rhs params": (lambda: qc.master_rhs(_F, None), DomainError),
+    "seed_lhs params": (lambda: qc.seed_lhs("x", 1.0), DomainError),
+    "seed_rhs params": (lambda: qc.seed_rhs(0.7, 1.0), DomainError),
+    "schwarz flag text": (
+        lambda: qc.TransformFunction(_decay, schwarz_symmetric="no"), DomainError
+    ),
+    "schwarz flag int": (lambda: qc.TransformFunction(_decay, schwarz_symmetric=1), DomainError),
+    "run_case params list": (lambda: qc.run_case("rational", ["a"]), ParameterError),
+    "run_case params int-huge": (lambda: qc.run_case("rational", 10**400), ParameterError),
+    "run_case params zero": (lambda: qc.run_case("rational", 0), ParameterError),
+    "run_case params empty text": (lambda: qc.run_case("rational", ""), ParameterError),
+    "run_case params empty list": (lambda: qc.run_case("rational", []), ParameterError),
+    "run_case id list": (lambda: qc.run_case([]), UnknownCaseError),
+}
+
+
+@pytest.mark.parametrize("entry", list(_OBJECTS))
+def test_wrong_typed_object_argument_is_a_typed_refusal(entry):
+    call, error = _OBJECTS[entry]
+    with pytest.raises(error):
+        call()
