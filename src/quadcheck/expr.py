@@ -8,7 +8,8 @@ Grammar, which is a public contract of the CLI:
 * parentheses and single-argument function calls ``f(expr)``;
 * built-in functions ``exp log sqrt sin cos sinh cosh gamma zeta``,
   constants ``pi e i``;
-* decimal number literals with optional fraction and exponent;
+* decimal number literals with optional fraction and exponent, within
+  double range (``1e400`` is a syntax error);
 * identifiers are ASCII words; implicit multiplication is not supported
   ("2k" is a syntax error).
 
@@ -25,7 +26,7 @@ from typing import Iterator, Mapping, Union
 
 from . import numerics
 from ._frozen import Frozen
-from .errors import FAILURES, DomainError, EvaluationError, ParseError, QuadcheckError
+from .errors import FAILURES, DomainError, EvaluationError, ParseError, QuadcheckError, complex_
 
 __all__ = [
     "ExprAst",
@@ -104,7 +105,7 @@ _RIGHT_ASSOC = {"^"}
 
 #: Deepest nesting ``parse`` accepts, counted both as open parentheses,
 #: calls and operands (the parser's recursion, two frames a level) and as
-#: the height of the tree (``evaluate``'s recursion, one frame a level).
+#: the height of the tree (``_evaluate``'s recursion, one frame a level).
 #: Both stay well inside Python's default recursion limit of 1000, so a
 #: deep expression is a ParseError, never a RecursionError.
 MAX_DEPTH = 256
@@ -212,7 +213,10 @@ class _Parser:
             return self.parse_expression(_UNARY_PREC)
         if tok.kind == "number":
             self.advance()
-            return Number(float(tok.text)), 1
+            value = float(tok.text)
+            if value == math.inf:
+                raise ParseError(f"number {tok.text!r} is beyond double range", tok.offset)
+            return Number(value), 1
         if tok.kind == "ident":
             self.advance()
             if self.peek().kind == "lparen":
@@ -256,25 +260,37 @@ def parse(source: str) -> ExprAst:
 def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
     """Evaluate an AST over complex numbers.
 
-    Unbound variables and division by zero raise EvaluationError.  A
-    QuadcheckError from the numerics layer (gamma/zeta poles, powers of
-    zero) propagates as is; any other failure of a call or a power, a value
-    beyond double range among them, raises DomainError.
+    Each binding must be a finite number (``errors.complex_``), else
+    DomainError.  Unbound variables and division by zero raise
+    EvaluationError.  A QuadcheckError from the numerics layer (gamma/zeta
+    poles, powers of zero) propagates as is; any other failure of a call or
+    a power, and a value that is not a finite number, raises DomainError.
     """
+    values = {
+        name: complex_(f"variable {name!r} must be bound to a finite number", value)
+        for name, value in bindings.items()
+    }
+    result = _evaluate(ast, values)
+    if not numerics.is_finite(result):
+        raise DomainError(f"the expression's value {result!r} is not a finite number")
+    return result
+
+
+def _evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
     if isinstance(ast, Number):
         return complex(ast.value)
     if isinstance(ast, Constant):
         return CONSTANTS[ast.name]
     if isinstance(ast, Variable):
         try:
-            return complex(bindings[ast.name])
+            return bindings[ast.name]
         except KeyError:
             raise EvaluationError(f"unbound variable {ast.name!r}") from None
     if isinstance(ast, Negate):
-        return -evaluate(ast.operand, bindings)
+        return -_evaluate(ast.operand, bindings)
     if isinstance(ast, Binary):
-        left = evaluate(ast.left, bindings)
-        right = evaluate(ast.right, bindings)
+        left = _evaluate(ast.left, bindings)
+        right = _evaluate(ast.right, bindings)
         if ast.op == "+":
             return left + right
         if ast.op == "-":
@@ -286,15 +302,10 @@ def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
                 raise EvaluationError("division by zero")
             return left / right
         if ast.op == "^":
-            try:
-                return numerics.cpow(left, right)
-            except QuadcheckError:
-                raise
-            except FAILURES as exc:
-                raise DomainError(f"{left!r}^{right!r}: {exc}") from exc
+            return numerics.cpow(left, right)
         raise EvaluationError(f"unknown operator {ast.op!r}")
     if isinstance(ast, Call):
-        value = evaluate(ast.arg, bindings)
+        value = _evaluate(ast.arg, bindings)
         fn = FUNCTIONS[ast.func]
         try:
             return complex(fn(value))

@@ -381,31 +381,29 @@ def verify_master(
 _SEED_SCALE = 0.5
 
 
-def _seed(t: float) -> TransformFunction:
+def _seed(params: KernelParams, t: float) -> TransformFunction:
     """The seed identity's transform exp(-t k), whose real part on the
-    contour is exp(-t x^2) cos(t pi x)."""
+    contour is exp(-t x^2) cos(t pi x), once ``t``, the type of ``params``
+    and the seed domain (real a > 0) are checked."""
     x = real("seed identity requires a finite t > 0", t, lo=0.0)
-    return TransformFunction(lambda k: cmath.exp(-x * k), schwarz_symmetric=True, name="seed")
-
-
-def _require_seed_domain(params: KernelParams) -> None:
+    F = TransformFunction(lambda k: cmath.exp(-x * k), schwarz_symmetric=True, name="seed")
+    _operands(F, params)
     if not params.is_real_positive:
         raise DomainError("the seed integral is defined for real a > 0")
+    return F
 
 
 def seed_rhs(params: KernelParams, t: float) -> complex:
-    """Closed form of the seed identity: pi exp(-t(pi^2/4 + ln^2 a)) / (4a(1+a^2))."""
-    return _SEED_SCALE * master_rhs(_seed(t), params)
+    """Closed form of the seed identity: pi exp(-t(pi^2/4 + ln^2 a)) / (4a(1+a^2)),
+    for real a > 0 only."""
+    return _SEED_SCALE * master_rhs(_seed(params, t), params)
 
 
 def seed_lhs(
     params: KernelParams, t: float, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
     """Half-line integral side of the seed identity (real a > 0 only)."""
-    F = _seed(t)
-    _operands(F, params)
-    _require_seed_domain(params)
-    return master_integral(F, params, opts, _SEED_SCALE)
+    return master_integral(_seed(params, t), params, opts, _SEED_SCALE)
 
 
 def verify_seed(
@@ -416,8 +414,7 @@ def verify_seed(
 ) -> VerificationReport:
     """Evaluate both sides of the seed identity and compare."""
     params = KernelParams(a)
-    F = _seed(t)
-    _require_seed_domain(params)
+    F = _seed(params, t)
     record = {"a": params.a, "t": complex(t)}
     return _verify(
         "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral"

@@ -2,11 +2,17 @@
 
 Everything here is plain double precision over Python's built-in ``complex``.
 All multivalued functions use the principal branch, see ``PRINCIPAL_BRANCH``.
-The two nontrivial functions are ``gamma`` (Lanczos approximation plus the
-reflection formula) and ``zeta`` (accelerated alternating series on
-Re z >= 0, functional equation for Re z < 0), both implemented from scratch
-so their accuracy can be property-tested against independent series oracles.
-Results beyond double range raise DomainError; ones that underflow are 0.
+The two nontrivial functions are ``gamma`` (one log(1/gamma), from the log
+form of the Lanczos approximation plus the reflection formula taken in logs,
+exponentiated by both ``gamma`` and ``reciprocal_gamma``) and ``zeta``
+(accelerated alternating series on Re z >= 0, functional equation for
+Re z < 0), both implemented from scratch so their accuracy can be
+property-tested against independent series oracles.
+
+Each function takes its arguments by the package's input rule
+(``errors.complex_``) and fails only with a QuadcheckError: an argument that
+is not a finite number, and a result beyond double range, raise DomainError;
+results that underflow are subnormal or 0.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import cmath
 import math
 import warnings
 
-from .errors import DomainError, PoleError
+from .errors import FAILURES, DomainError, PoleError, complex_
 
 __all__ = [
     "PRINCIPAL_BRANCH",
@@ -59,23 +65,34 @@ def cpow(base: complex, exponent: complex) -> complex:
     """Principal-branch power ``base**exponent = exp(exponent * log base)``.
 
     ``0**w`` is 0 for Re w > 0 and a domain error otherwise (including
-    ``0**0``).
+    ``0**0``), as is a power beyond double range.
     """
-    base = complex(base)
-    exponent = complex(exponent)
+    if type(base) is not complex or not is_finite(base):
+        base = complex_("cpow requires a finite base", base)
+    if type(exponent) is not complex or not is_finite(exponent):
+        exponent = complex_("cpow requires a finite exponent", exponent)
     if base == 0:
         if exponent.real > 0:
             return 0j
         raise DomainError(
             "0 cannot be raised to an exponent with non-positive real part"
         )
-    return cmath.exp(exponent * cmath.log(base))
+    try:
+        value = cmath.exp(exponent * cmath.log(base))
+        if is_finite(value):
+            return value
+    except FAILURES:
+        pass
+    raise DomainError(f"{base!r}**{exponent!r} is beyond double range")
 
 
 # ---------------------------------------------------------------------------
-# Gamma: Lanczos approximation (g = 7, 9 coefficients), reflection for
-# Re z < 0.5.  Verified to < 1e-13 relative error on |Re z| <= 10,
-# |Im z| <= 10 against high-precision references.
+# Gamma: one log(1/gamma), taken from the log form of the Lanczos
+# approximation (g = 7, 9 coefficients) on Re z >= 0.5 and from the
+# reflection formula, in logs, elsewhere; gamma and reciprocal_gamma
+# exponentiate it.  Verified to < 1e-12 relative error against mpmath
+# wherever the value is in double range on -185 <= Re z <= 180,
+# |Im z| <= 480.
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
@@ -90,8 +107,10 @@ _LANCZOS_COEFFS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
+_LN_PI = math.log(math.pi)
+_I_PI = complex(0.0, math.pi)
 
 
 def _pole_distance(z: complex) -> float:
@@ -100,13 +119,6 @@ def _pole_distance(z: complex) -> float:
     if n > 0:
         n = 0
     return abs(z - n)
-
-
-def _sin_pi(z: complex) -> complex:
-    """sin(pi z) as (-1)^n sin(pi (z - n)), n = round(Re z): exact at and near integers."""
-    n = round(z.real)
-    s = cmath.sin(math.pi * (z - n))
-    return -s if n % 2 else s
 
 
 def _lanczos_sum(z: complex) -> complex:
@@ -119,50 +131,62 @@ def _lanczos_sum(z: complex) -> complex:
     )
 
 
-def _gamma_right(z: complex) -> complex:
-    # gamma for Re z >= 0.5; cmath.exp raises OverflowError past double range
-    w = z - 1.0
-    t = w + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * cmath.exp((w + 0.5) * cmath.log(t) - t) * _lanczos_sum(w)
-
-
-def gamma(z: complex) -> complex:
-    """Complex gamma function on the principal branch.
-
-    Raises PoleError when ``z`` is within ``POLE_GUARD_RADIUS`` of a
-    non-positive integer, and DomainError where gamma is beyond double
-    range (real z above about 171.6); where it underflows, the result is 0.
-    """
-    z = complex(z)
-    if not is_finite(z):
-        raise DomainError("gamma requires a finite argument")
-    if z.real < 0.5:
-        if _pole_distance(z) < POLE_GUARD_RADIUS:
-            raise PoleError(f"gamma pole too close to z = {z!r}")
-        # Reflection: gamma(z) = pi / (sin(pi z) gamma(1 - z))
-        try:
-            den = _sin_pi(z) * _gamma_right(1.0 - z)
-        except OverflowError:
-            den = complex(math.inf)
-        # sin(pi z) gamma(1 - z) beyond double range, silently so or not
-        return math.pi / den if is_finite(den) else 0j
-    try:
-        value = _gamma_right(z)
-    except OverflowError:
-        value = complex(math.inf)
-    if not is_finite(value):
-        # just below 171.8 the exponential stays finite and only the product
-        # with the Lanczos sum overflows, which complex arithmetic does silently
-        raise DomainError(f"gamma overflows at z = {z!r}")
-    return value
-
-
 def _log_gamma_right(z: complex) -> complex:
     # log gamma for Re z >= 0.5; branch of log(lanczos sum) is irrelevant to
     # callers that only exponentiate the result.
     w = z - 1.0
     t = w + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(w))
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """log sin(pi z), up to a multiple of 2 pi i, for z off the integers.
+
+    Reduced by n = round(Re z), sin(pi z) = (-1)^n sin(pi w) with w = z - n,
+    so no digits are lost next to an integer.  Past |Im w| = 20 the smaller
+    exponential of sin(pi w) = (e^(i pi w) - e^(-i pi w)) / 2i is below
+    1e-54 of the larger, which is taken alone: the log stays finite where
+    sin(pi z) itself overflows (|Im z| above about 226).
+    """
+    n = round(z.real)
+    w = z - n
+    if abs(w.imag) > 20.0:
+        # sin(pi w) ~ (s i/2) e^(-s i pi w), s the sign of Im w
+        s = math.copysign(1.0, w.imag)
+        log_s = s * complex(math.pi * w.imag, 0.5 * math.pi - math.pi * w.real) - _LN2
+    else:
+        log_s = cmath.log(cmath.sin(math.pi * w))
+    return log_s + _I_PI if n % 2 else log_s
+
+
+def _log_reciprocal_gamma(z: complex) -> complex:
+    """log(1/gamma(z)), up to a multiple of 2 pi i, for finite z off the poles."""
+    if z.real >= 0.5:
+        return -_log_gamma_right(z)
+    # reflection: 1/gamma(z) = sin(pi z) gamma(1 - z) / pi
+    return _log_sin_pi(z) + _log_gamma_right(1.0 - z) - _LN_PI
+
+
+def gamma(z: complex) -> complex:
+    """Complex gamma function on the principal branch.
+
+    Raises PoleError when ``z`` is within ``POLE_GUARD_RADIUS`` of a
+    non-positive integer, and DomainError for an argument that is not a
+    finite number, and where gamma is beyond double range (near the real
+    axis above about 171.62); where it underflows, the result is subnormal
+    or 0.
+    """
+    if type(z) is not complex or not is_finite(z):
+        z = complex_("gamma requires a finite number", z)
+    if z.real < 0.5 and _pole_distance(z) < POLE_GUARD_RADIUS:
+        raise PoleError(f"gamma pole too close to z = {z!r}")
+    try:
+        value = cmath.exp(-_log_reciprocal_gamma(z))
+        if is_finite(value):
+            return value
+    except FAILURES:
+        pass
+    raise DomainError(f"gamma is beyond double range at z = {z!r}")
 
 
 def reciprocal_gamma(z: complex) -> complex:
@@ -172,26 +196,22 @@ def reciprocal_gamma(z: complex) -> complex:
     gamma overflows double precision (large positive real part), and is exact
     zero at the poles of gamma.  Used for integrands of the form
     ``1/gamma(...)`` whose argument sweeps far into the right half plane.
-    Raises DomainError where 1/gamma is beyond double range (far into the
-    left half plane, away from the poles).
+    Raises DomainError for an argument that is not a finite number, and
+    where 1/gamma is beyond double range: far into the left half plane away
+    from the poles, and far from the real axis (|Im z| above about 450
+    near Re z = 0).
     """
-    z = complex(z)
-    if not is_finite(z):
-        raise DomainError("reciprocal_gamma requires a finite argument")
-    if z.real >= 0.5:
-        try:
-            return cmath.exp(-_log_gamma_right(z))
-        except OverflowError:
-            # 1/gamma overflows only when gamma underflows; out of our domain
-            raise DomainError(f"reciprocal_gamma overflows at z = {z!r}")
-    # 1/gamma(z) = sin(pi z) gamma(1 - z) / pi
-    sin_pi = _sin_pi(z)
+    if type(z) is not complex or not is_finite(z):
+        z = complex_("reciprocal_gamma requires a finite number", z)
+    if z.real <= 0.0 and z.imag == 0.0 and z.real.is_integer():
+        return 0j  # a pole of gamma
     try:
-        return sin_pi * cmath.exp(_log_gamma_right(1.0 - z)) / math.pi
-    except OverflowError:
-        if sin_pi == 0:
-            return 0j  # a pole of gamma
-        raise DomainError(f"reciprocal_gamma overflows at z = {z!r}") from None
+        value = cmath.exp(_log_reciprocal_gamma(z))
+        if is_finite(value):
+            return value
+    except FAILURES:
+        pass
+    raise DomainError(f"reciprocal_gamma is beyond double range at z = {z!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +222,6 @@ def reciprocal_gamma(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 _ETA_COEFF_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-_LN2 = math.log(2.0)
-_LN_PI = math.log(math.pi)
 
 
 def _eta_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -310,31 +328,31 @@ def zeta(z: complex) -> complex:
     Validated to >= 10 significant digits for Re z >= 0, |Im z| <= 50 (the
     region our contour integrals sweep); an AccuracyWarning is emitted when
     asked for points far outside it.  Raises PoleError within
-    ``POLE_GUARD_RADIUS`` of z = 1, and DomainError where the functional
-    equation's value is beyond double range (Re z below about -260 near the
-    real axis).
+    ``POLE_GUARD_RADIUS`` of z = 1, and DomainError for an argument that is
+    not a finite number, where the functional equation's value is beyond
+    double range (Re z below about -260 near the real axis), and where the
+    series cannot be summed in doubles (|Im z| near 1e308).
     """
-    z = complex(z)
-    if not is_finite(z):
-        raise DomainError("zeta requires a finite argument")
+    if type(z) is not complex or not is_finite(z):
+        z = complex_("zeta requires a finite number", z)
     if abs(z - 1.0) < POLE_GUARD_RADIUS:
         raise PoleError(f"zeta pole too close to z = {z!r}")
     if z.real >= 10.0:
         # error bound of the plain sum does not depend on Im z, so no
         # accuracy warning is needed out here
-        return _zeta_dirichlet(z)
-    if abs(z.imag) > ZETA_VALIDATED_IM_MAX or z.real < ZETA_VALIDATED_RE_MIN:
-        # constant text, so the default filter shows it once per call site
-        warnings.warn(_ZETA_OUTSIDE_MESSAGE, AccuracyWarning, stacklevel=2)
-    # The series is accurate on all of Re z >= 0 and in a small disc around
-    # the origin, where the functional equation's zeta(1-z) factor sits on
-    # the pole; only the rest of Re z < 0 needs that equation.
-    if z.real >= 0.0 or abs(z) <= 0.01:
-        return _zeta_alternating(z)
+        series = _zeta_dirichlet
+    else:
+        if abs(z.imag) > ZETA_VALIDATED_IM_MAX or z.real < ZETA_VALIDATED_RE_MIN:
+            # constant text, so the default filter shows it once per call site
+            warnings.warn(_ZETA_OUTSIDE_MESSAGE, AccuracyWarning, stacklevel=2)
+        # The series is accurate on all of Re z >= 0 and in a small disc
+        # around the origin, where the functional equation's zeta(1-z) factor
+        # sits on the pole; only the rest of Re z < 0 needs that equation.
+        series = _zeta_alternating if z.real >= 0.0 or abs(z) <= 0.01 else _zeta_reflect
     try:
-        value = _zeta_reflect(z)
-    except OverflowError:
-        value = complex(math.inf)
-    if not is_finite(value):
-        raise DomainError(f"zeta overflows at z = {z!r}")
-    return value
+        value = series(z)
+        if is_finite(value):
+            return value
+    except FAILURES:
+        pass
+    raise DomainError(f"zeta at z = {z!r} is beyond double range or cannot be evaluated")

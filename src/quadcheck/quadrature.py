@@ -195,7 +195,8 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     of ulp(integral of |f|) to stay honest once discretization error is
     gone.  Finiteness is checked once, on the |f| sum: only when it fails,
     or the integrand or a sum raises, are the nodes walked again, through
-    ``_eval``, to name the bad one.
+    ``_eval``, to name the bad one.  Where every node is finite and only a
+    sum overflowed, the rule is taken again on f/2 and its results doubled.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -239,7 +240,12 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         _name_bad_node(f, c, h)
         raise IntegrandError(c, str(exc)) from exc  # an impure f, or an overflowing sum
     if not math.isfinite(resabs):
-        _name_bad_node(f, c, h)  # no bad node: only the sum overflowed
+        _name_bad_node(f, c, h)
+        # No bad node: only a weighted sum overflowed.  The Kronrod weights
+        # sum to 2, so the rule on f/2 cannot overflow, and halving and
+        # doubling are exact.
+        value, err, l1 = _gk15(lambda x: 0.5 * f(x), lo, hi)
+        return 2.0 * value, 2.0 * err, 2.0 * l1
     mean = 0.5 * resk
     resasc = (
         w7 * abs(fc - mean) + w0 * (abs(l0 - mean) + abs(r0 - mean))

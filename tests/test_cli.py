@@ -157,6 +157,11 @@ def test_too_deep_expression_exits_2(capsys, F):
     assert "nests deeper than" in capsys.readouterr().err
 
 
+def test_literal_beyond_double_range_exits_2(capsys):
+    assert main(["custom", "--F", "1e400*k", "--a", "1"]) == 2
+    assert "beyond double range (at offset 0)" in capsys.readouterr().err
+
+
 def test_a_at_plus_minus_i_exits_2(capsys):
     # a (1 + a^2) vanishes: a domain error before any quadrature, not a
     # numerical failure of the integral

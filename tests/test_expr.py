@@ -74,6 +74,14 @@ def test_parse_error_cases():
         parse("٣+1")  # Arabic-Indic digit three
 
 
+def test_literal_beyond_double_range_is_a_parse_error():
+    # a literal that float() would read as inf, which to_string could not
+    # render back as a number
+    with pytest.raises(ParseError, match="beyond double range") as err:
+        parse("2*k + 1e400")
+    assert err.value.offset == 6
+
+
 def test_number_literals():
     assert parse("1.5").value == 1.5
     assert parse(".25").value == 0.25
@@ -125,7 +133,9 @@ def test_domain_errors_propagate():
         evaluate(parse("0^(-1)"), {})
 
 
-@pytest.mark.parametrize("source", ["10^400", "exp(1000)", "cosh(1000)", "gamma(200)"])
+@pytest.mark.parametrize("source", [
+    "10^400", "exp(1000)", "cosh(1000)", "gamma(200)", "1e308*10", "sqrt(1e308*1e308)",
+])
 def test_values_beyond_double_range_are_domain_errors(source):
     with pytest.raises(DomainError):
         evaluate(parse(source), {})

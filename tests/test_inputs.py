@@ -45,11 +45,18 @@ _CORPUS = [
 ]
 
 # Cells where the corpus value is valid for the argument: a complex kernel
-# parameter, None for opts (the documented default), and an int budget of
-# any size.
+# parameter, a complex argument of a special function or binding of an
+# expression variable, None for opts (the documented default), and an int
+# budget of any size.
 _VALID = {
     ("complex", "run_case params a"),
     ("complex", "KernelParams a"),
+    ("complex", "gamma z"),
+    ("complex", "reciprocal_gamma z"),
+    ("complex", "zeta z"),
+    ("complex", "cpow base"),
+    ("complex", "cpow exponent"),
+    ("complex", "evaluate bindings"),
     ("int-huge", "QuadratureOptions max_subdivisions"),
 }
 
@@ -91,6 +98,12 @@ _ENTRY_POINTS = {
     "integrate_finite opts": lambda v: qc.integrate_finite(_decay, 0.0, 1.0, v),
     "integrate_half_line opts": lambda v: qc.integrate_half_line(_decay, v),
     "integrate_real_line opts": lambda v: qc.integrate_real_line(_decay, v),
+    "gamma z": qc.gamma,
+    "reciprocal_gamma z": qc.reciprocal_gamma,
+    "zeta z": qc.zeta,
+    "cpow base": lambda v: qc.cpow(v, 1.0),
+    "cpow exponent": lambda v: qc.cpow(2.0, v),
+    "evaluate bindings": lambda v: qc.evaluate(qc.parse("k"), {"k": v}),
 }
 
 _CELLS = [
@@ -228,6 +241,7 @@ _OBJECTS = {
     "master_rhs params": (lambda: qc.master_rhs(_F, None), DomainError),
     "seed_lhs params": (lambda: qc.seed_lhs("x", 1.0), DomainError),
     "seed_rhs params": (lambda: qc.seed_rhs(0.7, 1.0), DomainError),
+    "seed_rhs params a<0": (lambda: qc.seed_rhs(qc.KernelParams(-0.7), 1.0), DomainError),
     "schwarz flag text": (
         lambda: qc.TransformFunction(_decay, schwarz_symmetric="no"), DomainError
     ),

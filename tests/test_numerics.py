@@ -8,6 +8,7 @@ numerics layer.
 import cmath
 import math
 import random
+import sys
 import warnings
 
 import mpmath as mp
@@ -163,11 +164,13 @@ def test_gamma_beyond_double_range_is_a_domain_error():
         gamma(172.0)
     with pytest.raises(DomainError):
         gamma(500.0 + 1j)
+    # cmath.exp returns inf here without raising
+    with pytest.raises(DomainError):
+        gamma(1e308)
 
 
 def test_gamma_that_underflows_is_zero():
     assert gamma(-200.5) == 0
-    assert gamma(-171.5) == 0
 
 
 def test_reciprocal_gamma_beyond_double_range_is_a_domain_error():
@@ -176,6 +179,9 @@ def test_reciprocal_gamma_beyond_double_range_is_a_domain_error():
         reciprocal_gamma(-200.5)
     with pytest.raises(DomainError):
         reciprocal_gamma(complex(-1000.0, 1e-3))
+    # cmath.exp returns inf+nanj here without raising
+    with pytest.raises(DomainError):
+        reciprocal_gamma(1e308j)
     # at a pole the value is exactly 0, however large gamma(1 - z) is
     assert reciprocal_gamma(-200.0) == 0
 
@@ -199,8 +205,7 @@ def test_zeta_far_left_in_double_range_against_mpmath():
 
 @pytest.mark.parametrize("step", range(9))
 def test_gamma_near_the_overflow_threshold_is_finite_or_a_domain_error(step):
-    # from 171.6 to 172 by 0.05; just past 171.62 the Lanczos product
-    # overflows while its exponential does not
+    # from 171.6 to 172 by 0.05, across the overflow threshold near 171.62
     x = 171.6 + 0.05 * step
     ref = mp.gamma(x)
     if ref > 1.7976931348623157e308:
@@ -210,12 +215,46 @@ def test_gamma_near_the_overflow_threshold_is_finite_or_a_domain_error(step):
         assert abs(gamma(x) - float(ref)) <= 1e-12 * float(ref)
 
 
-@pytest.mark.parametrize("x", [-170.65, -170.7, -170.8, -171.3])
-def test_gamma_below_double_range_on_the_left_is_zero(x):
-    # 1 - x is past the overflow threshold, so the reflection gives 0,
-    # not nan; the true values are subnormal
-    assert abs(mp.gamma(x)) < 2.3e-308
-    assert gamma(x) == 0
+@pytest.mark.parametrize("x", [-170.65, -170.7, -170.8, -171.3, -171.5])
+def test_gamma_below_double_range_on_the_left_is_subnormal(x):
+    # gamma(1 - x) is beyond double range, but the reflection is taken in
+    # logs, so the subnormal value comes out, to the precision it has
+    ref = mp.gamma(x)
+    assert abs(ref) < 2.3e-308
+    assert abs(gamma(x) - complex(ref)) <= 1e-12 * abs(ref) + 5e-324
+
+
+def _sweep_points():
+    """Seeded points: Re z < 0.5 past |Im z| = 226, where sin(pi z) leaves
+    double range; the left overflow edge near Re z = -160; the rest of the
+    left half plane off the axis; the right half plane."""
+    rng = random.Random(4000)
+    regions = [
+        ((-20.0, 0.5), (226.0, 480.0)),
+        ((-185.0, -150.0), (0.0, 25.0)),
+        ((-10.0, 0.5), (20.0, 226.0)),
+        ((0.5, 180.0), (0.0, 480.0)),
+    ]
+    for (re_lo, re_hi), (im_lo, im_hi) in regions:
+        for _ in range(80):
+            sign = rng.choice((-1.0, 1.0))
+            yield complex(rng.uniform(re_lo, re_hi), sign * rng.uniform(im_lo, im_hi))
+
+
+@pytest.mark.parametrize("fn, power", [(gamma, 1), (reciprocal_gamma, -1)])
+def test_gamma_and_reciprocal_sweep_against_mpmath(fn, power):
+    # each value is within 1e-12 relative of mpmath (to the precision of a
+    # subnormal), or a DomainError where mpmath's value is beyond double
+    # range; never a bare exception or a non-finite number
+    biggest = mp.mpf(sys.float_info.max)
+    for z in _sweep_points():
+        ref = mp.gamma(mp.mpc(z.real, z.imag)) ** power
+        if abs(ref) > biggest:
+            with pytest.raises(DomainError):
+                fn(z)
+        else:
+            got = fn(z)
+            assert abs(mp.mpc(got) - ref) <= 1e-12 * abs(ref) + mp.mpf(5e-324), z
 
 
 def test_gamma_rejects_nonfinite():

@@ -188,11 +188,14 @@ def test_integrand_error_names_the_first_bad_node_in_rule_order():
 
 
 def test_overflowing_sum_of_finite_values_is_not_an_integrand_error():
-    # every value is finite; only the rule's weighted sums overflow, which
-    # must not pass as convergence either
+    # every value is finite and only the rule's weighted sums overflow: the
+    # rule is taken on f/2 and doubled, exactly
     r = integrate_finite(lambda x: 1.5e308, 0.0, 1e-300, QuadratureOptions(max_subdivisions=1))
-    assert not math.isfinite(r.error_estimate)
-    assert not r.converged
+    assert r.value == 1.5e8
+    assert r.converged
+    r = integrate_finite(lambda x: 1.2e308, 0.0, 1.4)
+    assert r.value == 1.2e308 * 1.4
+    assert r.converged and r.evaluations == 15
 
 
 def test_divergence_detection_constant():
