@@ -26,7 +26,7 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         # a hook, not a metaclass: isinstance against a class whose type is
-        # not exactly ``type`` takes a slow path, and ``expr.evaluate``
+        # not exactly ``type`` takes a slow path, and ``expr._evaluate``
         # dispatches on isinstance at every node
         super().__init_subclass__(**kwargs)
         own = vars(cls)

@@ -211,7 +211,10 @@ def _run_custom(ns) -> list[VerificationReport]:
         )
 
     def fn(k: complex) -> complex:
-        return expr_mod.evaluate(ast, {"k": k})
+        # k is always a finite complex, and every value fn returns is checked
+        # (a quadrature node, a symmetry sample, the closed form), so the
+        # per-call checks of expr.evaluate are skipped
+        return expr_mod._evaluate(ast, {"k": k})
 
     transform = TransformFunction(
         fn=fn,

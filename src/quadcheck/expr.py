@@ -266,28 +266,21 @@ def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
     poles, powers of zero) propagates as is; any other failure of a call or
     a power, and a value that is not a finite number, raises DomainError.
     """
-    values = {
-        name: complex_(f"variable {name!r} must be bound to a finite number", value)
-        for name, value in bindings.items()
-    }
-    result = _evaluate(ast, values)
-    if not numerics.is_finite(result):
-        raise DomainError(f"the expression's value {result!r} is not a finite number")
-    return result
+    for value in bindings.values():
+        if type(value) is not complex or not cmath.isfinite(value):
+            bindings = {
+                name: complex_(f"variable {name!r} must be bound to a finite number", value)
+                for name, value in bindings.items()
+            }
+            break
+    result = _evaluate(ast, bindings)
+    if cmath.isfinite(result):
+        return result
+    raise DomainError(f"the expression's value {result!r} is not a finite number")
 
 
 def _evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
-    if isinstance(ast, Number):
-        return complex(ast.value)
-    if isinstance(ast, Constant):
-        return CONSTANTS[ast.name]
-    if isinstance(ast, Variable):
-        try:
-            return bindings[ast.name]
-        except KeyError:
-            raise EvaluationError(f"unbound variable {ast.name!r}") from None
-    if isinstance(ast, Negate):
-        return -_evaluate(ast.operand, bindings)
+    # the node types are tested commonest first
     if isinstance(ast, Binary):
         left = _evaluate(ast.left, bindings)
         right = _evaluate(ast.right, bindings)
@@ -304,6 +297,13 @@ def _evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
         if ast.op == "^":
             return numerics.cpow(left, right)
         raise EvaluationError(f"unknown operator {ast.op!r}")
+    if isinstance(ast, Variable):
+        try:
+            return bindings[ast.name]
+        except KeyError:
+            raise EvaluationError(f"unbound variable {ast.name!r}") from None
+    if isinstance(ast, Number):
+        return complex(ast.value)
     if isinstance(ast, Call):
         value = _evaluate(ast.arg, bindings)
         fn = FUNCTIONS[ast.func]
@@ -313,6 +313,10 @@ def _evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
             raise
         except FAILURES as exc:
             raise DomainError(f"{ast.func}({value!r}): {exc}") from exc
+    if isinstance(ast, Negate):
+        return -_evaluate(ast.operand, bindings)
+    if isinstance(ast, Constant):
+        return CONSTANTS[ast.name]
     raise EvaluationError(f"unknown AST node {ast!r}")
 
 

@@ -2,17 +2,14 @@
 
 Everything here is plain double precision over Python's built-in ``complex``.
 All multivalued functions use the principal branch, see ``PRINCIPAL_BRANCH``.
-The two nontrivial functions are ``gamma`` (one log(1/gamma), from the log
-form of the Lanczos approximation plus the reflection formula taken in logs,
-exponentiated by both ``gamma`` and ``reciprocal_gamma``) and ``zeta``
+The two nontrivial functions are ``gamma`` (the log form of the Lanczos
+approximation plus the reflection formula, both in logs) and ``zeta``
 (accelerated alternating series on Re z >= 0, functional equation for
 Re z < 0), both implemented from scratch so their accuracy can be
-property-tested against independent series oracles.
-
-Each function takes its arguments by the package's input rule
-(``errors.complex_``) and fails only with a QuadcheckError: an argument that
-is not a finite number, and a result beyond double range, raise DomainError;
-results that underflow are subnormal or 0.
+property-tested against independent series oracles.  Arguments follow the
+input rule (``errors.complex_``).  An argument that is not a finite number,
+and a result beyond double range, raise DomainError; results that underflow
+are subnormal or 0.
 """
 
 from __future__ import annotations
@@ -67,32 +64,39 @@ def cpow(base: complex, exponent: complex) -> complex:
     ``0**w`` is 0 for Re w > 0 and a domain error otherwise (including
     ``0**0``), as is a power beyond double range.
     """
-    if type(base) is not complex or not is_finite(base):
-        base = complex_("cpow requires a finite base", base)
-    if type(exponent) is not complex or not is_finite(exponent):
-        exponent = complex_("cpow requires a finite exponent", exponent)
+    base = _arg("cpow requires a finite base", base)
+    exponent = _arg("cpow requires a finite exponent", exponent)
     if base == 0:
         if exponent.real > 0:
             return 0j
         raise DomainError(
             "0 cannot be raised to an exponent with non-positive real part"
         )
+    return _exp(exponent * cmath.log(base), "cpow", (base, exponent))
+
+
+def _arg(what: str, z) -> complex:
+    """``z`` by the input rule (``errors.complex_``); a finite complex passes as is."""
+    return z if type(z) is complex and cmath.isfinite(z) else complex_(what, z)
+
+
+def _exp(log_value: complex, what: str, at, negate: bool = False) -> complex:
+    """exp(log_value), negated (exactly) if ``negate``; DomainError where
+    that is beyond double range, whether cmath.exp raises or returns inf or nan."""
     try:
-        value = cmath.exp(exponent * cmath.log(base))
-        if is_finite(value):
-            return value
+        value = cmath.exp(log_value)
+        if cmath.isfinite(value):
+            return -value if negate else value
     except FAILURES:
         pass
-    raise DomainError(f"{base!r}**{exponent!r} is beyond double range")
+    raise DomainError(f"{what} is beyond double range at {at!r}")
 
 
 # ---------------------------------------------------------------------------
-# Gamma: one log(1/gamma), taken from the log form of the Lanczos
-# approximation (g = 7, 9 coefficients) on Re z >= 0.5 and from the
-# reflection formula, in logs, elsewhere; gamma and reciprocal_gamma
-# exponentiate it.  Verified to < 1e-12 relative error against mpmath
-# wherever the value is in double range on -185 <= Re z <= 180,
-# |Im z| <= 480.
+# Gamma: one log(1/gamma), from the log form of the Lanczos approximation
+# (g = 7, 9 coefficients) on Re z >= 0.5 and the reflection formula in logs
+# elsewhere.  Verified to < 1e-12 relative error against mpmath wherever the
+# value is in double range on -185 <= Re z <= 180, |Im z| <= 480.
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
@@ -110,7 +114,6 @@ _LANCZOS_COEFFS = (
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
-_I_PI = complex(0.0, math.pi)
 
 
 def _pole_distance(z: complex) -> float:
@@ -139,54 +142,50 @@ def _log_gamma_right(z: complex) -> complex:
     return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(w))
 
 
-def _log_sin_pi(z: complex) -> complex:
-    """log sin(pi z), up to a multiple of 2 pi i, for z off the integers.
+def _log_sin_pi(z: complex) -> tuple[complex, bool]:
+    """(log s up to 2 pi i, negate), sin(pi z) = -s if negate else s, z off the integers.
 
     Reduced by n = round(Re z), sin(pi z) = (-1)^n sin(pi w) with w = z - n,
-    so no digits are lost next to an integer.  Past |Im w| = 20 the smaller
-    exponential of sin(pi w) = (e^(i pi w) - e^(-i pi w)) / 2i is below
-    1e-54 of the larger, which is taken alone: the log stays finite where
-    sin(pi z) itself overflows (|Im z| above about 226).
+    so no digits are lost next to an integer.  Past |Im w| = 20 only the
+    larger exponential of sin(pi w) = (e^(i pi w) - e^(-i pi w)) / 2i counts
+    (the other is below 1e-54 of it), so the log stays finite where sin(pi z)
+    overflows.  Nearer, s has Re s >= 0, so the log is real on the real axis.
     """
     n = round(z.real)
     w = z - n
+    negate = n % 2 == 1
     if abs(w.imag) > 20.0:
         # sin(pi w) ~ (s i/2) e^(-s i pi w), s the sign of Im w
         s = math.copysign(1.0, w.imag)
-        log_s = s * complex(math.pi * w.imag, 0.5 * math.pi - math.pi * w.real) - _LN2
-    else:
-        log_s = cmath.log(cmath.sin(math.pi * w))
-    return log_s + _I_PI if n % 2 else log_s
+        return s * complex(math.pi * w.imag, 0.5 * math.pi - math.pi * w.real) - _LN2, negate
+    sin_pi = cmath.sin(math.pi * w)
+    if sin_pi.real < 0.0:
+        return cmath.log(-sin_pi), not negate
+    return cmath.log(sin_pi), negate
 
 
-def _log_reciprocal_gamma(z: complex) -> complex:
-    """log(1/gamma(z)), up to a multiple of 2 pi i, for finite z off the poles."""
+def _log_reciprocal_gamma(z: complex) -> tuple[complex, bool]:
+    """(L, negate), 1/gamma(z) = -exp(L) if negate else exp(L), for finite z
+    off the poles; L is log(1/gamma(z)) up to a multiple of pi i."""
     if z.real >= 0.5:
-        return -_log_gamma_right(z)
+        return -_log_gamma_right(z), False
     # reflection: 1/gamma(z) = sin(pi z) gamma(1 - z) / pi
-    return _log_sin_pi(z) + _log_gamma_right(1.0 - z) - _LN_PI
+    log_sin, negate = _log_sin_pi(z)
+    return log_sin + _log_gamma_right(1.0 - z) - _LN_PI, negate
 
 
 def gamma(z: complex) -> complex:
     """Complex gamma function on the principal branch.
 
     Raises PoleError when ``z`` is within ``POLE_GUARD_RADIUS`` of a
-    non-positive integer, and DomainError for an argument that is not a
-    finite number, and where gamma is beyond double range (near the real
-    axis above about 171.62); where it underflows, the result is subnormal
-    or 0.
+    non-positive integer, and DomainError where gamma is beyond double range
+    (near the real axis above about 171.62).  Real arguments give real values.
     """
-    if type(z) is not complex or not is_finite(z):
-        z = complex_("gamma requires a finite number", z)
+    z = _arg("gamma requires a finite number", z)
     if z.real < 0.5 and _pole_distance(z) < POLE_GUARD_RADIUS:
         raise PoleError(f"gamma pole too close to z = {z!r}")
-    try:
-        value = cmath.exp(-_log_reciprocal_gamma(z))
-        if is_finite(value):
-            return value
-    except FAILURES:
-        pass
-    raise DomainError(f"gamma is beyond double range at z = {z!r}")
+    log_value, negate = _log_reciprocal_gamma(z)
+    return _exp(-log_value, "gamma", z, negate)
 
 
 def reciprocal_gamma(z: complex) -> complex:
@@ -196,22 +195,15 @@ def reciprocal_gamma(z: complex) -> complex:
     gamma overflows double precision (large positive real part), and is exact
     zero at the poles of gamma.  Used for integrands of the form
     ``1/gamma(...)`` whose argument sweeps far into the right half plane.
-    Raises DomainError for an argument that is not a finite number, and
-    where 1/gamma is beyond double range: far into the left half plane away
-    from the poles, and far from the real axis (|Im z| above about 450
-    near Re z = 0).
+    Raises DomainError where 1/gamma is beyond double range: far into the
+    left half plane away from the poles, and past |Im z| of about 450 near
+    Re z = 0.  Real arguments give real values.
     """
-    if type(z) is not complex or not is_finite(z):
-        z = complex_("reciprocal_gamma requires a finite number", z)
+    z = _arg("reciprocal_gamma requires a finite number", z)
     if z.real <= 0.0 and z.imag == 0.0 and z.real.is_integer():
         return 0j  # a pole of gamma
-    try:
-        value = cmath.exp(_log_reciprocal_gamma(z))
-        if is_finite(value):
-            return value
-    except FAILURES:
-        pass
-    raise DomainError(f"reciprocal_gamma is beyond double range at z = {z!r}")
+    log_value, negate = _log_reciprocal_gamma(z)
+    return _exp(log_value, "reciprocal_gamma", z, negate)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +320,12 @@ def zeta(z: complex) -> complex:
     Validated to >= 10 significant digits for Re z >= 0, |Im z| <= 50 (the
     region our contour integrals sweep); an AccuracyWarning is emitted when
     asked for points far outside it.  Raises PoleError within
-    ``POLE_GUARD_RADIUS`` of z = 1, and DomainError for an argument that is
-    not a finite number, where the functional equation's value is beyond
-    double range (Re z below about -260 near the real axis), and where the
-    series cannot be summed in doubles (|Im z| near 1e308).
+    ``POLE_GUARD_RADIUS`` of z = 1, and DomainError where the functional
+    equation's value is beyond double range (Re z below about -260 near the
+    real axis) and where the series cannot be summed in doubles (|Im z| near
+    1e308).
     """
-    if type(z) is not complex or not is_finite(z):
-        z = complex_("zeta requires a finite number", z)
+    z = _arg("zeta requires a finite number", z)
     if abs(z - 1.0) < POLE_GUARD_RADIUS:
         raise PoleError(f"zeta pole too close to z = {z!r}")
     if z.real >= 10.0:
@@ -351,7 +342,7 @@ def zeta(z: complex) -> complex:
         series = _zeta_alternating if z.real >= 0.0 or abs(z) <= 0.01 else _zeta_reflect
     try:
         value = series(z)
-        if is_finite(value):
+        if cmath.isfinite(value):
             return value
     except FAILURES:
         pass

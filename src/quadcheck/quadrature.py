@@ -24,6 +24,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from typing import Callable
@@ -195,8 +196,9 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     of ulp(integral of |f|) to stay honest once discretization error is
     gone.  Finiteness is checked once, on the |f| sum: only when it fails,
     or the integrand or a sum raises, are the nodes walked again, through
-    ``_eval``, to name the bad one.  Where every node is finite and only a
-    sum overflowed, the rule is taken again on f/2 and its results doubled.
+    ``_eval``, to name the bad one.  Where every value is finite and only a
+    sum overflowed, the rule is taken again on the values over 4 and its
+    results multiplied by 4.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -240,12 +242,18 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         _name_bad_node(f, c, h)
         raise IntegrandError(c, str(exc)) from exc  # an impure f, or an overflowing sum
     if not math.isfinite(resabs):
-        _name_bad_node(f, c, h)
-        # No bad node: only a weighted sum overflowed.  The Kronrod weights
-        # sum to 2, so the rule on f/2 cannot overflow, and halving and
-        # doubling are exact.
-        value, err, l1 = _gk15(lambda x: 0.5 * f(x), lo, hi)
-        return 2.0 * value, 2.0 * err, 2.0 * l1
+        values = (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6)
+        if all(map(cmath.isfinite, values)):
+            # Only a weighted sum overflowed.  The Kronrod weights sum to 2,
+            # so the same rule on the values over 4, fed back in the order
+            # f is called, stays below DBL_MAX/2; f is not called again.
+            quarters = iter([0.25 * v for v in values])
+            q_value, q_err, q_abs = _gk15(lambda x, q=quarters: next(q), lo, hi)
+            if math.isfinite(4.0 * q_abs):
+                return 4.0 * q_value, 4.0 * q_err, 4.0 * q_abs
+            # else the integral of |f| is beyond double range: the run ends unconverged
+        else:
+            _name_bad_node(f, c, h)  # none is bad only for an impure f: the run ends unconverged
     mean = 0.5 * resk
     resasc = (
         w7 * abs(fc - mean) + w0 * (abs(l0 - mean) + abs(r0 - mean))

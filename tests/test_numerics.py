@@ -257,6 +257,14 @@ def test_gamma_and_reciprocal_sweep_against_mpmath(fn, power):
             assert abs(mp.mpc(got) - ref) <= 1e-12 * abs(ref) + mp.mpf(5e-324), z
 
 
+@pytest.mark.parametrize("x", [-0.5, -1.5, -2.5, -0.3, -7.25, -170.65, 0.3, 4.5])
+def test_gamma_and_reciprocal_are_real_on_the_real_axis(x):
+    # the sign of sin(pi z) is kept out of the log, so no rounding of
+    # exp(i pi) leaves an imaginary part
+    assert gamma(x).imag == 0
+    assert reciprocal_gamma(x).imag == 0
+
+
 def test_gamma_rejects_nonfinite():
     with pytest.raises(DomainError):
         gamma(complex(math.inf, 0.0))

@@ -189,13 +189,29 @@ def test_integrand_error_names_the_first_bad_node_in_rule_order():
 
 def test_overflowing_sum_of_finite_values_is_not_an_integrand_error():
     # every value is finite and only the rule's weighted sums overflow: the
-    # rule is taken on f/2 and doubled, exactly
+    # rule is taken again on the values over 4 and multiplied by 4
     r = integrate_finite(lambda x: 1.5e308, 0.0, 1e-300, QuadratureOptions(max_subdivisions=1))
     assert r.value == 1.5e8
     assert r.converged
     r = integrate_finite(lambda x: 1.2e308, 0.0, 1.4)
     assert r.value == 1.2e308 * 1.4
     assert r.converged and r.evaluations == 15
+
+
+def test_rule_retaken_on_overflow_does_not_call_the_integrand_again():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.2e308
+
+    assert integrate_finite(f, 0.0, 1.4).evaluations == len(calls) == 15
+
+
+def test_integral_of_finite_values_beyond_double_range_is_not_converged():
+    r = integrate_finite(lambda x: 1.7e308, -1.0, 1.0)
+    assert not math.isfinite(r.error_estimate)
+    assert not r.converged
 
 
 def test_divergence_detection_constant():
