@@ -56,7 +56,8 @@ class CaseDefinition(Frozen):
     parameters; the case's left side is ``scale`` times the full-line
     master integral of F at kernel parameter ``kernel_a`` (the case's own
     ``a`` when None), and its right side is ``scale`` times the master
-    closed form.
+    closed form.  ``exponentials``, if set, gives F as the terms
+    ``c e^{i beta k}``, pairs ``(c, beta)``, for the rays of ``quadcheck._rays``.
     """
 
     case_id: str
@@ -66,6 +67,7 @@ class CaseDefinition(Frozen):
     transform: Callable[[Params], Transform]
     scale: float = 0.5  # the half-line printed forms
     kernel_a: complex | None = None
+    exponentials: Callable[[Params], tuple[tuple[complex, float], ...]] | None = None
 
 
 # --- parameter rules --------------------------------------------------------
@@ -255,15 +257,18 @@ _CASES = {
                 "a": (1.0 + 2.0j, _nonzero),
             },
             constraints=(
-                "alpha real with alpha*pi <= 1 for convergence; a nonzero "
+                "alpha real with alpha*pi < 1 for convergence; a nonzero "
                 "(complex a experimental)"
             ),
             notes=(
-                "Transform cos(alpha k).  For alpha*pi > 1 the integrand grows "
-                "like exp((alpha*pi-1)x) and the run ends with a divergence "
-                "error instead of a number."
+                "Transform cos(alpha k).  At 0.1 < |alpha| < 1/pi and |ln|a|| <= 6 "
+                "the tail past 8 is on the rays 8 +/- iy, and truncation is the "
+                "height y.  For alpha*pi > 1 the integrand grows like "
+                "exp((alpha*pi-1)x) and the run ends with a divergence error "
+                "instead of a number."
             ),
             transform=_cosine,
+            exponentials=lambda p: ((0.5, p["alpha"].real), (0.5, -p["alpha"].real)),
         ),
         CaseDefinition(
             case_id="gamma",
@@ -346,6 +351,7 @@ def run_case(
         clean[name] = rule(name, complex_(what, given.get(name, default), ParameterError))
     F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
     kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
+    terms = case.exponentials(clean) if case.exponentials else ()
     return _verify(
-        case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes
+        case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes, terms
     )

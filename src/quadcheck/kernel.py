@@ -63,6 +63,13 @@ DEFAULT_TOLERANCE = 1e-8
 
 _exp = math.exp
 
+#: Terms ``c e^{i beta k}`` take their tail on the rays (``_rays``) when every
+#: ``|beta|`` is inside _RAY_BETA (below, the rays decay too slowly to pay;
+#: from 1/pi on, the real-axis integral diverges) and ``|ln|a|| <= _RAY_LOG_A``,
+#: which keeps the kernel's poles, at ``Re x = +/- ln|a|``, 2 left of the rays.
+_RAY_BETA = (0.1, 1.0 / math.pi)
+_RAY_LOG_A = 6.0
+
 
 class KernelParams(Frozen):
     """Kernel parameter ``a``.
@@ -284,13 +291,16 @@ def master_integral(
     params: KernelParams,
     opts: QuadratureOptions | None = None,
     scale: float = 1.0,
+    exponentials: tuple[tuple[complex, float], ...] = (),
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
     The scale is applied inside the integrand, so the function integrated
     is the scaled one.  a = +/- i raises DomainError before any quadrature,
     inadmissible F raise DivergenceError, and convergence is left for the
-    caller to check.
+    caller to check.  ``exponentials``, pairs ``(c, beta)`` with F(k) the
+    sum of ``c e^{i beta k}``, let a Schwarz-symmetric F take its tail on
+    steepest-descent rays (``_rays``), where truncation is the height y.
     """
     _operands(F, params)
     _norm_factor(params)
@@ -312,6 +322,16 @@ def master_integral(
             k = x * (x + i_pi)
             return scale * (fn(k) + fn(k.conjugate())) * weight(params, x)
 
+    lo, hi = _RAY_BETA
+    if (
+        exponentials
+        and F.schwarz_symmetric
+        and all(lo < abs(beta) < hi for _, beta in exponentials)
+        and abs(params.log_a().real) <= _RAY_LOG_A
+    ):
+        from ._rays import head_and_rays  # compiled only when a run takes the rays
+
+        return head_and_rays(f, exponentials, params._a2, options(opts), scale)
     return integrate_half_line(f, opts)
 
 
@@ -339,6 +359,7 @@ def _verify(
     scale: float = 1.0,
     what: str = "master-identity integral",
     notes: str = "",
+    exponentials: tuple[tuple[complex, float], ...] = (),
 ) -> VerificationReport:
     """Compare ``scale`` times both sides of the master identity for F.
 
@@ -347,7 +368,8 @@ def _verify(
     DomainError: with it every comparison would fail, or pass unchecked.
     """
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
-    lhs_result = require_converged(master_integral(F, params, opts, scale), what, opts)
+    lhs = master_integral(F, params, opts, scale, exponentials)
+    lhs_result = require_converged(lhs, what, opts)
     return VerificationReport.from_sides(
         case_name=name,
         params=record,

@@ -154,7 +154,8 @@ class QuadratureResult(Frozen):
     floor of its settled segments (those whose error sits at their floor)
     alone exceeded the tolerance: the result is then not converged, and no
     budget would have made it so.  ``rounding_floor``, the floor of all
-    segments, is then above the tolerance too.
+    segments, is then above the tolerance too.  ``subdivisions`` counts the
+    bisections made, at most ``max_subdivisions``.
     """
 
     value: complex
@@ -164,6 +165,7 @@ class QuadratureResult(Frozen):
     converged: bool
     l1_norm: float = 0.0
     roundoff_limited: bool = False
+    subdivisions: int = 0
 
     @property
     def rounding_floor(self) -> float:
@@ -197,8 +199,8 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     gone.  Finiteness is checked once, on the |f| sum: only when it fails,
     or the integrand or a sum raises, are the nodes walked again, through
     ``_eval``, to name the bad one.  Where every value is finite and only a
-    sum overflowed, the rule is taken again on the values over 4 and its
-    results multiplied by 4.
+    sum or a modulus overflowed, the rule is taken again on the values over
+    4 and its results multiplied by 4.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -224,23 +226,25 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         l6 = f(c - d6)
         r6 = f(c + d6)
         # The sums are written out, centre term first, then the node pairs
-        # outwards.  abs() of a huge complex value can overflow, so they stay
-        # inside the try.
+        # outwards; they raise only for values that are not numbers.
         s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
         resk = (
             w7 * fc + w0 * (l0 + r0) + w1 * s1 + w2 * (l2 + r2) + w3 * s3
             + w4 * (l4 + r4) + w5 * s5 + w6 * (l6 + r6)
         )
         resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    except (QuadcheckError, *FAILURES) as exc:
+        _name_bad_node(f, c, h)
+        raise IntegrandError(c, str(exc)) from exc  # an impure f
+    try:
         resabs = (
             w7 * abs(fc) + w0 * (abs(l0) + abs(r0)) + w1 * (abs(l1) + abs(r1))
             + w2 * (abs(l2) + abs(r2)) + w3 * (abs(l3) + abs(r3))
             + w4 * (abs(l4) + abs(r4)) + w5 * (abs(l5) + abs(r5))
             + w6 * (abs(l6) + abs(r6))
         )
-    except (QuadcheckError, *FAILURES) as exc:
-        _name_bad_node(f, c, h)
-        raise IntegrandError(c, str(exc)) from exc  # an impure f, or an overflowing sum
+    except OverflowError:  # the modulus of a finite complex value is beyond double range
+        resabs = math.inf
     if not math.isfinite(resabs):
         values = (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6)
         if all(map(cmath.isfinite, values)):
@@ -251,9 +255,11 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
             q_value, q_err, q_abs = _gk15(lambda x, q=quarters: next(q), lo, hi)
             if math.isfinite(4.0 * q_abs):
                 return 4.0 * q_value, 4.0 * q_err, 4.0 * q_abs
-            # else the integral of |f| is beyond double range: the run ends unconverged
         else:
-            _name_bad_node(f, c, h)  # none is bad only for an impure f: the run ends unconverged
+            _name_bad_node(f, c, h)  # none is bad only for an impure f
+        # the integral of |f| is beyond double range, or f is impure: no
+        # value, and the run ends unconverged
+        return complex(math.nan, math.nan), math.inf, math.inf
     mean = 0.5 * resk
     resasc = (
         w7 * abs(fc - mean) + w0 * (abs(l0 - mean) + abs(r0 - mean))
@@ -311,7 +317,8 @@ def _l1_sum(segments: list, field: int) -> float:
 
 
 def _partition(
-    f: Integrand, edges: tuple[float, ...], opts: QuadratureOptions, windowed: bool
+    f: Integrand, edges: tuple[float, ...], opts: QuadratureOptions, windowed: bool,
+    budget: int | None = None,
 ) -> QuadratureResult:
     """Worst-first bisection of one partition under one global tolerance.
 
@@ -334,7 +341,8 @@ def _partition(
     bound alone exceeds it, no bisection can help, and the run stops as
     roundoff limited.  Unsettled segments do not count: a coarse rule's
     |f| integral can be off by more than the margin a run near the limit
-    has to spare.
+    has to spare.  ``budget`` (``opts.max_subdivisions`` when None, and
+    possibly 0) caps the bisections.
     """
     segments: list[tuple[float, float, float, complex, float, float]] = []
     push, gk15, floor = heapq.heappush, _gk15, _FLOOR
@@ -354,7 +362,9 @@ def _partition(
         settled_l1 += settled
     exact_error = error  # the error total at the last exact summation
     evals = 15 * (len(edges) - 1)
-    budget = opts.max_subdivisions
+    if budget is None:
+        budget = opts.max_subdivisions
+    allowed = budget
     fraction = 1.0 - _TAIL_FRACTION if windowed else 1.0
     window = lo  # left edge of the newest window
     contributions: list[float] = []
@@ -435,6 +445,7 @@ def _partition(
         converged,
         _l1_sum(segments, 4),
         roundoff_limited,
+        allowed - budget,
     )
 
 

@@ -2,6 +2,7 @@
 identity, and the documented edge behaviors."""
 
 import cmath
+import heapq
 import math
 import platform
 
@@ -36,6 +37,7 @@ from quadcheck import (
     zeta,
 )
 from quadcheck.catalog import CATALOG_ORDER, get_case
+from quadcheck.kernel import master_integral
 
 
 def test_catalog_has_six_unique_cases():
@@ -416,6 +418,8 @@ def test_zeta_case_matches_the_full_contour(n, x, a):
 def test_real_a_gives_exactly_real_lhs():
     for case_id in CATALOG_ORDER:
         assert run_case(case_id, {"a": 2.0}).lhs.imag == 0.0, case_id
+    # the cosine tail on the steepest-descent rays is 2 Re of the upward ray
+    assert run_case("cosine", {"alpha": 0.25, "a": 2.0}).lhs.imag == 0.0
 
 
 def test_gamma_case_does_not_converge_falsely_to_zero():
@@ -555,6 +559,55 @@ def test_default_results_keep_every_bit(name):
         assert (rep.lhs.real.hex(), rep.lhs.imag.hex()) == (re_hex, im_hex)
     assert rep.diagnostics.evaluations == evaluations
     assert rep.passed
+
+
+# The cosine case takes its tail on the rays 8 +/- iy only for
+# 0.1 < |alpha| < 1/pi and |ln|a|| <= 6; elsewhere it keeps the real axis.
+
+def test_cosine_below_the_ray_range_keeps_its_real_axis_bits():
+    rep = run_case("cosine", {"alpha": 0.05, "a": 1 + 2j})
+    if _GLIBC:
+        assert (rep.lhs.real.hex(), rep.lhs.imag.hex()) == (
+            "-0x1.418971bffc86ap-4", "0x1.5a7c536bfad85p-11"
+        )
+    assert rep.diagnostics.evaluations == 300
+
+
+def test_cosine_with_a_kernel_pole_near_the_ray_does_not_rotate():
+    # ln 3000 = 8.0: the kernel's poles would sit on the ray 8 +/- iy
+    rep = run_case("cosine", {"alpha": 0.15, "a": 3000.0})
+    F = TransformFunction(lambda k: cmath.cos(0.15 * k), schwarz_symmetric=True)
+    assert rep.diagnostics == master_integral(F, KernelParams(3000.0), scale=0.5)
+    assert rep.diagnostics.truncation_used > 8.0
+    # |a| beyond double range: the rule takes ln|a| without forming |a|
+    with pytest.raises(QuadcheckError):
+        run_case("cosine", {"alpha": 0.15, "a": 1.5e308 + 1.5e308j})
+
+
+@pytest.mark.parametrize("alpha", [0.25, -0.25, 0.3])
+def test_cosine_on_the_rays_passes_for_either_sign_of_alpha(alpha):
+    rep = run_case("cosine", {"alpha": alpha, "a": 1.0})
+    assert rep.passed
+    assert rep.lhs == run_case("cosine", {"alpha": -alpha, "a": 1.0}).lhs
+
+
+def test_cosine_pieces_share_one_subdivision_budget(monkeypatch):
+    # every bisection pops the worst segment once, whichever piece it is in
+    pops = []
+    heappop = heapq.heappop
+
+    def counting(heap):
+        pops.append(1)
+        return heappop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counting)
+    with pytest.raises(NonConvergenceError) as err:
+        run_case("cosine", {"alpha": 0.3, "a": 1.0}, QuadratureOptions(max_subdivisions=3))
+    assert len(pops) == err.value.result.subdivisions == 3
+    pops.clear()
+    rep = run_case("cosine", {"alpha": 0.3, "a": 1.0}, QuadratureOptions(max_subdivisions=6))
+    assert rep.passed
+    assert len(pops) == rep.diagnostics.subdivisions <= 6
 
 
 @pytest.mark.parametrize("case_id,params,ceiling", [

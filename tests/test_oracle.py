@@ -4,6 +4,8 @@ functions, so neither the package's quadrature nor its gamma and zeta
 enter the reference value.
 """
 
+import math
+
 import mpmath as mp
 import pytest
 
@@ -15,7 +17,9 @@ _REL = 1e-9
 # mpmath.quad's sub-intervals: geometric towards 0, where the rational case
 # with small b has a peak of width about b / pi, and out to 128, where the
 # slowest decay here (cosine at alpha = 0.2, like exp(-0.37 y)) leaves a
-# tail below 1e-20.
+# tail below 1e-20.  Past alpha of about 0.25 the cosine integrand decays
+# too slowly for a real-axis oracle to converge; those points are checked
+# on the steepest-descent rays instead (``_ray_oracle``).
 _BREAKS = [0, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 2, 4, 8, 16, 32, 64, 128]
 
 
@@ -116,3 +120,60 @@ def test_lhs_matches_mpmath_quad_of_the_folded_integrand(case_id, params):
         rep = run_case(case_id, params)
     expected = _oracle(case_id, params)
     assert abs(rep.lhs - expected) <= _REL * abs(expected), (rep.lhs, expected)
+
+
+# --- cosine up to alpha pi < 1, on the steepest-descent rays ----------------
+
+
+def _cosine_closed_form(alpha, a):
+    with mp.workdps(_DPS):
+        a = mp.mpc(a)
+        s = mp.pi**2 / 4 + mp.log(a) ** 2
+        return complex(mp.pi * mp.cos(alpha * s) / (4 * a * (1 + a * a)))
+
+
+def _ray_oracle(alpha, a):
+    """Half the master integral of cos(alpha k): 2 Re F K on [0, 8], then
+    each term e^{+/-i alpha k} / 2 of F, folded over x and -x, on the ray
+    8 + iy or 8 - iy along which it decays."""
+    with mp.workdps(_DPS):
+        alpha, a2 = mp.mpf(alpha), mp.mpc(a) ** 2
+
+        def K(x):
+            return mp.cosh(x) / (1 + 2 * a2 * mp.cosh(2 * x) + a2 * a2)
+
+        def k(x):
+            return x * x + 1j * mp.pi * x
+
+        head = mp.quad(lambda x: 2 * mp.re(mp.cos(alpha * k(x))) * K(x), _BREAKS[:10])
+        tail = 0
+        for sign in (1, -1):
+            up = sign * mp.sign(alpha)  # e^{i sign alpha k} decays towards i up inf
+
+            def g(y):
+                x = mp.mpc(8, up * y)
+                e = mp.exp(1j * sign * alpha * k(x)) + mp.exp(1j * sign * alpha * k(-x))
+                return e / 2 * K(x)
+
+            tail += up * 1j * mp.quad(g, [0, 0.5, 1, 2, 4, 8, 16])
+        return complex((head + tail) / 2)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.28, 0.3, 0.31, 0.318])
+@pytest.mark.parametrize("a", [0.7, 1.0, 1 + 2j])
+def test_cosine_up_to_alpha_pi_below_one_matches_the_closed_form_and_the_rays(alpha, a):
+    rep = run_case("cosine", {"alpha": alpha, "a": a})
+    assert rep.passed
+    for expected in (_cosine_closed_form(alpha, a), _ray_oracle(alpha, a)):
+        assert abs(rep.lhs - expected) <= _REL * abs(expected), (rep.lhs, expected)
+
+
+@pytest.mark.parametrize("a", [math.exp(-6), 0.01, 0.5, 3.0, 400.0, math.exp(6), 1 + 2j,
+                               3 - 1j, 0.02 - 0.02j])
+def test_rotated_cosine_runs_meet_their_error_estimates(a):
+    # every alpha that takes the rays, across the pole rule |ln|a|| <= 6
+    for i in range(12):
+        alpha = 0.1 + (1 / math.pi - 0.1) * (i + 0.5) / 12
+        rep = run_case("cosine", {"alpha": alpha, "a": a})
+        miss = abs(rep.lhs - _cosine_closed_form(alpha, a))
+        assert miss <= rep.diagnostics.error_estimate + 1e-14, (alpha, rep.lhs)

@@ -198,6 +198,17 @@ def test_overflowing_sum_of_finite_values_is_not_an_integrand_error():
     assert r.converged and r.evaluations == 15
 
 
+def test_complex_value_whose_modulus_overflows_is_not_an_integrand_error():
+    # both parts are finite, only abs() of the value overflows: the rule is
+    # taken again on the values over 4, as for an overflowing sum
+    r = integrate_finite(lambda x: complex(1.5e308, 1.5e308), 0.0, 1e-300)
+    assert r.value == complex(1.5e8, 1.5e8)
+    assert r.converged and r.evaluations == 15
+    # an integral of |f| beyond double range ends unconverged, not in a bare OverflowError
+    r = integrate_finite(lambda x: complex(1.7e308, 1.7e308), 0.0, 1.0)
+    assert not r.converged and not math.isfinite(r.error_estimate)
+
+
 def test_rule_retaken_on_overflow_does_not_call_the_integrand_again():
     calls = []
 

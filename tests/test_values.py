@@ -32,16 +32,16 @@ _RATIONAL = get_case("rational")
 # (class, positional arguments, the same with one field changed)
 VALUES = [
     (QuadratureOptions, (1e-9, 1e-7, 50), (1e-9, 1e-7, 51)),
-    (QuadratureResult, (1 + 2j, 1e-12, 15, 8.0, True, 3.0, False),
-     (1 + 2j, 1e-12, 15, 8.0, True, 3.0, True)),
+    (QuadratureResult, (1 + 2j, 1e-12, 15, 8.0, True, 3.0, False, 0),
+     (1 + 2j, 1e-12, 15, 8.0, True, 3.0, True, 0)),
     (KernelParams, (0.7 + 0j,), (0.8 + 0j,)),
     (TransformFunction, (_reciprocal, True, "r"), (_reciprocal, True, "s")),
     (VerificationReport,
      ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, False, "n"),
      ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, True, "n")),
     (CaseDefinition,
-     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, None),
-     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, None)),
+     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, None, None),
+     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, None, None)),
     (Number, (2.0,), (3.0,)),
     (Constant, ("pi",), ("e",)),
     (Variable, ("k",), ("x",)),
