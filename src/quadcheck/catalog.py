@@ -263,7 +263,7 @@ _CASES = {
             notes=(
                 "Transform cos(alpha k).  At 0.1 < |alpha| < 1/pi and |ln|a|| <= 6 "
                 "the tail past 8 is on the rays 8 +/- iy, and truncation is the "
-                "height y.  For alpha*pi > 1 the integrand grows like "
+                "contour parameter 8 + y.  For alpha*pi > 1 the integrand grows like "
                 "exp((alpha*pi-1)x) and the run ends with a divergence error "
                 "instead of a number."
             ),

@@ -222,8 +222,7 @@ def kernel_weight(params: KernelParams, x: float) -> complex:
     return num / den
 
 
-def _norm_factor(params: KernelParams) -> complex:
-    a = params.a
+def _norm_factor(a: complex) -> complex:
     d = a * (1.0 + a * a)
     if d == 0:
         raise DomainError("a (1 + a^2) vanishes; identity undefined at a = +/- i")
@@ -272,13 +271,15 @@ def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
 
     Raises DomainError where F(pi^2/4 + ln^2 a) is undefined, or the closed
     form is not a finite number.  A QuadcheckError that F raises, such as a
-    PoleError, passes through unchanged.
+    PoleError, passes through unchanged.  The left side depends on a^2
+    only, so for Re a < 0 the closed form is taken at -a.
     """
     _operands(F, params)
-    ln_a = params.log_a()
+    a = -params.a if params.a.real < 0 else params.a
+    ln_a = cmath.log(a)
     k0 = math.pi * math.pi / 4.0 + ln_a * ln_a
     try:
-        value = math.pi * F(k0) / (2.0 * _norm_factor(params))
+        value = math.pi * F(k0) / (2.0 * _norm_factor(a))
     except QuadcheckError:
         raise
     except FAILURES as exc:
@@ -300,10 +301,12 @@ def master_integral(
     inadmissible F raise DivergenceError, and convergence is left for the
     caller to check.  ``exponentials``, pairs ``(c, beta)`` with F(k) the
     sum of ``c e^{i beta k}``, let a Schwarz-symmetric F take its tail on
-    steepest-descent rays (``_rays``), where truncation is the height y.
+    steepest-descent rays (``_rays``): the contour parameter s runs over
+    [0, 8] on the real axis, then over both rays at height ``y = s - 8``,
+    and truncation is the last window's right edge in s, as for any run.
     """
     _operands(F, params)
-    _norm_factor(params)
+    _norm_factor(params.a)
     fn = F.fn  # the quadrature's own check rejects non-finite values
     # looked up now, not at import: a wrapper put on the module still sees every node
     weight = kernel_weight
@@ -331,7 +334,7 @@ def master_integral(
     ):
         from ._rays import head_and_rays  # compiled only when a run takes the rays
 
-        return head_and_rays(f, exponentials, params._a2, options(opts), scale)
+        f = head_and_rays(f, exponentials, params._a2, scale)
     return integrate_half_line(f, opts)
 
 

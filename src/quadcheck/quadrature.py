@@ -298,14 +298,7 @@ def _totals(segments: list) -> tuple[complex, float]:
 def _contribution(segments: list, left: float) -> float:
     """|Exact value sum| over the segments that start at ``left`` or later;
     nan where it leaves double range."""
-    fsum = math.fsum
-    try:
-        return abs(complex(
-            fsum([s[3].real for s in segments if s[1] >= left]),
-            fsum([s[3].imag for s in segments if s[1] >= left]),
-        ))
-    except (OverflowError, ValueError):
-        return math.nan
+    return abs(_totals([s for s in segments if s[1] >= left])[0])
 
 
 def _l1_sum(segments: list, field: int) -> float:
@@ -317,8 +310,7 @@ def _l1_sum(segments: list, field: int) -> float:
 
 
 def _partition(
-    f: Integrand, edges: tuple[float, ...], opts: QuadratureOptions, windowed: bool,
-    budget: int | None = None,
+    f: Integrand, edges: tuple[float, ...], opts: QuadratureOptions, windowed: bool
 ) -> QuadratureResult:
     """Worst-first bisection of one partition under one global tolerance.
 
@@ -341,8 +333,7 @@ def _partition(
     bound alone exceeds it, no bisection can help, and the run stops as
     roundoff limited.  Unsettled segments do not count: a coarse rule's
     |f| integral can be off by more than the margin a run near the limit
-    has to spare.  ``budget`` (``opts.max_subdivisions`` when None, and
-    possibly 0) caps the bisections.
+    has to spare.
     """
     segments: list[tuple[float, float, float, complex, float, float]] = []
     push, gk15, floor = heapq.heappush, _gk15, _FLOOR
@@ -362,9 +353,7 @@ def _partition(
         settled_l1 += settled
     exact_error = error  # the error total at the last exact summation
     evals = 15 * (len(edges) - 1)
-    if budget is None:
-        budget = opts.max_subdivisions
-    allowed = budget
+    budget = opts.max_subdivisions
     fraction = 1.0 - _TAIL_FRACTION if windowed else 1.0
     window = lo  # left edge of the newest window
     contributions: list[float] = []
@@ -445,7 +434,7 @@ def _partition(
         converged,
         _l1_sum(segments, 4),
         roundoff_limited,
-        allowed - budget,
+        opts.max_subdivisions - budget,
     )
 
 

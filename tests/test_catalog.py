@@ -591,8 +591,8 @@ def test_cosine_on_the_rays_passes_for_either_sign_of_alpha(alpha):
     assert rep.lhs == run_case("cosine", {"alpha": -alpha, "a": 1.0}).lhs
 
 
-def test_cosine_pieces_share_one_subdivision_budget(monkeypatch):
-    # every bisection pops the worst segment once, whichever piece it is in
+def test_cosine_head_and_rays_take_one_subdivision_budget(monkeypatch):
+    # head and rays are one partition: every bisection pops its worst segment once
     pops = []
     heappop = heapq.heappop
 
@@ -605,9 +605,35 @@ def test_cosine_pieces_share_one_subdivision_budget(monkeypatch):
         run_case("cosine", {"alpha": 0.3, "a": 1.0}, QuadratureOptions(max_subdivisions=3))
     assert len(pops) == err.value.result.subdivisions == 3
     pops.clear()
-    rep = run_case("cosine", {"alpha": 0.3, "a": 1.0}, QuadratureOptions(max_subdivisions=6))
+    rep = run_case("cosine", {"alpha": 0.3, "a": 1.0}, QuadratureOptions(max_subdivisions=7))
     assert rep.passed
-    assert len(pops) == rep.diagnostics.subdivisions <= 6
+    assert len(pops) == rep.diagnostics.subdivisions == 7
+    # the contour parameter s = 8 + y: the last window ends at y = 19
+    assert rep.diagnostics.truncation_used == 27.0
+
+
+@pytest.mark.parametrize("alpha", [0.25, -0.25, 0.3])
+@pytest.mark.parametrize("a", [0.7, 2.0, math.exp(-6.0)])
+def test_cosine_on_the_rays_keeps_real_a_exactly_real(alpha, a):
+    # the downward ray is the conjugate of the upward one, term by term
+    assert run_case("cosine", {"alpha": alpha, "a": a}).lhs.imag == 0.0
+
+
+@pytest.mark.parametrize("case_id,params", [
+    ("rational", {"a": 0.7}),
+    ("bessel", {"a": 7.0}),
+    ("gaussian", {"a": 0.3}),
+    ("cosine", {"a": 2.0}),
+    ("cosine", {"a": 1 + 2j}),
+    ("cosine", {"a": 50 - 50j}),
+    ("cosine", {"alpha": 0.3, "a": 2.0}),
+])
+def test_negative_real_part_of_a_gives_the_result_at_minus_a(case_id, params):
+    # the left side depends on a^2 only, and the closed form is taken at -a
+    rep = run_case(case_id, params)
+    flipped = run_case(case_id, {**params, "a": -params["a"]})
+    assert rep.passed and flipped.passed
+    assert (flipped.lhs, flipped.rhs) == (rep.lhs, rep.rhs)
 
 
 @pytest.mark.parametrize("case_id,params,ceiling", [
