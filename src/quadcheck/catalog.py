@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from collections.abc import Callable, Mapping
 
 from . import numerics
@@ -25,8 +24,7 @@ from .kernel import (
     VerificationReport,
     _verify,
 )
-from .numerics import AccuracyWarning
-from .quadrature import _MAX_TRUNCATION, QuadratureOptions
+from .quadrature import QuadratureOptions
 
 __all__ = ["CaseDefinition", "list_cases", "get_case", "run_case", "CATALOG_ORDER"]
 
@@ -34,16 +32,9 @@ Params = Mapping[str, complex]
 Transform = Callable[[complex], complex]
 Rule = Callable[[str, complex], complex]  # (name, value) -> normalized value
 
-#: First ordinates of nontrivial zeta zeros; the zeta case warns when its
-#: argument parabola passes close to one of them (denominator accuracy).
-_ZETA_ZERO_ORDINATES = (
-    14.134725141734693,
-    21.022039638771555,
-    25.010857580145688,
-    30.424876125859513,
-    32.935061587739190,
-)
-_ZETA_ZERO_WARN_DISTANCE = 0.05
+#: Ordinate of the first nontrivial zeta zero 1/2 + i gamma_1, a pole of the zeta
+#: case's F inside the master identity's strip once a > gamma_1^2/2 (``_zeta``).
+_ZETA_FIRST_ZERO = 14.134725141734693
 
 
 class CaseDefinition(Frozen):
@@ -144,10 +135,16 @@ def _zeta(p: Params) -> Transform:
 
     On the folded path k = y^2 + i pi y is pi^2 (t^2 + i t) at y = pi t.
     The closed form's k = pi^2/4 gives u = 1/4 exactly, so its zeta factor
-    is zeta(a) itself.  The zero warning covers every t the sweep reaches.
+    is zeta(a) itself.  For n >= 1 a zero 1/2 + i g of zeta(4 a u) is a pole
+    of F: on the real axis at a = g^2/2, in the strip -pi < Im x < 0 past it.
     """
     n = int(p["n"].real)
     a = p["a"].real
+    if n and a >= _ZETA_FIRST_ZERO**2 / 2.0:
+        raise ParameterError(
+            f"zeta case with n >= 1 needs a < gamma_1^2/2 (about 99.895), got {a!r}: "
+            "from there on a zeta zero is a pole of F on the contour or inside the strip"
+        )
     ln_x = math.log(p["x"].real)
     pi2 = math.pi * math.pi
     two_pi = 2.0 * math.pi
@@ -155,8 +152,6 @@ def _zeta(p: Params) -> Transform:
     guard = numerics.POLE_GUARD_RADIUS
     # looked up now, not at import: a wrapper put on numerics.zeta still sees every call
     zeta, exp = numerics.zeta, cmath.exp
-    if n:
-        _zeta_warn_near_zero(a, _MAX_TRUNCATION / math.pi)
 
     def F(k: complex) -> complex:
         u = k / pi2
@@ -171,42 +166,6 @@ def _zeta(p: Params) -> Transform:
         return num / (two_pi * zeta(s) ** n)
 
     return F
-
-
-def _zeta_warn_near_zero(a: float, T: float) -> None:
-    """Warn when the argument parabola w(t) = 4a(t^2 + i t) comes within
-    ``_ZETA_ZERO_WARN_DISTANCE`` of a nontrivial zeta zero for 0 <= t <= T.
-
-    The squared distance to a zero 1/2 + i g is minimized where
-    8 a t^3 + (4a - 1) t - g = 0; Newton from t = g/(4a) converges in a
-    few steps since the cubic is increasing there.  On [0, T] the parabola
-    stays within 4a(T^2 + T) of the origin, so when that is short of the
-    first zero no search is needed (and none overflows at tiny a).
-    """
-    if 4.0 * a * T * (T + 1.0) < _ZETA_ZERO_ORDINATES[0] - _ZETA_ZERO_WARN_DISTANCE:
-        return
-    closest = math.inf
-    for g in _ZETA_ZERO_ORDINATES:
-        t = g / (4.0 * a)
-        for _ in range(50):
-            deriv = 24.0 * a * t * t + 4.0 * a - 1.0
-            if deriv <= 0:
-                break
-            step = (8.0 * a * t**3 + (4.0 * a - 1.0) * t - g) / deriv
-            t -= step
-            if abs(step) < 1e-14 * max(1.0, abs(t)):
-                break
-        if not 0.0 <= t <= T:
-            continue  # the close approach lies beyond the reachable contour
-        w = complex(4.0 * a * t * t, 4.0 * a * t)
-        closest = min(closest, abs(w - complex(0.5, g)))
-    if closest < _ZETA_ZERO_WARN_DISTANCE:
-        warnings.warn(
-            f"contour argument passes within {closest:.3g} of a nontrivial "
-            "zeta zero; the denominator loses accuracy there",
-            AccuracyWarning,
-            stacklevel=3,
-        )
 
 
 # --- catalog ----------------------------------------------------------------
@@ -291,13 +250,14 @@ _CASES = {
         CaseDefinition(
             case_id="zeta",
             params={"n": (1.0 + 0j, _order), "x": (0.5 + 0j, _unit), "a": (2.0 + 0j, _positive)},
-            constraints="n integer in 0..4; 0 < x < 1 real; a real > 0",
+            constraints="n integer in 0..4; 0 < x < 1 real; a real > 0, a < 99.895 for n >= 1",
             notes=(
                 "Contour integral over the imaginary axis, parametrized s = i t: "
                 "transform x^(k/pi^2) / (2 pi zeta(4 a k/pi^2)^n) at the sech "
                 "specialization, rescaled t -> t/pi.  n is restricted to 0..4.  At "
                 "a = 1 the closed form is 0 because the zeta factor in its "
-                "denominator diverges while the contour side stays regular."
+                "denominator diverges while the contour side stays regular.  For n >= 1, "
+                "a >= 99.895 (gamma_1^2/2) is refused: a zeta zero is then a pole of F."
             ),
             transform=_zeta,
             scale=4.0 / math.pi,

@@ -77,6 +77,8 @@ class KernelParams(Frozen):
     The canonical domain is real a > 0.  Complex values are accepted but
     flagged experimental: the identities check out numerically at sample
     complex points, yet no validity region is established for them.
+    Purely imaginary a is accepted here, but ``master_integral`` refuses
+    it: a kernel pole then lies on the real axis, at x = +/- ln|a|.
     """
 
     a: complex
@@ -297,7 +299,8 @@ def master_integral(
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
     The scale is applied inside the integrand, so the function integrated
-    is the scaled one.  a = +/- i raises DomainError before any quadrature,
+    is the scaled one.  a = +/- i and Re a = 0, which puts a kernel pole
+    on the real axis, raise DomainError before any quadrature,
     inadmissible F raise DivergenceError, and convergence is left for the
     caller to check.  ``exponentials``, pairs ``(c, beta)`` with F(k) the
     sum of ``c e^{i beta k}``, let a Schwarz-symmetric F take its tail on
@@ -307,6 +310,8 @@ def master_integral(
     """
     _operands(F, params)
     _norm_factor(params.a)
+    if params.a.real == 0:
+        raise DomainError(f"Re a = 0 puts a kernel pole on the real axis: a = {params.a!r}")
     fn = F.fn  # the quadrature's own check rejects non-finite values
     # looked up now, not at import: a wrapper put on the module still sees every node
     weight = kernel_weight

@@ -28,7 +28,6 @@ __all__ = [
     "gamma",
     "reciprocal_gamma",
     "zeta",
-    "is_finite",
 ]
 
 #: Branch convention used by every multivalued operation in this package:
@@ -51,11 +50,6 @@ _ZETA_OUTSIDE_MESSAGE = (
 
 class AccuracyWarning(UserWarning):
     """The result may carry fewer correct digits than the documented target."""
-
-
-def is_finite(z: complex) -> bool:
-    """True iff both components of ``z`` are finite (no NaN, no infinity)."""
-    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 def cpow(base: complex, exponent: complex) -> complex:

@@ -36,7 +36,10 @@ from quadcheck import (
     verify_seed,
     zeta,
 )
-from quadcheck.catalog import CATALOG_ORDER, get_case
+import quadcheck.catalog
+import quadcheck.numerics
+from quadcheck._frozen import replace
+from quadcheck.catalog import _ZETA_FIRST_ZERO, CATALOG_ORDER, get_case
 from quadcheck.kernel import master_integral
 
 
@@ -232,21 +235,38 @@ def test_zeta_case_truncation_is_bounded():
     assert rep.diagnostics.evaluations <= 255
 
 
-def test_zeta_case_warns_near_nontrivial_zero():
-    # at a = 100 the contour argument passes within 0.05 of the first
-    # nontrivial zero; accuracy is destroyed there, so a warning must fire
-    # (and no pass assertion is meaningful)
-    import warnings as _warnings
+@pytest.mark.parametrize("a", [_ZETA_FIRST_ZERO**2 / 2.0, 100.0, 150.0, 1000.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_zeta_case_refuses_a_past_the_first_zero(monkeypatch, n, a):
+    # from a = gamma_1^2/2 on the first zero of zeta(4 a u) is a pole of F
+    # on the contour or inside the strip, so no zeta value is ever taken
+    def never(s):
+        raise AssertionError(f"zeta called at {s!r}")
 
-    from quadcheck import AccuracyWarning
+    monkeypatch.setattr(quadcheck.numerics, "zeta", never)
+    with pytest.raises(ParameterError, match="gamma_1"):
+        run_case("zeta", {"n": n, "x": 0.5, "a": a})
 
-    with _warnings.catch_warnings(record=True) as captured:
-        _warnings.simplefilter("always")
-        run_case("zeta", {"n": 1, "x": 0.5, "a": 100.0}, tolerance=1e-3)
-    assert any(
-        issubclass(w.category, AccuracyWarning) and "nontrivial" in str(w.message)
-        for w in captured
-    )
+
+def test_zeta_case_keeps_a_below_the_first_zero_and_every_a_at_n_0():
+    assert run_case("zeta", {"n": 0, "x": 0.5, "a": 1000.0}).passed
+    assert run_case("zeta", {"n": 1, "x": 0.5, "a": 99.8}).passed
+
+
+@pytest.mark.parametrize("a", [0.3j, 0.5j, 2j, -0.7j, 5j])
+@pytest.mark.parametrize("case_id", ["rational", "bessel", "gaussian", "cosine"])
+def test_imaginary_a_is_a_domain_error_before_any_call_of_F(monkeypatch, case_id, a):
+    # Re a = 0 puts a kernel pole on the real axis, at x = +/- ln|a|
+    def never(p):
+        def F(k):
+            raise AssertionError(f"F called at {k!r}")
+
+        return F
+
+    case = get_case(case_id)
+    monkeypatch.setitem(quadcheck.catalog._CASES, case_id, replace(case, transform=never))
+    with pytest.raises(DomainError, match="Re a = 0"):
+        run_case(case_id, {"a": a})
 
 
 def test_complex_a_marks_experimental_but_still_verifies():

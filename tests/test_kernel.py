@@ -341,6 +341,15 @@ def test_verify_master_at_a_plus_minus_i_is_a_domain_error():
             verify_master(F, KernelParams(a))
 
 
+def test_verify_master_at_imaginary_a_is_a_domain_error_before_any_call():
+    # Re a = 0 puts a kernel pole on the real axis, at x = +/- ln|a|
+    def fn(k):
+        raise AssertionError(f"F called at {k!r}")
+
+    with pytest.raises(DomainError, match="Re a = 0"):
+        verify_master(TransformFunction(fn, schwarz_symmetric=True), KernelParams(0.5j))
+
+
 def test_false_schwarz_flag_fails_the_verification():
     # the flag selects the 2 Re F(k) fold, which is wrong for this F
     fn = lambda k: 1.0 / (k + 2.0 + 1j)  # noqa: E731

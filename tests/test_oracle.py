@@ -177,3 +177,12 @@ def test_rotated_cosine_runs_meet_their_error_estimates(a):
         rep = run_case("cosine", {"alpha": alpha, "a": a})
         miss = abs(rep.lhs - _cosine_closed_form(alpha, a))
         assert miss <= rep.diagnostics.error_estimate + 1e-14, (alpha, rep.lhs)
+
+
+def test_first_zeta_zero_ordinate_matches_mpmath():
+    # the zeta case refuses n >= 1 at a >= gamma_1^2/2, where this zero is a pole of F
+    from quadcheck.catalog import _ZETA_FIRST_ZERO
+
+    with mp.workdps(30):
+        gamma_1 = mp.zetazero(1).imag
+        assert abs(_ZETA_FIRST_ZERO - gamma_1) <= 1e-15 * gamma_1
