@@ -16,6 +16,7 @@ import cmath
 import math
 from typing import Callable
 
+from .kernel import _kernel_u
 from .quadrature import _FIRST_WINDOW_EDGES
 
 
@@ -35,7 +36,7 @@ def head_and_rays(
     x0 = _FIRST_WINDOW_EDGES[-1]
     i_pi = complex(0.0, math.pi)
     up = [(scale * c, complex(0.0, beta)) for c, beta in exponentials if beta > 0]
-    exp = cmath.exp
+    exp, kernel = cmath.exp, _kernel_u
 
     def f(s: float) -> complex:
         if s < x0:
@@ -45,11 +46,7 @@ def head_and_rays(
         t = 0j
         for c, i_beta in up:
             t += c * (exp(i_beta * k) + exp(i_beta * k_neg))
-        u = exp(-x)  # kernel_weight's factored form at complex x
-        u2 = u * u
-        g = t * (0.5 * (u + u * u2) / ((1.0 + a2 * u2) * (a2 + u2)))
-        u = u.conjugate()
-        u2 = u * u
-        return 1j * (g - t.conjugate() * (0.5 * (u + u * u2) / ((1.0 + a2 * u2) * (a2 + u2))))
+        u = exp(-x)
+        return 1j * (t * kernel(a2, u) - t.conjugate() * kernel(a2, u.conjugate()))
 
     return f

@@ -15,8 +15,12 @@ The kernel is ``cosh x / (1 + 2 a^2 cosh 2x + a^4)``, which factors as
 The kernel is even and ``k(-x) = conj k(x)`` for ``k(x) = x^2 + i pi x``,
 so every identity is taken on one path: the half-line integral of
 ``(F(k) + F(conj k)) K``, which is ``2 Re F(k) K`` for Schwarz-symmetric F,
-times the scale of the printed form.  One function builds every
-verification report from that integral and the scaled closed form.
+times the scale of the printed form.  The catalog's rows and the seed
+identity fold the line ``Im x = -0.8`` the same way, since their F are
+analytic in the strip down to it, and the cosine row takes its tail on
+steepest-descent rays; a user's F stays on the real axis.  One function
+builds every verification report from that integral and the scaled closed
+form.
 """
 
 from __future__ import annotations
@@ -62,13 +66,23 @@ REL_DIFF_FLOOR = 1e-300
 DEFAULT_TOLERANCE = 1e-8
 
 _exp = math.exp
+_cexp = cmath.exp
 
 #: Terms ``c e^{i beta k}`` take their tail on the rays (``_rays``) when every
 #: ``|beta|`` is inside _RAY_BETA (below, the rays decay too slowly to pay;
-#: from 1/pi on, the real-axis integral diverges) and ``|ln|a|| <= _RAY_LOG_A``,
-#: which keeps the kernel's poles, at ``Re x = +/- ln|a|``, 2 left of the rays.
+#: from 1/pi on, the real-axis integral diverges).  Any contour leaves the
+#: real axis only where ``|ln|a|| <= _RAY_LOG_A``, which keeps the kernel's
+#: poles, at ``Re x = +/- ln|a|``, 2 left of the rays, and a^2 far inside
+#: double range for the kernel at complex x.
 _RAY_BETA = (0.1, 1.0 / math.pi)
 _RAY_LOG_A = 6.0
+
+#: The catalog rows and the seed identity take their left side on the line
+#: ``Im x = -c`` with ``c = _LINE_SHIFT`` (``master_integral``'s ``shift``),
+#: at most _SHIFT_CAP of the way to the nearest kernel pole, which sits at
+#: ``Im x = |arg a| - pi/2`` for the root a with Re a > 0.
+_LINE_SHIFT = 0.8
+_SHIFT_CAP = 0.75
 
 
 class KernelParams(Frozen):
@@ -205,16 +219,31 @@ class VerificationReport(Frozen):
         )
 
 
-def kernel_weight(params: KernelParams, x: float) -> complex:
-    """The kernel ``cosh x / (1 + 2 a^2 cosh 2x + a^4)`` at real x.
+def _kernel_u(a2: complex, u: complex) -> complex:
+    """The kernel's factored form ``(u + u^3)/2 / ((1 + a^2 u^2)(a^2 + u^2))``
+    at ``u = e^{-x}``, for complex x off the real axis; ``a2`` is a^2."""
+    u2 = u * u
+    return 0.5 * (u + u * u2) / ((1.0 + a2 * u2) * (a2 + u2))
+
+
+def kernel_weight(params: KernelParams, x: float | complex) -> complex:
+    """The kernel ``cosh x / (1 + 2 a^2 cosh 2x + a^4)`` at x.
 
     Evaluated through the factored form with exp(-|x|) scaling so nothing
     overflows even at |x| of a few hundred; using |x| also makes the
     evenness in x exact.  The value is a float when a^2 is real (real or
     purely imaginary a): complex arithmetic with zero imaginary parts
     rounds exactly as float arithmetic does, so it has the same bits as
-    the complex value's real part.
+    the complex value's real part.  A complex x takes the same form at
+    ``u = e^{-x}``, or ``e^{x}`` where Re x < 0, so that ``|u| <= 1``.
     """
+    if x.__class__ is complex:
+        try:
+            return _kernel_u(params._a2, _cexp(x if x.real < 0.0 else -x))
+        except ZeroDivisionError:
+            raise DomainError(
+                f"kernel denominator vanishes at x = {x!r} for a = {params.a!r}"
+            ) from None
     u = _exp(-abs(x))  # in (0, 1]
     a2 = params._a2
     num = 0.5 * (u + u**3)  # cosh(x) * exp(-2|x|)
@@ -295,6 +324,7 @@ def master_integral(
     opts: QuadratureOptions | None = None,
     scale: float = 1.0,
     exponentials: tuple[tuple[complex, float], ...] = (),
+    shift: float = 0.0,
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
@@ -302,11 +332,26 @@ def master_integral(
     is the scaled one.  a = +/- i and Re a = 0, which puts a kernel pole
     on the real axis, raise DomainError before any quadrature,
     inadmissible F raise DivergenceError, and convergence is left for the
-    caller to check.  ``exponentials``, pairs ``(c, beta)`` with F(k) the
-    sum of ``c e^{i beta k}``, let a Schwarz-symmetric F take its tail on
-    steepest-descent rays (``_rays``): the contour parameter s runs over
-    [0, 8] on the real axis, then over both rays at height ``y = s - 8``,
-    and truncation is the last window's right edge in s, as for any run.
+    caller to check.
+
+    A Schwarz-symmetric F may leave the real axis where ``|ln|a|| <= 6``,
+    in one of two ways, and the caller vouches that F is analytic and
+    decays where the contour moves (Henrici, *Applied and Computational
+    Complex Analysis* I, 1974):
+
+    * ``shift`` c > 0 takes the integral on the line ``x = y - ic``, with
+      c capped at 3/4 of the way to the nearest kernel pole, at
+      ``Im x = |arg a| - pi/2``.  ``k(-y - ic)`` is ``conj k(y - ic)`` and
+      the kernel is even, so the half-line integrand in y is
+      ``F(k) K(x) + conj F(k) K(conj x)``, which is ``2 Re F(k) K(x)`` for
+      real a^2; truncation is the y reached.  On the line
+      ``k = y^2 + c(pi - c) + iy(pi - 2c)``: the chirp and the hump of
+      ``|F|`` that the real axis sees shrink as c grows.
+    * ``exponentials``, pairs ``(c, beta)`` with F(k) the sum of
+      ``c e^{i beta k}``, take the tail on steepest-descent rays
+      (``_rays``): the contour parameter s runs over [0, 8] on the real
+      axis, then over both rays at height ``y = s - 8``, and truncation is
+      the last window's right edge in s.
     """
     _operands(F, params)
     _norm_factor(params.a)
@@ -318,28 +363,43 @@ def master_integral(
     # k = x^2 + i pi x as x (x + i pi): the one complex product rounds to
     # the bits of complex(x * x, pi * x), with no call
     i_pi = complex(0.0, math.pi)
-    if F.schwarz_symmetric:
+    departs = F.schwarz_symmetric and abs(params.log_a().real) <= _RAY_LOG_A
+    if shift > 0 and departs:
+        arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
+        c = min(shift, _SHIFT_CAP * (0.5 * math.pi - arg_a))
+        if isinstance(params._a2, float):  # real a: K(conj x) = conj K(x)
+            w = 2.0 * scale
+
+            def f(y: float) -> complex:
+                x = complex(y, -c)
+                return w * (fn(x * (x + i_pi)) * weight(params, x)).real
+
+        else:
+
+            def f(y: float) -> complex:
+                x = complex(y, -c)
+                g = fn(x * (x + i_pi))
+                return scale * (
+                    g * weight(params, x) + g.conjugate() * weight(params, x.conjugate())
+                )
+
+    elif F.schwarz_symmetric:
         w = 2.0 * scale
 
         def f(x: float) -> complex:
             return w * fn(x * (x + i_pi)).real * weight(params, x)
 
+        lo, hi = _RAY_BETA
+        if exponentials and departs and all(lo < abs(beta) < hi for _, beta in exponentials):
+            from ._rays import head_and_rays  # compiled only when a run takes the rays
+
+            f = head_and_rays(f, exponentials, params._a2, scale)
     else:
 
         def f(x: float) -> complex:
             k = x * (x + i_pi)
             return scale * (fn(k) + fn(k.conjugate())) * weight(params, x)
 
-    lo, hi = _RAY_BETA
-    if (
-        exponentials
-        and F.schwarz_symmetric
-        and all(lo < abs(beta) < hi for _, beta in exponentials)
-        and abs(params.log_a().real) <= _RAY_LOG_A
-    ):
-        from ._rays import head_and_rays  # compiled only when a run takes the rays
-
-        f = head_and_rays(f, exponentials, params._a2, scale)
     return integrate_half_line(f, opts)
 
 
@@ -368,6 +428,7 @@ def _verify(
     what: str = "master-identity integral",
     notes: str = "",
     exponentials: tuple[tuple[complex, float], ...] = (),
+    shift: float = 0.0,
 ) -> VerificationReport:
     """Compare ``scale`` times both sides of the master identity for F.
 
@@ -376,7 +437,7 @@ def _verify(
     DomainError: with it every comparison would fail, or pass unchecked.
     """
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
-    lhs = master_integral(F, params, opts, scale, exponentials)
+    lhs = master_integral(F, params, opts, scale, exponentials, shift)
     lhs_result = require_converged(lhs, what, opts)
     return VerificationReport.from_sides(
         case_name=name,
@@ -432,8 +493,9 @@ def seed_rhs(params: KernelParams, t: float) -> complex:
 def seed_lhs(
     params: KernelParams, t: float, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
-    """Half-line integral side of the seed identity (real a > 0 only)."""
-    return master_integral(_seed(params, t), params, opts, _SEED_SCALE)
+    """Half-line integral side of the seed identity (real a > 0 only),
+    taken on the line Im x = -0.8 (``master_integral``'s ``shift``)."""
+    return master_integral(_seed(params, t), params, opts, _SEED_SCALE, shift=_LINE_SHIFT)
 
 
 def verify_seed(
@@ -447,5 +509,6 @@ def verify_seed(
     F = _seed(params, t)
     record = {"a": params.a, "t": complex(t)}
     return _verify(
-        "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral"
+        "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral",
+        shift=_LINE_SHIFT,
     )

@@ -176,15 +176,18 @@ def test_a_at_plus_minus_i_exits_2(capsys):
 
 
 def test_roundoff_limited_run_exits_3(capsys):
-    # the integral of |f| is about 1.2e4 and the integral 2.4e-3: rounding
-    # alone keeps the error above the tolerance
-    assert main(["verify", "gaussian", "--param", "b=0.45"]) == 3
+    # custom keeps the real axis: the integral of |f| is about 2.4e4 and the
+    # integral 4.8e-3, so rounding alone keeps the error above the tolerance
+    # (the gaussian case takes the same F on the line Im x = -0.8 and passes)
+    assert main(["custom", "--F", "exp(-0.45*k^2)", "--a", "0.3"]) == 3
     assert "roundoff" in capsys.readouterr().err
 
 
 def test_zeta_accuracy_warning_is_printed_once_per_run():
-    # a = 90 calls zeta outside its validated region many times over;
-    # Python's default filter shows a constant message once
+    # the zeta case's F at a = 90, on the real axis, calls zeta outside its
+    # validated region many times over; Python's default filter shows a
+    # constant message once (the zeta case itself takes the line
+    # Im x = -0.8, where no admissible input leaves the region)
     import os
     import subprocess
     import sys
@@ -196,7 +199,8 @@ def test_zeta_accuracy_warning_is_printed_once_per_run():
     src = os.path.dirname(os.path.dirname(os.path.abspath(quadcheck.__file__)))
     env["PYTHONPATH"] = src
     proc = subprocess.run(
-        [sys.executable, "-m", "quadcheck.cli", "verify", "zeta", "--param", "a=90"],
+        [sys.executable, "-m", "quadcheck.cli", "custom",
+         "--F", "0.5^(k/pi^2)/(2*pi*zeta(360*k/pi^2))", "--a", "1"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -291,7 +295,7 @@ def test_window_geometry_flags_are_gone(capsys, flag):
 def test_verification_failure_exits_1(capsys):
     # loose quadrature with an absurdly tight verification tolerance makes
     # the sides disagree beyond tolerance without any numerical error
-    rc = main(["verify", "gaussian", "--tol", "1e-16"])
+    rc = main(["custom", "--F", "exp(-0.3*k^2)", "--a", "0.3", "--tol", "1e-16"])
     assert rc in (1,)
     capsys.readouterr()
 

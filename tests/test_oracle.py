@@ -186,3 +186,37 @@ def test_first_zeta_zero_ordinate_matches_mpmath():
     with mp.workdps(30):
         gamma_1 = mp.zetazero(1).imag
         assert abs(_ZETA_FIRST_ZERO - gamma_1) <= 1e-15 * gamma_1
+
+
+# --- the shifted line Im x = -0.8, against closed forms ---------------------
+#
+# Past b of about 0.35 the gaussian integrand on the real axis cancels from
+# about exp(pi^4 b / 4) down to its value, beyond what a 20-digit mpmath.quad
+# resolves, so these runs are checked against the closed form instead.
+
+
+def _gaussian_closed_form(b, a):
+    with mp.workdps(_DPS):
+        a = mp.mpf(a)
+        s = mp.pi**2 / 4 + mp.log(a) ** 2
+        return float(mp.pi * mp.exp(-b * s * s) / (4 * a * (1 + a * a)))
+
+
+@pytest.mark.parametrize("b", [0.4, 0.5, 1.0])
+def test_gaussian_on_the_line_matches_the_closed_form(b):
+    rep = run_case("gaussian", {"b": b})
+    exact = _gaussian_closed_form(b, 0.3)
+    miss = abs(rep.lhs - exact)
+    assert miss <= rep.diagnostics.error_estimate, (rep.lhs, exact)
+    # the quadrature's default tolerance, max(1e-12, 1e-10 |value|)
+    assert miss <= max(1e-12, 1e-10 * abs(exact)), (rep.lhs, exact)
+
+
+@pytest.mark.parametrize("a,b", [(6.413969496065889, -1.440766098346324),
+                                 (6.58509217990289, -1.576585367260786)])
+def test_gamma_on_the_line_meets_its_estimate_against_mpmath(a, b):
+    # on the real axis the estimates were 10 and 3 times below the true error
+    rep = run_case("gamma", {"a": a, "b": b})
+    with mp.workdps(_DPS):
+        exact = float(mp.rgamma(mp.mpf(a) + mp.mpf(b)))
+    assert abs(rep.lhs - exact) <= rep.diagnostics.error_estimate, (rep.lhs, exact)
