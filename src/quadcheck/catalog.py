@@ -22,7 +22,6 @@ from .kernel import (
     KernelParams,
     TransformFunction,
     VerificationReport,
-    _LINE_SHIFT,
     _verify,
 )
 from .quadrature import QuadratureOptions
@@ -48,11 +47,11 @@ class CaseDefinition(Frozen):
     parameters; the case's left side is ``scale`` times the full-line
     master integral of F at kernel parameter ``kernel_a`` (the case's own
     ``a`` when None), and its right side is ``scale`` times the master
-    closed form.  ``shift`` c > 0 takes the left side on the line
-    ``Im x = -c`` instead of the real axis (``kernel.master_integral``); a
-    row sets it only where its parameter rules keep F analytic and decaying
-    in the strip ``-c <= Im x <= 0``.  ``exponentials``, if set, gives F as
-    the terms ``c e^{i beta k}``, pairs ``(c, beta)``, for the rays of
+    closed form.  A row without ``exponentials`` takes its left side on the
+    line ``Im x = -0.8`` instead of the real axis (``kernel.master_integral``),
+    so its parameter rules must keep F analytic and decaying in the strip
+    ``-0.8 <= Im x <= 0``.  ``exponentials``, if set, gives F as the terms
+    ``c e^{i beta k}``, pairs ``(c, beta)``, for the rays of
     ``quadcheck._rays``.
     """
 
@@ -62,7 +61,6 @@ class CaseDefinition(Frozen):
     notes: str
     transform: Callable[[Params], Transform]
     scale: float = 0.5  # the half-line printed forms
-    shift: float = 0.0
     kernel_a: complex | None = None
     exponentials: Callable[[Params], tuple[tuple[complex, float], ...]] | None = None
 
@@ -192,7 +190,6 @@ _CASES = {
                 "integral differs from its value at b = 0."
             ),
             transform=_rational,
-            shift=_LINE_SHIFT,
         ),
         CaseDefinition(
             case_id="bessel",
@@ -205,7 +202,6 @@ _CASES = {
             ),
             transform=_bessel,
             scale=1.0,
-            shift=_LINE_SHIFT,
         ),
         CaseDefinition(
             case_id="gaussian",
@@ -213,7 +209,6 @@ _CASES = {
             constraints="a nonzero (real a > 0 canonical); b real > 0",
             notes="Transform exp(-b k^2).",
             transform=_gaussian,
-            shift=_LINE_SHIFT,
         ),
         CaseDefinition(
             case_id="cosine",
@@ -254,7 +249,6 @@ _CASES = {
             ),
             transform=_gamma,
             scale=4.0 / math.pi,
-            shift=_LINE_SHIFT,
             kernel_a=1.0,
         ),
         CaseDefinition(
@@ -271,7 +265,6 @@ _CASES = {
             ),
             transform=_zeta,
             scale=4.0 / math.pi,
-            shift=_LINE_SHIFT,
             kernel_a=1.0,
         ),
     )
@@ -325,5 +318,5 @@ def run_case(
     terms = case.exponentials(clean) if case.exponentials else ()
     return _verify(
         case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes,
-        terms, case.shift,
+        terms, case.exponentials is None,
     )

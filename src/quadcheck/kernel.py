@@ -78,7 +78,7 @@ _RAY_BETA = (0.1, 1.0 / math.pi)
 _RAY_LOG_A = 6.0
 
 #: The catalog rows and the seed identity take their left side on the line
-#: ``Im x = -c`` with ``c = _LINE_SHIFT`` (``master_integral``'s ``shift``),
+#: ``Im x = -c`` with ``c = _LINE_SHIFT`` (``master_integral``'s ``shifted``),
 #: at most _SHIFT_CAP of the way to the nearest kernel pole, which sits at
 #: ``Im x = |arg a| - pi/2`` for the root a with Re a > 0.
 _LINE_SHIFT = 0.8
@@ -324,7 +324,7 @@ def master_integral(
     opts: QuadratureOptions | None = None,
     scale: float = 1.0,
     exponentials: tuple[tuple[complex, float], ...] = (),
-    shift: float = 0.0,
+    shifted: bool = False,
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
@@ -339,8 +339,8 @@ def master_integral(
     decays where the contour moves (Henrici, *Applied and Computational
     Complex Analysis* I, 1974):
 
-    * ``shift`` c > 0 takes the integral on the line ``x = y - ic``, with
-      c capped at 3/4 of the way to the nearest kernel pole, at
+    * ``shifted`` takes the integral on the line ``x = y - ic``, with
+      c = 0.8 capped at 3/4 of the way to the nearest kernel pole, at
       ``Im x = |arg a| - pi/2``.  ``k(-y - ic)`` is ``conj k(y - ic)`` and
       the kernel is even, so the half-line integrand in y is
       ``F(k) K(x) + conj F(k) K(conj x)``, which is ``2 Re F(k) K(x)`` for
@@ -364,9 +364,9 @@ def master_integral(
     # the bits of complex(x * x, pi * x), with no call
     i_pi = complex(0.0, math.pi)
     departs = F.schwarz_symmetric and abs(params.log_a().real) <= _RAY_LOG_A
-    if shift > 0 and departs:
+    if shifted and departs:
         arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
-        c = min(shift, _SHIFT_CAP * (0.5 * math.pi - arg_a))
+        c = min(_LINE_SHIFT, _SHIFT_CAP * (0.5 * math.pi - arg_a))
         if isinstance(params._a2, float):  # real a: K(conj x) = conj K(x)
             w = 2.0 * scale
 
@@ -428,7 +428,7 @@ def _verify(
     what: str = "master-identity integral",
     notes: str = "",
     exponentials: tuple[tuple[complex, float], ...] = (),
-    shift: float = 0.0,
+    shifted: bool = False,
 ) -> VerificationReport:
     """Compare ``scale`` times both sides of the master identity for F.
 
@@ -437,7 +437,7 @@ def _verify(
     DomainError: with it every comparison would fail, or pass unchecked.
     """
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
-    lhs = master_integral(F, params, opts, scale, exponentials, shift)
+    lhs = master_integral(F, params, opts, scale, exponentials, shifted)
     lhs_result = require_converged(lhs, what, opts)
     return VerificationReport.from_sides(
         case_name=name,
@@ -494,8 +494,8 @@ def seed_lhs(
     params: KernelParams, t: float, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
     """Half-line integral side of the seed identity (real a > 0 only),
-    taken on the line Im x = -0.8 (``master_integral``'s ``shift``)."""
-    return master_integral(_seed(params, t), params, opts, _SEED_SCALE, shift=_LINE_SHIFT)
+    taken on the line Im x = -0.8 (``master_integral``'s ``shifted``)."""
+    return master_integral(_seed(params, t), params, opts, _SEED_SCALE, shifted=True)
 
 
 def verify_seed(
@@ -510,5 +510,5 @@ def verify_seed(
     record = {"a": params.a, "t": complex(t)}
     return _verify(
         "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral",
-        shift=_LINE_SHIFT,
+        shifted=True,
     )

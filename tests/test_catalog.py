@@ -41,7 +41,7 @@ import quadcheck.catalog
 import quadcheck.numerics
 from quadcheck._frozen import replace
 from quadcheck.catalog import _ZETA_FIRST_ZERO, CATALOG_ORDER, get_case
-from quadcheck.kernel import master_integral
+from quadcheck.kernel import DEFAULT_TOLERANCE, _verify, master_integral
 
 
 def test_catalog_has_six_unique_cases():
@@ -708,7 +708,7 @@ def test_far_out_in_ln_a_the_rows_keep_the_real_axis():
 
 def test_the_seed_takes_the_same_line():
     F = TransformFunction(lambda k: cmath.exp(-k), schwarz_symmetric=True)
-    on_line = master_integral(F, KernelParams(1.0), scale=0.5, shift=0.8)
+    on_line = master_integral(F, KernelParams(1.0), scale=0.5, shifted=True)
     assert verify_seed(1.0, 1.0).diagnostics == on_line
     # the truncation is the y reached along the line
     assert on_line.truncation_used == 12.0
@@ -718,30 +718,37 @@ def test_the_shift_needs_the_schwarz_flag():
     # F(conj k) = conj F(k) is what folds the line onto y >= 0
     F = TransformFunction(lambda k: 1.0 / (k + 2.0))
     params = KernelParams(0.7)
-    assert master_integral(F, params, shift=0.8) == master_integral(F, params)
+    assert master_integral(F, params, shifted=True) == master_integral(F, params)
 
 
 def _on_the_real_axis(case_id, params):
-    """The report of the row's F through ``verify_master``, which keeps the
-    real axis, at the row's kernel parameter: the catalog's own runs take
-    these inputs on the line Im x = -0.8, where none is near roundoff."""
+    """The row's own run with its left side on the real axis: the catalog
+    takes these inputs on the line Im x = -0.8, where none is near
+    roundoff."""
     case = get_case(case_id)
-    clean = {name: complex(params.get(name, default)) for name, (default, _) in case.params.items()}
+    clean = {
+        name: rule(name, complex(params.get(name, default)))
+        for name, (default, rule) in case.params.items()
+    }
     F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
-    return verify_master(F, KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a))
+    kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
+    return _verify(
+        case_id, clean, F, kp, None, DEFAULT_TOLERANCE, case.scale, f"case {case_id!r}", case.notes
+    )
 
 
 @pytest.mark.parametrize("case_id,params,ceiling", [
     # large integrands with small integrals: the rounding floor
     # 2 eps * integral of |f| lies above the tolerance; each of these used
     # to spend all 60015 evaluations
-    ("gaussian", {"b": 0.37}, 1125),
-    ("gaussian", {"b": 0.45}, 795),
-    ("gaussian", {"b": 2.0}, 1365),
+    ("gaussian", {"b": 0.37}, 1245),
+    ("gaussian", {"b": 0.45}, 855),
+    ("gaussian", {"b": 2.0}, 1395),
     ("gamma", {"a": 7, "b": -1}, 915),
-    ("gamma", {"a": 7, "b": -2}, 675),
-    # true value 0, with a condition number beyond any tolerance
-    ("gamma", {"a": 3.5, "b": -3.5}, 495),
+    ("gamma", {"a": 7, "b": -2}, 735),
+    # true value 0: the budget stop here reported an estimate six times
+    # below its true error
+    ("gamma", {"a": 3, "b": -3}, 765),
 ])
 def test_roundoff_limited_cases_stop_early(case_id, params, ceiling):
     with pytest.raises(RoundoffError) as err:
@@ -758,10 +765,10 @@ def test_roundoff_limited_cases_stop_early(case_id, params, ceiling):
 @pytest.mark.parametrize("case_id,params,evaluations", [
     # early on, the rounding floor of these runs' coarse partitions exceeds
     # the tolerance, but the converged partition's floor is below it
-    # (99.2 % of it at b = 0.3606); a stop on the floor of all segments,
-    # settled or not, ended such runs in a RoundoffError after 105 to 255
-    # evaluations
-    ("gaussian", {"b": 0.3606}, 8070),
+    # (99.6 % of it at b = 0.36301); a stop on the floor of all segments,
+    # settled or not, ended each of them in a RoundoffError after 105 to
+    # 255 evaluations
+    ("gaussian", {"b": 0.3630130793341837}, 6900),
     ("gaussian", {"a": 0.5, "b": 0.44}, 1770),
     ("gaussian", {"a": 1.0, "b": 0.49}, 2220),
     ("gamma", {"a": 6.3, "b": -1.4}, 990),

@@ -40,8 +40,8 @@ VALUES = [
      ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, False, "n"),
      ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, True, "n")),
     (CaseDefinition,
-     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, 0.0, None, None),
-     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, 0.0, None, None)),
+     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, None, None),
+     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, None, None)),
     (Number, (2.0,), (3.0,)),
     (Constant, ("pi",), ("e",)),
     (Variable, ("k",), ("x",)),
@@ -147,7 +147,7 @@ def test_defaults():
     rep = VerificationReport("c", {}, 0j, 0j, 0.0, 0.0, 1e-8, True, r)
     assert rep.experimental is False and rep.notes == ""
     case = CaseDefinition("id", _RATIONAL.params, "c", "n", _RATIONAL.transform)
-    assert case.scale == 0.5 and case.shift == 0.0 and case.kernel_a is None
+    assert case.scale == 0.5 and case.kernel_a is None
 
 
 @pytest.mark.parametrize("kwargs, message", [
