@@ -52,7 +52,7 @@ class CaseDefinition(Frozen):
     so its parameter rules must keep F analytic and decaying in the strip
     ``-0.8 <= Im x <= 0``.  ``exponentials``, if set, gives F as the terms
     ``c e^{i beta k}``, pairs ``(c, beta)``, for the rays of
-    ``quadcheck._rays``.
+    ``kernel.master_integral``.
     """
 
     case_id: str

@@ -247,8 +247,10 @@ def _check_depth(depth: int, tok: _Token) -> None:
 def parse(source: str) -> ExprAst:
     """Parse ``source`` into an AST; raises ParseError with a byte offset.
 
-    An expression nested deeper than ``MAX_DEPTH`` levels is a ParseError.
+    A source that is not a ``str``, or nested deeper than ``MAX_DEPTH``, is a ParseError.
     """
+    if not isinstance(source, str):
+        raise ParseError(f"the expression must be text, got {source!r}", 0)
     parser = _Parser(source)
     ast, _ = parser.parse_expression(0)
     tok = parser.peek()
@@ -260,13 +262,18 @@ def parse(source: str) -> ExprAst:
 def evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
     """Evaluate an AST over complex numbers.
 
-    Each binding must be a finite number (``errors.complex_``), else
-    DomainError.  Unbound variables and division by zero raise
-    EvaluationError.  A QuadcheckError from the numerics layer (gamma/zeta
-    poles, powers of zero) propagates as is; any other failure of a call or
-    a power, and a value that is not a finite number, raises DomainError.
+    ``bindings`` must be a mapping, and each binding a finite number
+    (``errors.complex_``), else DomainError.  Unbound variables and
+    division by zero raise EvaluationError.  A QuadcheckError from the
+    numerics layer (gamma/zeta poles, powers of zero) propagates as is; any
+    other failure of a call or a power, and a value that is not a finite
+    number, raises DomainError.
     """
-    for value in bindings.values():
+    try:
+        values = bindings.values()
+    except AttributeError:
+        raise DomainError(f"bindings must be a mapping, got {bindings!r}") from None
+    for value in values:
         if type(value) is not complex or not cmath.isfinite(value):
             bindings = {
                 name: complex_(f"variable {name!r} must be bound to a finite number", value)

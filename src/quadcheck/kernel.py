@@ -39,7 +39,9 @@ from .errors import (
     complex_,
     real,
 )
-from .quadrature import QuadratureOptions, QuadratureResult, integrate_half_line, options
+from .quadrature import (
+    _FIRST_WINDOW_EDGES, QuadratureOptions, QuadratureResult, integrate_half_line, options,
+)
 
 __all__ = [
     "KernelParams",
@@ -68,8 +70,8 @@ DEFAULT_TOLERANCE = 1e-8
 _exp = math.exp
 _cexp = cmath.exp
 
-#: Terms ``c e^{i beta k}`` take their tail on the rays (``_rays``) when every
-#: ``|beta|`` is inside _RAY_BETA (below, the rays decay too slowly to pay;
+#: Terms ``c e^{i beta k}`` take their tail on ``master_integral``'s rays when
+#: every ``|beta|`` is inside _RAY_BETA (below, the rays decay too slowly to pay;
 #: from 1/pi on, the real-axis integral diverges).  Any contour leaves the
 #: real axis only where ``|ln|a|| <= _RAY_LOG_A``, which keeps the kernel's
 #: poles, at ``Re x = +/- ln|a|``, 2 left of the rays, and a^2 far inside
@@ -103,7 +105,7 @@ class KernelParams(Frozen):
         if a == 0:
             raise DomainError("kernel parameter a must be nonzero")
         # a^2 for kernel_weight, not a field: a float when it is real (real
-        # or purely imaginary a), so the kernel runs in float arithmetic
+        # or purely imaginary a), so the kernel at real x runs in float arithmetic
         a2 = a * a
         object.__setattr__(self, "_a2", a2.real if a2.imag == 0.0 else a2)
 
@@ -219,38 +221,37 @@ class VerificationReport(Frozen):
         )
 
 
-def _kernel_u(a2: complex, u: complex) -> complex:
-    """The kernel's factored form ``(u + u^3)/2 / ((1 + a^2 u^2)(a^2 + u^2))``
-    at ``u = e^{-x}``, for complex x off the real axis; ``a2`` is a^2."""
-    u2 = u * u
-    return 0.5 * (u + u * u2) / ((1.0 + a2 * u2) * (a2 + u2))
-
-
-def kernel_weight(params: KernelParams, x: float | complex) -> complex:
+def kernel_weight(params: KernelParams, x: float | complex) -> float | complex:
     """The kernel ``cosh x / (1 + 2 a^2 cosh 2x + a^4)`` at x.
 
-    Evaluated through the factored form with exp(-|x|) scaling so nothing
-    overflows even at |x| of a few hundred; using |x| also makes the
-    evenness in x exact.  The value is a float when a^2 is real (real or
-    purely imaginary a): complex arithmetic with zero imaginary parts
-    rounds exactly as float arithmetic does, so it has the same bits as
-    the complex value's real part.  A complex x takes the same form at
-    ``u = e^{-x}``, or ``e^{x}`` where Re x < 0, so that ``|u| <= 1``.
+    The one copy of the formula: ``(u + u^3)/2 / ((1 + a^2 u^2)(a^2 + u^2))``
+    at ``u = e^{-|x|}``, or for complex x at ``e^{-x}`` or ``e^{x}``,
+    whichever has ``|u| <= 1``, so nothing overflows and the evenness in x
+    is exact.  For real x and real a^2 (real or purely imaginary a) float
+    arithmetic gives the bits of ``complex(x, 0.0)``'s real part at about
+    half the cost.  Text, None, a non-finite real x, params that are
+    not KernelParams and x on a pole raise DomainError; an exact complex x,
+    the contours' hot path, is taken as finite.
     """
     if x.__class__ is complex:
-        try:
-            return _kernel_u(params._a2, _cexp(x if x.real < 0.0 else -x))
-        except ZeroDivisionError:
-            raise DomainError(
-                f"kernel denominator vanishes at x = {x!r} for a = {params.a!r}"
-            ) from None
-    u = _exp(-abs(x))  # in (0, 1]
-    a2 = params._a2
-    num = 0.5 * (u + u**3)  # cosh(x) * exp(-2|x|)
-    den = (1.0 + a2 * u * u) * (a2 + u * u)
-    if den == 0:
-        raise DomainError(f"kernel denominator vanishes at x = {x!r} for a = {params.a!r}")
-    return num / den
+        u = _cexp(x if x.real < 0.0 else -x)
+    elif x.__class__ is float:
+        u = _exp(-abs(x))
+        if not u > 0.0:  # x is infinite or NaN, or exp underflowed
+            real("kernel argument x must be a finite number", x)
+    else:  # any other number, converted to one of the two
+        coerce = complex_ if isinstance(x, complex) else real
+        return kernel_weight(params, coerce("kernel argument x must be a finite number", x))
+    try:
+        a2 = params._a2
+        u2 = u * u
+        return 0.5 * (u + u * u2) / ((1.0 + a2 * u2) * (a2 + u2))
+    except ZeroDivisionError:
+        raise DomainError(
+            f"kernel denominator vanishes at x = {x!r} for a = {params.a!r}"
+        ) from None
+    except AttributeError:
+        raise DomainError(f"params must be a KernelParams, got {params!r}") from None
 
 
 def _norm_factor(a: complex) -> complex:
@@ -349,9 +350,10 @@ def master_integral(
       ``|F|`` that the real axis sees shrink as c grows.
     * ``exponentials``, pairs ``(c, beta)`` with F(k) the sum of
       ``c e^{i beta k}``, take the tail on steepest-descent rays
-      (``_rays``): the contour parameter s runs over [0, 8] on the real
-      axis, then over both rays at height ``y = s - 8``, and truncation is
-      the last window's right edge in s.
+      (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006): the
+      contour parameter s runs over [0, X] on the real axis, X = 8 being an
+      edge of every window, then over both rays ``X +/- iy`` at height
+      ``y = s - X``, and truncation is the last window's right edge in s.
     """
     _operands(F, params)
     _norm_factor(params.a)
@@ -391,9 +393,22 @@ def master_integral(
 
         lo, hi = _RAY_BETA
         if exponentials and departs and all(lo < abs(beta) < hi for _, beta in exponentials):
-            from ._rays import head_and_rays  # compiled only when a run takes the rays
+            head, x0 = f, _FIRST_WINDOW_EDGES[-1]
+            # F's terms pair up: those at X - iy conjugate those at X + iy
+            up = [(scale * c, complex(0.0, beta)) for c, beta in exponentials if beta > 0]
 
-            f = head_and_rays(f, exponentials, params._a2, scale)
+            def f(s: float) -> complex:
+                if s < x0:
+                    return head(s)
+                x = complex(x0, s - x0)
+                k, k_neg = x * (x + i_pi), x * (x - i_pi)
+                t = 0j
+                for c, i_beta in up:
+                    t += c * (_cexp(i_beta * k) + _cexp(i_beta * k_neg))
+                return 1j * (
+                    t * weight(params, x) - t.conjugate() * weight(params, x.conjugate())
+                )
+
     else:
 
         def f(x: float) -> complex:

@@ -549,7 +549,7 @@ _DEFAULT_RESULTS = {
     "rational": ("0x1.4fa64ab3370e7p-3", "0x0.0p+0", 135),
     "bessel": ("0x1.7385840c718a8p-11", "0x0.0p+0", 195),
     "gaussian": ("0x1.8a77d2de01600p-6", "0x0.0p+0", 270),
-    "cosine": ("-0x1.41014205c87dep-4", "0x1.5a4f9ac1265aep-9", 630),
+    "cosine": ("-0x1.41014205c87dep-4", "0x1.5a4f9ac1265b1p-9", 630),
     "gamma": ("0x1.20dd750429b6cp+0", "0x0.0p+0", 120),
     "zeta": ("0x1.4d40c58349acbp-4", "0x0.0p+0", 120),
     # the seed identity at a = t = 1
@@ -590,7 +590,7 @@ def test_cosine_below_the_ray_range_keeps_its_real_axis_bits():
     rep = run_case("cosine", {"alpha": 0.05, "a": 1 + 2j})
     if _GLIBC:
         assert (rep.lhs.real.hex(), rep.lhs.imag.hex()) == (
-            "-0x1.418971bffc86ap-4", "0x1.5a7c536bfad85p-11"
+            "-0x1.418971bffc86ap-4", "0x1.5a7c536bfad89p-11"
         )
     assert rep.diagnostics.evaluations == 300
 

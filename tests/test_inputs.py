@@ -24,6 +24,7 @@ from quadcheck import (
     IntegrandError,
     NonConvergenceError,
     ParameterError,
+    ParseError,
     PoleError,
     UnknownCaseError,
 )
@@ -45,9 +46,9 @@ _CORPUS = [
 ]
 
 # Cells where the corpus value is valid for the argument: a complex kernel
-# parameter, a complex argument of a special function or binding of an
-# expression variable, None for opts (the documented default), and an int
-# budget of any size.
+# parameter, a complex argument of a special function or of the kernel, or
+# binding of an expression variable, None for opts (the documented
+# default), and an int budget of any size.
 _VALID = {
     ("complex", "run_case params a"),
     ("complex", "KernelParams a"),
@@ -57,6 +58,7 @@ _VALID = {
     ("complex", "cpow base"),
     ("complex", "cpow exponent"),
     ("complex", "evaluate bindings"),
+    ("complex", "kernel_weight x"),
     ("int-huge", "QuadratureOptions max_subdivisions"),
 }
 
@@ -104,6 +106,8 @@ _ENTRY_POINTS = {
     "cpow base": lambda v: qc.cpow(v, 1.0),
     "cpow exponent": lambda v: qc.cpow(2.0, v),
     "evaluate bindings": lambda v: qc.evaluate(qc.parse("k"), {"k": v}),
+    "kernel_weight x": lambda v: qc.kernel_weight(_A, v),
+    "kernel_weight params": lambda v: qc.kernel_weight(v, 1.0),
 }
 
 _CELLS = [
@@ -125,6 +129,7 @@ def test_the_cells_left_out_are_valid_arguments():
     assert qc.run_case("rational", {"a": 2 + 1j}).experimental
     assert qc.run_case("rational", opts=None) == qc.run_case("rational")
     assert qc.QuadratureOptions(max_subdivisions=10**400).max_subdivisions == 10**400
+    assert qc.kernel_weight(_A, 2 + 1j) == qc.kernel_weight(_A, complex(-2, -1))
 
 
 def test_verification_tolerance_is_stored_as_the_float_compared():
@@ -252,6 +257,14 @@ _OBJECTS = {
     "run_case params empty text": (lambda: qc.run_case("rational", ""), ParameterError),
     "run_case params empty list": (lambda: qc.run_case("rational", []), ParameterError),
     "run_case id list": (lambda: qc.run_case([]), UnknownCaseError),
+    "parse source none": (lambda: qc.parse(None), ParseError),
+    "parse source int": (lambda: qc.parse(123), ParseError),
+    "parse source bytes": (lambda: qc.parse(b"k"), ParseError),
+    "parse source list": (lambda: qc.parse(["k"]), ParseError),
+    "evaluate bindings mapping none": (lambda: qc.evaluate(qc.parse("k"), None), DomainError),
+    "evaluate bindings mapping list": (
+        lambda: qc.evaluate(qc.parse("k"), [("k", 1.0)]), DomainError
+    ),
 }
 
 

@@ -119,10 +119,11 @@ def test_kernel_weight_no_overflow_far_out():
 
 def _complex_kernel(a: complex, x: float) -> complex:
     # kernel_weight's formula, kept in complex arithmetic throughout
-    u = math.exp(-abs(x))
+    u = complex(math.exp(-abs(x)))
     a = complex(a)
     a2 = a * a
-    return 0.5 * (u + u**3) / ((1.0 + a2 * u * u) * (a2 + u * u))
+    u2 = u * u
+    return 0.5 * (u + u * u2) / ((1.0 + a2 * u2) * (a2 + u2))
 
 
 _NODES = [120.0 * (i / 600.0) ** 2 for i in range(601)] + [0.3, 4.0, 30.0]
@@ -146,6 +147,21 @@ def test_kernel_weight_for_complex_a_is_unchanged(a):
         got = kernel_weight(kp, x)
         assert type(got) is complex
         assert got == _complex_kernel(a, x)
+
+
+@pytest.mark.parametrize("a", [0.7, 1.0, 2.5, 1e-3, 40.0, -0.7, 1 + 1j, 0.5 - 2j])
+def test_kernel_weight_at_real_and_complex_x_agree(a):
+    # one formula: a real x and the same x as a complex give one value,
+    # bit for bit when a^2 is real
+    kp = KernelParams(a)
+    for x in _NODES + [-x for x in _NODES]:
+        got = kernel_weight(kp, x)
+        at_complex = kernel_weight(kp, complex(x, 0.0))
+        if type(got) is float:
+            assert at_complex.imag == 0.0
+            assert at_complex.real.hex() == got.hex(), x
+        else:
+            assert at_complex == got, x
 
 
 def test_kernel_weight_at_complex_x_matches_the_textbook_form():
