@@ -262,11 +262,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, ExpressionError, ParameterError, UnknownCaseError) as exc:
         print(f"quadcheck: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (QuadcheckError, ArithmeticError) as exc:
-        # a bare ArithmeticError is overflow or a vanishing denominator in a
-        # closed form at exotic parameters: its repr names it, never a traceback
-        detail = exc if isinstance(exc, QuadcheckError) else repr(exc)
-        print(f"quadcheck: numerical failure: {detail}", file=sys.stderr)
+    except QuadcheckError as exc:
+        print(f"quadcheck: numerical failure: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
 
     try:

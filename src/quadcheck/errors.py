@@ -3,8 +3,9 @@
 Every failure the library raises is a ``QuadcheckError``.  Numbers enter
 through ``real`` and ``complex_``, which take any finite int, float,
 Fraction or Decimal in double range (and complex, for ``complex_``), refuse
-text, numeric text included, and raise the caller's ``DomainError`` or
-``ParameterError`` for anything else.
+text, numeric text included, and raise ``DomainError`` (or, for
+``complex_``, the caller's ``ParameterError``) for anything else.
+``modulus`` is ``abs`` of a complex, infinite where ``abs`` would overflow.
 
 User code, an integrand or a transform F, fails in one of two ways: it
 returns a value ``complex_`` refuses (text, None, a non-finite number), or
@@ -16,12 +17,13 @@ unchanged and anything in ``FAILURES`` becomes a ``DomainError``.
 The CLI maps argument, expression and domain errors (``ParameterError``,
 ``UnknownCaseError``, ``ExpressionError``, ``DomainError``) to exit code 2,
 and numerical failures (``IntegrandError``, ``DivergenceError``,
-``NonConvergenceError`` and its ``RoundoffError``, any other
-``QuadcheckError`` and a bare ``ArithmeticError``) to exit code 3.
+``NonConvergenceError`` and its ``RoundoffError``, and any other
+``QuadcheckError``) to exit code 3.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 
@@ -119,20 +121,22 @@ FAILURES = (TypeError, ValueError, ArithmeticError, AttributeError)
 _TEXT = (str, bytes, bytearray, memoryview)
 
 
-def real(what: str, value, error=DomainError, lo=-math.inf, hi=math.inf) -> float:
-    """``value`` as a float strictly inside (lo, hi); else ``error`` stating ``what``."""
+def real(what: str, value, lo=-math.inf) -> float:
+    """``value`` as a finite float above ``lo``; else DomainError stating ``what``."""
     try:
         if not isinstance(value, _TEXT):
             x = float(value)
-            if lo < x < hi:  # NaN fails here
+            if lo < x < math.inf:  # NaN fails here
                 return x
     except FAILURES:  # complex, None; sNaN, 10**400
         pass
-    raise error(f"{what}, got {value!r}")
+    raise DomainError(f"{what}, got {value!r}")
 
 
 def complex_(what: str, value, error=DomainError) -> complex:
     """``value`` as a finite complex; else ``error`` stating ``what``."""
+    if value.__class__ is complex and cmath.isfinite(value):  # the contours' hot path
+        return value
     try:
         if not isinstance(value, _TEXT):
             z = complex(value)
@@ -141,3 +145,11 @@ def complex_(what: str, value, error=DomainError) -> complex:
     except FAILURES:
         pass
     raise error(f"{what}, got {value!r}")
+
+
+def modulus(z: complex) -> float:
+    """``abs(z)``, or inf where the modulus of a finite complex is beyond double range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf

@@ -37,6 +37,7 @@ from .errors import (
     QuadcheckError,
     RoundoffError,
     complex_,
+    modulus,
     real,
 )
 from .quadrature import (
@@ -69,6 +70,7 @@ DEFAULT_TOLERANCE = 1e-8
 
 _exp = math.exp
 _cexp = cmath.exp
+_cisfinite = cmath.isfinite
 
 #: Terms ``c e^{i beta k}`` take their tail on ``master_integral``'s rays when
 #: every ``|beta|`` is inside _RAY_BETA (below, the rays decay too slowly to pay;
@@ -157,8 +159,8 @@ def detect_schwarz_symmetry(fn: Callable[[complex], complex]) -> bool:
     """Numerically test F(conj k) = conj F(k) on a fixed sample grid.
 
     Sample points where ``fn`` is undefined (it raises, or returns a value
-    that is not a finite number) are skipped; if it cannot be evaluated
-    anywhere, the symmetry is conservatively reported absent.
+    that is not a finite number or has no finite modulus) are skipped; if
+    it cannot be evaluated anywhere, the symmetry is reported absent.
     """
     # deterministic low-discrepancy-ish grid over a box in the right half plane
     usable = 0
@@ -168,10 +170,10 @@ def detect_schwarz_symmetry(fn: Callable[[complex], complex]) -> bool:
         try:
             lhs = complex_("F must be a finite number", fn(k.conjugate()))
             rhs = complex_("F must be a finite number", fn(k)).conjugate()
-        except (QuadcheckError, *FAILURES):
+            if abs(lhs - rhs) > _SCHWARZ_TOL * max(1.0, abs(rhs)):
+                return False
+        except (QuadcheckError, *FAILURES):  # OverflowError: |F| beyond double range
             continue
-        if abs(lhs - rhs) > _SCHWARZ_TOL * max(1.0, abs(rhs)):
-            return False
         usable += 1
     return usable > 0
 
@@ -203,8 +205,10 @@ class VerificationReport(Frozen):
         experimental: bool = False,
         notes: str = "",
     ) -> "VerificationReport":
-        abs_diff = abs(lhs - rhs)
-        rel_diff = abs_diff / max(abs(rhs), REL_DIFF_FLOOR)
+        abs_diff, size = modulus(lhs - rhs), modulus(rhs)
+        # past double range, the ratio of the quarters, whose moduli stay in range
+        rel_diff = (abs_diff / max(size, REL_DIFF_FLOOR) if size < math.inf
+                    else modulus(0.25 * lhs - 0.25 * rhs) / modulus(0.25 * rhs))
         passed = rel_diff < tolerance or abs_diff < tolerance
         return cls(
             case_name=case_name,
@@ -229,17 +233,16 @@ def kernel_weight(params: KernelParams, x: float | complex) -> float | complex:
     whichever has ``|u| <= 1``, so nothing overflows and the evenness in x
     is exact.  For real x and real a^2 (real or purely imaginary a) float
     arithmetic gives the bits of ``complex(x, 0.0)``'s real part at about
-    half the cost.  Text, None, a non-finite real x, params that are
-    not KernelParams and x on a pole raise DomainError; an exact complex x,
-    the contours' hot path, is taken as finite.
+    half the cost.  Text, None, a real or complex x that is not finite,
+    params that are not KernelParams and x on a pole raise DomainError.
     """
-    if x.__class__ is complex:
+    if x.__class__ is complex and _cisfinite(x):
         u = _cexp(x if x.real < 0.0 else -x)
     elif x.__class__ is float:
         u = _exp(-abs(x))
         if not u > 0.0:  # x is infinite or NaN, or exp underflowed
             real("kernel argument x must be a finite number", x)
-    else:  # any other number, converted to one of the two
+    else:  # any other number, converted to one of the two, or refused
         coerce = complex_ if isinstance(x, complex) else real
         return kernel_weight(params, coerce("kernel argument x must be a finite number", x))
     try:
@@ -272,7 +275,7 @@ def require_converged(
     """
     if result.roundoff_limited:
         opts = options(opts)
-        size = abs(result.value)
+        size = modulus(result.value)
         raise RoundoffError(
             f"{what} is limited by roundoff (rounding floor "
             f"{result.rounding_floor:.3e} against tolerance "

@@ -18,7 +18,7 @@ import cmath
 import math
 import warnings
 
-from .errors import FAILURES, DomainError, PoleError, complex_
+from .errors import FAILURES, DomainError, PoleError, complex_, modulus
 
 __all__ = [
     "PRINCIPAL_BRANCH",
@@ -58,8 +58,8 @@ def cpow(base: complex, exponent: complex) -> complex:
     ``0**w`` is 0 for Re w > 0 and a domain error otherwise (including
     ``0**0``), as is a power beyond double range.
     """
-    base = _arg("cpow requires a finite base", base)
-    exponent = _arg("cpow requires a finite exponent", exponent)
+    base = complex_("cpow requires a finite base", base)
+    exponent = complex_("cpow requires a finite exponent", exponent)
     if base == 0:
         if exponent.real > 0:
             return 0j
@@ -67,11 +67,6 @@ def cpow(base: complex, exponent: complex) -> complex:
             "0 cannot be raised to an exponent with non-positive real part"
         )
     return _exp(exponent * cmath.log(base), "cpow", (base, exponent))
-
-
-def _arg(what: str, z) -> complex:
-    """``z`` by the input rule (``errors.complex_``); a finite complex passes as is."""
-    return z if type(z) is complex and cmath.isfinite(z) else complex_(what, z)
 
 
 def _exp(log_value: complex, what: str, at, negate: bool = False) -> complex:
@@ -175,7 +170,7 @@ def gamma(z: complex) -> complex:
     non-positive integer, and DomainError where gamma is beyond double range
     (near the real axis above about 171.62).  Real arguments give real values.
     """
-    z = _arg("gamma requires a finite number", z)
+    z = complex_("gamma requires a finite number", z)
     if z.real < 0.5 and _pole_distance(z) < POLE_GUARD_RADIUS:
         raise PoleError(f"gamma pole too close to z = {z!r}")
     log_value, negate = _log_reciprocal_gamma(z)
@@ -193,7 +188,7 @@ def reciprocal_gamma(z: complex) -> complex:
     left half plane away from the poles, and past |Im z| of about 450 near
     Re z = 0.  Real arguments give real values.
     """
-    z = _arg("reciprocal_gamma requires a finite number", z)
+    z = complex_("reciprocal_gamma requires a finite number", z)
     if z.real <= 0.0 and z.imag == 0.0 and z.real.is_integer():
         return 0j  # a pole of gamma
     log_value, negate = _log_reciprocal_gamma(z)
@@ -319,8 +314,8 @@ def zeta(z: complex) -> complex:
     real axis) and where the series cannot be summed in doubles (|Im z| near
     1e308).
     """
-    z = _arg("zeta requires a finite number", z)
-    if abs(z - 1.0) < POLE_GUARD_RADIUS:
+    z = complex_("zeta requires a finite number", z)
+    if modulus(z - 1.0) < POLE_GUARD_RADIUS:
         raise PoleError(f"zeta pole too close to z = {z!r}")
     if z.real >= 10.0:
         # error bound of the plain sum does not depend on Im z, so no
@@ -333,7 +328,7 @@ def zeta(z: complex) -> complex:
         # The series is accurate on all of Re z >= 0 and in a small disc
         # around the origin, where the functional equation's zeta(1-z) factor
         # sits on the pole; only the rest of Re z < 0 needs that equation.
-        series = _zeta_alternating if z.real >= 0.0 or abs(z) <= 0.01 else _zeta_reflect
+        series = _zeta_alternating if z.real >= 0.0 or modulus(z) <= 0.01 else _zeta_reflect
     try:
         value = series(z)
         if cmath.isfinite(value):

@@ -37,6 +37,7 @@ from .errors import (
     IntegrandError,
     QuadcheckError,
     complex_,
+    modulus,
     real,
 )
 
@@ -243,6 +244,14 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
             + w4 * (abs(l4) + abs(r4)) + w5 * (abs(l5) + abs(r5))
             + w6 * (abs(l6) + abs(r6))
         )
+        mean = 0.5 * resk
+        resasc = (
+            w7 * abs(fc - mean) + w0 * (abs(l0 - mean) + abs(r0 - mean))
+            + w1 * (abs(l1 - mean) + abs(r1 - mean)) + w2 * (abs(l2 - mean) + abs(r2 - mean))
+            + w3 * (abs(l3 - mean) + abs(r3 - mean)) + w4 * (abs(l4 - mean) + abs(r4 - mean))
+            + w5 * (abs(l5 - mean) + abs(r5 - mean)) + w6 * (abs(l6 - mean) + abs(r6 - mean))
+        )
+        err = abs(resk - resg) * h
     except OverflowError:  # the modulus of a finite complex value is beyond double range
         resabs = math.inf
     if not math.isfinite(resabs):
@@ -260,16 +269,8 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         # the integral of |f| is beyond double range, or f is impure: no
         # value, and the run ends unconverged
         return complex(math.nan, math.nan), math.inf, math.inf
-    mean = 0.5 * resk
-    resasc = (
-        w7 * abs(fc - mean) + w0 * (abs(l0 - mean) + abs(r0 - mean))
-        + w1 * (abs(l1 - mean) + abs(r1 - mean)) + w2 * (abs(l2 - mean) + abs(r2 - mean))
-        + w3 * (abs(l3 - mean) + abs(r3 - mean)) + w4 * (abs(l4 - mean) + abs(r4 - mean))
-        + w5 * (abs(l5 - mean) + abs(r5 - mean)) + w6 * (abs(l6 - mean) + abs(r6 - mean))
-    )
     resasc *= h
     resabs *= h
-    err = abs(resk - resg) * h
     if resasc != 0.0 and err != 0.0:
         # the power is taken only below 1: above it, it can overflow
         ratio = 200.0 * err / resasc
@@ -297,8 +298,8 @@ def _totals(segments: list) -> tuple[complex, float]:
 
 def _contribution(segments: list, left: float) -> float:
     """|Exact value sum| over the segments that start at ``left`` or later;
-    nan where it leaves double range."""
-    return abs(_totals([s for s in segments if s[1] >= left])[0])
+    nan where the sum leaves double range, inf where only its modulus does."""
+    return modulus(_totals([s for s in segments if s[1] >= left])[0])
 
 
 def _l1_sum(segments: list, field: int) -> float:
@@ -360,17 +361,17 @@ def _partition(
     finished = not windowed
     roundoff_limited = False
     while True:
-        running_target = fraction * max(opts.abs_tol, opts.rel_tol * abs(value))
+        running_target = fraction * max(opts.abs_tol, opts.rel_tol * modulus(value))
         if (
             error <= running_target
             or error <= exact_error / _RESUM_DROP
             or floor * settled_l1 > running_target
         ):
             value, error = _totals(segments)
-            if not math.isfinite(error):
-                break  # a sum left double range: no bisection brings it back
+            target = max(opts.abs_tol, opts.rel_tol * modulus(value))
+            if not math.isfinite(error) or target == math.inf:
+                break  # a sum or |value| left double range: no bisection brings it back
             exact_error = error
-            target = max(opts.abs_tol, opts.rel_tol * abs(value))
             if error <= fraction * target:
                 if not windowed:
                     break
@@ -420,12 +421,10 @@ def _partition(
     value, error = _totals(segments)
     if windowed and window > lo:
         error += _contribution(segments, window)
-    converged = (
-        finished
-        and not roundoff_limited
-        and math.isfinite(error)  # an overflowed sum meets any target relative to it
-        and error <= max(opts.abs_tol, opts.rel_tol * abs(value))
-    )
+    # an infinite error or target, from a sum or |value| beyond double range,
+    # never converges
+    target = max(opts.abs_tol, opts.rel_tol * modulus(value))
+    converged = finished and not roundoff_limited and error <= target < math.inf
     return QuadratureResult(
         value,
         error,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcheck import ParameterError
+from quadcheck import ParameterError, cli
 from quadcheck.cli import main, parse_complex_literal
 
 _RECORD_KEYS = {
@@ -145,6 +145,37 @@ def test_transform_undefined_on_the_contour_exits_3(capsys, F):
     # the same failure either way: F is undefined at the first node
     assert main(["custom", "--F", F, "--a", "1"]) == 3
     assert "integrand fails at x = 0.25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("F, a, message", [
+    # the integral's modulus is beyond double range: never converged
+    ("1e307*(1+i)", "0.1", "did not converge"),
+    # no symmetry sample is usable, and F(k) + F(conj k) overflows at a node
+    ("1.5e308*(1+i)", "1", "integrand fails at x = 0.25"),
+])
+def test_transform_whose_modulus_overflows_exits_3(capsys, F, a, message):
+    assert main(["custom", "--F", F, "--a", a]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "OverflowError" not in err
+
+
+def test_an_error_that_is_not_a_quadcheck_error_is_not_caught(monkeypatch):
+    # every library failure is typed; anything else is a bug, not an exit code
+    def broken(ns):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify-all", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["verify-all"])
+
+
+def test_exact_resummation_of_the_error_total_saves_evaluations(capsys):
+    # the running error total drifts above the tolerance its exact sum
+    # meets; re-summing it exactly stops this run 30 evaluations (one
+    # bisection) earlier than the running total alone would
+    argv = ["custom", "--F", "exp(-0.3*k^2)", "--a", "0.34827723758316564", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)[0]["evaluations"] == 1080
 
 
 @pytest.mark.parametrize("F", [

@@ -43,6 +43,11 @@ _CORPUS = [
     ("-inf", -math.inf),
     ("nan", math.nan),
     ("dict", {"abs_tol": 1e-3}),
+    ("complex-nan", complex(math.nan, 0.0)),
+    ("complex-nan-imag", complex(1.0, math.nan)),
+    ("complex-inf-imag", complex(0.0, math.inf)),
+    ("complex-inf", complex(math.inf, 0.0)),
+    ("complex-neg-inf", complex(-math.inf, 1.0)),
 ]
 
 # Cells where the corpus value is valid for the argument: a complex kernel
@@ -130,6 +135,20 @@ def test_the_cells_left_out_are_valid_arguments():
     assert qc.run_case("rational", opts=None) == qc.run_case("rational")
     assert qc.QuadratureOptions(max_subdivisions=10**400).max_subdivisions == 10**400
     assert qc.kernel_weight(_A, 2 + 1j) == qc.kernel_weight(_A, complex(-2, -1))
+
+
+#: A finite complex whose modulus is beyond double range: every argument that
+#: takes a complex answers it with a value or a typed error, never a bare
+#: OverflowError from abs().
+_HUGE_MODULUS = complex(1.5e308, 1.5e308)
+
+
+@pytest.mark.parametrize("entry", sorted(e for name, e in _VALID if name == "complex"))
+def test_complex_whose_modulus_overflows_is_a_value_or_a_typed_error(entry):
+    try:
+        _ENTRY_POINTS[entry](_HUGE_MODULUS)
+    except qc.QuadcheckError:
+        pass
 
 
 def test_verification_tolerance_is_stored_as_the_float_compared():

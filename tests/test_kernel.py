@@ -19,6 +19,8 @@ from quadcheck import (
     NonConvergenceError,
     ParameterError,
     QuadratureOptions,
+    QuadratureResult,
+    RoundoffError,
     TransformFunction,
     detect_schwarz_symmetry,
     integrate_half_line,
@@ -32,7 +34,7 @@ from quadcheck import (
     verify_seed,
 )
 from quadcheck.cli import _SEED_GRID_A, _SEED_GRID_T
-from quadcheck.kernel import REL_DIFF_FLOOR, VerificationReport
+from quadcheck.kernel import REL_DIFF_FLOOR, VerificationReport, require_converged
 
 
 @pytest.mark.parametrize("call, error", [
@@ -420,6 +422,28 @@ def test_detect_schwarz_symmetry():
         raise ValueError("nope")
 
     assert not detect_schwarz_symmetry(broken)
+
+
+def test_sample_whose_modulus_overflows_is_skipped_by_the_symmetry_probe():
+    # both parts of F are finite and |F| is not: no sample is usable
+    assert not detect_schwarz_symmetry(lambda k: complex(1.5e308, 1.5e308))
+
+
+def test_closed_form_whose_modulus_overflows_gives_the_true_ratio():
+    # the false flag gets the real part right and misses the imaginary one:
+    # |lhs - rhs| is about 1.56e308 and |rhs| about 2.2e308, beyond double range
+    F = TransformFunction(lambda k: 1e307 * (1 + 1j), schwarz_symmetric=True)
+    report = verify_master(F, KernelParams(0.1))
+    assert not report.passed
+    assert abs(report.rel_diff - 2**-0.5) < 1e-12
+
+
+def test_roundoff_message_of_a_value_whose_modulus_overflows():
+    result = QuadratureResult(
+        complex(1.5e308, 1.5e308), 1e300, 15, 0.0, False, 1e308, roundoff_limited=True
+    )
+    with pytest.raises(RoundoffError, match="limited by roundoff"):
+        require_converged(result, "integral")
 
 
 def test_transform_function_schwarz_invariant_holds_when_flagged():

@@ -193,6 +193,15 @@ def test_zeta_beyond_double_range_is_a_domain_error():
             zeta(-300 + 1j)
 
 
+def test_zeta_where_the_modulus_of_z_overflows():
+    # both parts of z are finite, |z| and |z - 1| are not
+    assert zeta(complex(1.5e308, 1.5e308)) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        with pytest.raises(DomainError):
+            zeta(complex(-1.5e308, 1.5e308))
+
+
 def test_zeta_far_left_in_double_range_against_mpmath():
     # gamma(1 - s) is about 1e375 here, but chi(s) and zeta(s) are in range
     s = -200 + 1j

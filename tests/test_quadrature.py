@@ -225,6 +225,45 @@ def test_integral_of_finite_values_beyond_double_range_is_not_converged():
     assert not r.converged
 
 
+@pytest.mark.parametrize("integrate, f", [
+    (integrate_half_line, lambda x: 1.5e308 * (1 + 1j) * math.exp(-x)),
+    (integrate_real_line, lambda x: 0.8e308 * (1 + 1j) * math.exp(-abs(x))),
+])
+def test_integral_whose_modulus_overflows_ends_unconverged(integrate, f):
+    # both parts of the value are finite, only |value| is beyond double
+    # range: the tolerance rel_tol |value| would be infinite, and no run
+    # converges against it
+    r = integrate(f)
+    assert cmath.isfinite(r.value) and math.isfinite(r.error_estimate)
+    assert not r.converged
+
+
+def test_distance_from_the_mean_whose_modulus_overflows_is_retaken_over_4():
+    # every value and the |f| sum are finite; only |f - mean| at the nodes
+    # next to 0 overflows, and the rule is taken again on the values over 4
+    def f(x):
+        if x == 0.5:
+            return -1.2e308 * (1 + 1j)
+        return 1.2e308 * (1 + 1j) if x < 0.01 else 0j
+
+    r = integrate_finite(f, 0.0, 1.0)
+    assert cmath.isfinite(r.value) and math.isfinite(r.error_estimate)
+
+
+@pytest.mark.parametrize("scale, converged", [(3.5, True), (3.8, True), (4.0, False)])
+def test_window_sweep_stops_at_the_last_window_ending_at_120(scale, converged):
+    # the sweep ends on the window [91.125, 120], where exp(-x/3.5)
+    # contributes 1.7e-11, below a quarter of its tolerance 3.5e-10, so the
+    # tail test stops it; exp(-x/3.8) contributes 1.5e-10, more than a
+    # quarter of 3.8e-10, so only the cap at 120 stops it, and the run
+    # converges with that tail charged to the error; exp(-x/4) contributes
+    # 5.1e-10, more than its tolerance 4e-10
+    r = integrate_half_line(lambda x: math.exp(-x / scale))
+    assert r.converged is converged
+    assert r.truncation_used == 120.0 and r.evaluations == 180
+    assert abs(r.value - scale) < 1e-11
+
+
 def test_divergence_detection_constant():
     with pytest.raises(DivergenceError):
         integrate_half_line(lambda x: 1.0)
