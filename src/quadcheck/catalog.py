@@ -317,6 +317,5 @@ def run_case(
     kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
     terms = case.exponentials(clean) if case.exponentials else ()
     return _verify(
-        case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes,
-        terms, case.exponentials is None,
+        case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes, terms
     )

@@ -82,7 +82,7 @@ _RAY_BETA = (0.1, 1.0 / math.pi)
 _RAY_LOG_A = 6.0
 
 #: The catalog rows and the seed identity take their left side on the line
-#: ``Im x = -c`` with ``c = _LINE_SHIFT`` (``master_integral``'s ``shifted``),
+#: ``Im x = -c`` with ``c = _LINE_SHIFT`` (``master_integral``'s ``terms=()``),
 #: at most _SHIFT_CAP of the way to the nearest kernel pole, which sits at
 #: ``Im x = |arg a| - pi/2`` for the root a with Re a > 0.
 _LINE_SHIFT = 0.8
@@ -96,7 +96,8 @@ class KernelParams(Frozen):
     flagged experimental: the identities check out numerically at sample
     complex points, yet no validity region is established for them.
     Purely imaginary a is accepted here, but ``master_integral`` refuses
-    it: a kernel pole then lies on the real axis, at x = +/- ln|a|.
+    it: a kernel pole then lies on the real axis, at x = +/- ln|a|.  An a
+    that is 0 or whose square is beyond double range raises DomainError.
     """
 
     a: complex
@@ -109,6 +110,8 @@ class KernelParams(Frozen):
         # a^2 for kernel_weight, not a field: a float when it is real (real
         # or purely imaginary a), so the kernel at real x runs in float arithmetic
         a2 = a * a
+        if not cmath.isfinite(a2):
+            raise DomainError(f"kernel parameter a^2 is beyond double range at a = {a!r}")
         object.__setattr__(self, "_a2", a2.real if a2.imag == 0.0 else a2)
 
     @property
@@ -327,8 +330,7 @@ def master_integral(
     params: KernelParams,
     opts: QuadratureOptions | None = None,
     scale: float = 1.0,
-    exponentials: tuple[tuple[complex, float], ...] = (),
-    shifted: bool = False,
+    terms: tuple[tuple[complex, float], ...] | None = None,
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
@@ -338,12 +340,12 @@ def master_integral(
     inadmissible F raise DivergenceError, and convergence is left for the
     caller to check.
 
-    A Schwarz-symmetric F may leave the real axis where ``|ln|a|| <= 6``,
-    in one of two ways, and the caller vouches that F is analytic and
-    decays where the contour moves (Henrici, *Applied and Computational
-    Complex Analysis* I, 1974):
+    ``terms`` None keeps the real axis, for an F known only there.  Any
+    other value vouches that F is analytic and decays below the axis, and
+    lets a Schwarz-symmetric F leave it where ``|ln|a|| <= 6``, in one of
+    two ways (Henrici, *Applied and Computational Complex Analysis* I, 1974):
 
-    * ``shifted`` takes the integral on the line ``x = y - ic``, with
+    * ``()`` takes the integral on the line ``x = y - ic``, with
       c = 0.8 capped at 3/4 of the way to the nearest kernel pole, at
       ``Im x = |arg a| - pi/2``.  ``k(-y - ic)`` is ``conj k(y - ic)`` and
       the kernel is even, so the half-line integrand in y is
@@ -351,8 +353,9 @@ def master_integral(
       real a^2; truncation is the y reached.  On the line
       ``k = y^2 + c(pi - c) + iy(pi - 2c)``: the chirp and the hump of
       ``|F|`` that the real axis sees shrink as c grows.
-    * ``exponentials``, pairs ``(c, beta)`` with F(k) the sum of
-      ``c e^{i beta k}``, take the tail on steepest-descent rays
+    * F's terms, pairs ``(c, beta)`` with F(k) the sum of
+      ``c e^{i beta k}``, take the tail on steepest-descent rays when every
+      ``|beta|`` is in (0.1, 1/pi), and the real axis otherwise
       (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006): the
       contour parameter s runs over [0, X] on the real axis, X = 8 being an
       edge of every window, then over both rays ``X +/- iy`` at height
@@ -368,8 +371,8 @@ def master_integral(
     # k = x^2 + i pi x as x (x + i pi): the one complex product rounds to
     # the bits of complex(x * x, pi * x), with no call
     i_pi = complex(0.0, math.pi)
-    departs = F.schwarz_symmetric and abs(params.log_a().real) <= _RAY_LOG_A
-    if shifted and departs:
+    departs = terms is not None and F.schwarz_symmetric and abs(params.log_a().real) <= _RAY_LOG_A
+    if departs and not terms:
         arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
         c = min(_LINE_SHIFT, _SHIFT_CAP * (0.5 * math.pi - arg_a))
         if isinstance(params._a2, float):  # real a: K(conj x) = conj K(x)
@@ -395,10 +398,10 @@ def master_integral(
             return w * fn(x * (x + i_pi)).real * weight(params, x)
 
         lo, hi = _RAY_BETA
-        if exponentials and departs and all(lo < abs(beta) < hi for _, beta in exponentials):
+        if departs and all(lo < abs(beta) < hi for _, beta in terms):
             head, x0 = f, _FIRST_WINDOW_EDGES[-1]
             # F's terms pair up: those at X - iy conjugate those at X + iy
-            up = [(scale * c, complex(0.0, beta)) for c, beta in exponentials if beta > 0]
+            up = [(scale * c, complex(0.0, beta)) for c, beta in terms if beta > 0]
 
             def f(s: float) -> complex:
                 if s < x0:
@@ -445,8 +448,7 @@ def _verify(
     scale: float = 1.0,
     what: str = "master-identity integral",
     notes: str = "",
-    exponentials: tuple[tuple[complex, float], ...] = (),
-    shifted: bool = False,
+    terms: tuple[tuple[complex, float], ...] | None = None,
 ) -> VerificationReport:
     """Compare ``scale`` times both sides of the master identity for F.
 
@@ -455,7 +457,7 @@ def _verify(
     DomainError: with it every comparison would fail, or pass unchecked.
     """
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
-    lhs = master_integral(F, params, opts, scale, exponentials, shifted)
+    lhs = master_integral(F, params, opts, scale, terms)
     lhs_result = require_converged(lhs, what, opts)
     return VerificationReport.from_sides(
         case_name=name,
@@ -512,8 +514,8 @@ def seed_lhs(
     params: KernelParams, t: float, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
     """Half-line integral side of the seed identity (real a > 0 only),
-    taken on the line Im x = -0.8 (``master_integral``'s ``shifted``)."""
-    return master_integral(_seed(params, t), params, opts, _SEED_SCALE, shifted=True)
+    taken on the line Im x = -0.8 (``master_integral``'s ``terms=()``)."""
+    return master_integral(_seed(params, t), params, opts, _SEED_SCALE, ())
 
 
 def verify_seed(
@@ -528,5 +530,5 @@ def verify_seed(
     record = {"a": params.a, "t": complex(t)}
     return _verify(
         "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral",
-        shifted=True,
+        terms=(),
     )

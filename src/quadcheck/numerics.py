@@ -5,11 +5,11 @@ All multivalued functions use the principal branch, see ``PRINCIPAL_BRANCH``.
 The two nontrivial functions are ``gamma`` (the log form of the Lanczos
 approximation plus the reflection formula, both in logs) and ``zeta``
 (accelerated alternating series on Re z >= 0, functional equation for
-Re z < 0), both implemented from scratch so their accuracy can be
-property-tested against independent series oracles.  Arguments follow the
-input rule (``errors.complex_``).  An argument that is not a finite number,
-and a result beyond double range, raise DomainError; results that underflow
-are subnormal or 0.
+Re z < 0, each but in the discs where it is 0/0), both implemented from
+scratch so their accuracy can be property-tested against independent
+series oracles.  Arguments follow the input rule (``errors.complex_``).
+An argument that is not a finite number, and a result beyond double range,
+raise DomainError; results that underflow are subnormal or 0.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def _lanczos_sum(z: complex) -> complex:
 
 
 def _log_gamma_right(z: complex) -> complex:
-    # log gamma for Re z >= 0.5; branch of log(lanczos sum) is irrelevant to
-    # callers that only exponentiate the result.
+    # log gamma for Re z >= 0.5, and as good on |Re z| <= 0.025 for zeta's functional
+    # equation; branch of log(lanczos sum) is irrelevant to callers that exponentiate it.
     w = z - 1.0
     t = w + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(w))
@@ -204,6 +204,11 @@ def reciprocal_gamma(z: complex) -> complex:
 
 _ETA_COEFF_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 
+#: eta(s) and 1 - 2^(1-s) both vanish at s = 1 + i k _ETA_ZERO_STEP, k != 0;
+#: at _ETA_ZERO_RADIUS from there the series and the functional equation
+#: both read about 2e-13 relative error.
+_ETA_ZERO_STEP, _ETA_ZERO_RADIUS = 2.0 * math.pi / _LN2, 0.025
+
 
 def _eta_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Alternating-series acceleration weights.
@@ -255,31 +260,18 @@ def _eta_table(s: complex) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _eta_coefficients(n)
 
 
-def _expm1_complex(w: complex) -> complex:
-    """exp(w) - 1 by its Taylor series, without cancellation, for |w| <= 0.25."""
-    term = 1.0 + 0j
-    acc = 0j
-    for k in range(1, 20):
-        term *= w / k
-        acc += term
-        if abs(term) < 1e-20 * abs(acc):
-            break
-    return acc
-
-
 def _zeta_alternating(s: complex) -> complex:
-    """Direct evaluation via the accelerated eta series, for Re s >= 0 (and
-    near the origin); accuracy degrades gracefully for Re s < 0."""
+    """eta(s) / (1 - 2^(1-s)) by the accelerated eta series, for Re s >= 0
+    but next to its 0/0 points; accuracy degrades gracefully for Re s < 0."""
     coeffs, logs = _eta_table(s)
     acc = 0j
     minus_s, exp = -s, cmath.exp
     for c, ln_k in zip(coeffs, logs):
         acc += c * exp(minus_s * ln_k)
-    # zeta = eta / (1 - 2^(1-s)); the denominator cancels badly near s = 1,
-    # so build it from the expm1 series there.
-    w = (1.0 - s) * _LN2
-    den = -(exp(w) - 1.0) if abs(w) > 0.25 else -_expm1_complex(w)
-    return acc / den
+    # zeta = eta / (1 - 2^(1-s)), the divisor as -2 e^(h) sinh(h) with
+    # h = (1-s) ln 2 / 2, which does not cancel near s = 1
+    h = 0.5 * (1.0 - s) * _LN2
+    return acc / (-2.0 * exp(h) * cmath.sinh(h))
 
 
 def _zeta_dirichlet(s: complex) -> complex:
@@ -294,7 +286,8 @@ def _zeta_dirichlet(s: complex) -> complex:
 
 
 def _zeta_reflect(s: complex) -> complex:
-    """Functional equation: zeta(s) = chi(s) zeta(1-s), for Re s < 0.
+    """Functional equation: zeta(s) = chi(s) zeta(1-s), for Re s < 0 and
+    next to the eta series' 0/0 points, where 1 - s has |Re| <= 0.025.
 
     chi is formed in log space, so gamma(1-s) may exceed double range as
     long as chi itself does not.
@@ -325,10 +318,16 @@ def zeta(z: complex) -> complex:
         if abs(z.imag) > ZETA_VALIDATED_IM_MAX or z.real < ZETA_VALIDATED_RE_MIN:
             # constant text, so the default filter shows it once per call site
             warnings.warn(_ZETA_OUTSIDE_MESSAGE, AccuracyWarning, stacklevel=2)
-        # The series is accurate on all of Re z >= 0 and in a small disc
-        # around the origin, where the functional equation's zeta(1-z) factor
-        # sits on the pole; only the rest of Re z < 0 needs that equation.
-        series = _zeta_alternating if z.real >= 0.0 or modulus(z) <= 0.01 else _zeta_reflect
+        # The series serves Re z >= 0 and the functional equation Re z < 0, each but
+        # within _ETA_ZERO_RADIUS of where it is 0/0: z = 1 + it, and by the series at
+        # 1 - z, z = it (t = 0 too: the pole of zeta(1-z)), t a multiple of _ETA_ZERO_STEP.
+        reflect = z.real < 0.0
+        x = z.real if reflect else z.real - 1.0
+        if abs(x) < _ETA_ZERO_RADIUS:
+            t = round(z.imag / _ETA_ZERO_STEP) * _ETA_ZERO_STEP
+            if math.hypot(x, z.imag - t) < _ETA_ZERO_RADIUS and (reflect or t != 0.0):
+                reflect = not reflect
+        series = _zeta_reflect if reflect else _zeta_alternating
     try:
         value = series(z)
         if cmath.isfinite(value):

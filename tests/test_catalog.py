@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from quadcheck import (
     DivergenceError,
     DomainError,
-    IntegrandError,
     KernelParams,
     ParameterError,
     PoleError,
@@ -507,8 +506,9 @@ def test_tiny_variation_integral_does_not_overflow(case_id, params):
 
 
 def test_closed_form_beyond_double_range_is_a_domain_error():
-    # ln(-1e300) makes cos(alpha k) at the closed form's k overflow, while
-    # the kernel makes the integral side 0
+    # a^2 = 1e600 is beyond double range, which KernelParams refuses before
+    # any quadrature or closed form (tests/test_inputs.py overflows the
+    # closed form itself at a finite a^2)
     with pytest.raises(DomainError):
         run_case("cosine", {"alpha": 1.0, "a": -1e300})
 
@@ -700,15 +700,15 @@ def test_far_out_in_ln_a_the_rows_keep_the_real_axis():
     for a in (1000.0, 1e-3):
         axis = master_integral(F, KernelParams(a), scale=0.5)
         assert run_case("rational", {"a": a}).diagnostics == axis
-    # past |ln|a|| = 6 the kernel at complex x leaves double range; the
-    # real axis fails at a node, a typed error
-    with pytest.raises(IntegrandError):
+    # past |ln|a|| = 6 the kernel at complex x leaves double range; here a^2
+    # does too, which KernelParams refuses before any quadrature
+    with pytest.raises(DomainError):
         run_case("rational", {"a": 1e300 + 1e-300j})
 
 
 def test_the_seed_takes_the_same_line():
     F = TransformFunction(lambda k: cmath.exp(-k), schwarz_symmetric=True)
-    on_line = master_integral(F, KernelParams(1.0), scale=0.5, shifted=True)
+    on_line = master_integral(F, KernelParams(1.0), scale=0.5, terms=())
     assert verify_seed(1.0, 1.0).diagnostics == on_line
     # the truncation is the y reached along the line
     assert on_line.truncation_used == 12.0
@@ -718,7 +718,7 @@ def test_the_shift_needs_the_schwarz_flag():
     # F(conj k) = conj F(k) is what folds the line onto y >= 0
     F = TransformFunction(lambda k: 1.0 / (k + 2.0))
     params = KernelParams(0.7)
-    assert master_integral(F, params, shifted=True) == master_integral(F, params)
+    assert master_integral(F, params, terms=()) == master_integral(F, params)
 
 
 def _on_the_real_axis(case_id, params):

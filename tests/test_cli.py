@@ -257,6 +257,7 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "zeta", "--param", "n=7"],
         ["verify", "zeta", "--param", "a=150"],      # a zeta zero in the strip
         ["verify", "rational", "--param", "a=0.5i"],  # a kernel pole on the real axis
+        ["verify", "rational", "--param", "a=1e300+1e-300i"],  # a^2 beyond double range
         ["kernel-check", "--a", "1"],                # missing --t
         ["kernel-check", "--a", "1+2i", "--t", "1"],  # complex a
         ["no-such-command"],

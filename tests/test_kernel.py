@@ -69,6 +69,18 @@ def test_kernel_params_validation():
     assert not KernelParams(1 + 2j).is_real_positive
 
 
+@pytest.mark.parametrize("a", [complex(1.5e308, 1.5e308), 1e300 + 1e-300j, 1e300, -1e300])
+def test_kernel_params_refuse_a_whose_square_leaves_double_range(a):
+    # the fault is the parameter, so it is named before any quadrature
+    with pytest.raises(DomainError, match="a\\^2 is beyond double range"):
+        KernelParams(a)
+
+
+def test_kernel_params_accept_a_whose_square_is_in_double_range():
+    assert KernelParams(1.3e154)._a2 == 1.3e154 * 1.3e154
+    assert KernelParams(1e-300)._a2 == 0.0  # a^2 underflows, and stays finite
+
+
 def test_kernel_weight_at_origin():
     assert abs(kernel_weight(KernelParams(1.0), 0.0) - 0.25) < 1e-15
 

@@ -419,6 +419,45 @@ def test_zeta_pole_guard():
     assert math.isfinite(abs(zeta(1.0 + 1e-6j)))
 
 
+def test_zeta_next_to_its_pole_against_mpmath():
+    # the series divides eta by 1 - 2^(1-s) = -2 e^(h) sinh(h), h = (1-s) ln 2 / 2,
+    # which keeps every digit as s nears 1
+    for r in (1e-7, 1e-5, 1e-3, 0.01, 0.03, 0.05, 0.1):
+        for j in range(16):
+            s = 1 + r * cmath.exp(2j * math.pi * (j + 0.25) / 16)
+            ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+            assert abs(zeta(s) - ref) <= 1e-15 * abs(ref), s
+
+
+#: eta(s) and 1 - 2^(1-s) both vanish at s = 1 + i k _ETA_STEP, k != 0
+_ETA_STEP = 2 * math.pi / math.log(2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
+def test_zeta_where_the_eta_quotient_is_0_over_0_against_mpmath(k):
+    # a reference at mpmath's default 53 bits is itself 4.7e-7 off at k = 1.
+    # The worst here is 2.0e-13; the quotient itself reads 1.1e-12 at 0.005
+    centre = complex(1.0, k * _ETA_STEP)
+    points = [centre + d for d in (0.0, 1e-12, 1e-6, 1e-3)]
+    points += [centre + r * cmath.exp(2j * math.pi * j / 8)
+               for r in (0.001, 0.005, 0.01, 0.025, 0.05, 0.1) for j in range(8)]
+    for s in points:
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        assert abs(zeta(s) - ref) <= 5e-13 * abs(ref), s
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, -1, -5])
+def test_zeta_left_of_the_mirrored_0_over_0_points_against_mpmath(k):
+    # the functional equation takes zeta(1-s) from the eta quotient, which is
+    # 0/0 for s = i k _ETA_STEP; the series at s takes those discs instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        for d in (1e-12, 1e-6, 1e-3, 0.02):
+            s = complex(-d, k * _ETA_STEP)
+            ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+            assert abs(zeta(s) - ref) <= 1e-12 * abs(ref), s
+
+
 def test_zeta_accuracy_warning_outside_validated_region():
     with pytest.warns(AccuracyWarning):
         zeta(0.5 + 60j)
