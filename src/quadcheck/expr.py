@@ -92,16 +92,25 @@ CONSTANTS = {
     "i": 1j,
 }
 
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_ASCII_DIGITS = "0123456789"
-_ASCII_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-
 # binding powers; ^ binds tighter than unary minus, which binds tighter
 # than * and /
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_PREC = 25
 _RIGHT_ASSOC = {"^"}
+
+# One token after any whitespace.  Each group is named after its token kind
+# and the first alternative that matches wins, so a "." that starts no number
+# is ``malformed`` and any other stray character is ``unexpected``.
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    r"(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"|(?P<op>[{re.escape(''.join(_PREC))}])"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<end>\Z)"
+    r"|(?P<malformed>\.)|(?P<unexpected>.))",
+    re.DOTALL,
+)
+_LEX_ERRORS = {"malformed": "malformed number starting with", "unexpected": "unexpected character"}
 
 #: Deepest nesting ``parse`` accepts, counted both as open parentheses,
 #: calls and operands (the parser's recursion, two frames a level) and as
@@ -119,38 +128,15 @@ class _Token(Frozen):
 
 def _tokenize(source: str) -> Iterator[_Token]:
     pos = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _ASCII_DIGITS or ch == ".":
-            m = _NUMBER_RE.match(source, pos)
-            if not m:
-                raise ParseError(f"malformed number starting with {ch!r}", pos)
-            yield _Token("number", m.group(), pos)
-            pos = m.end()
-            continue
-        if ch in _ASCII_LETTERS:
-            m = _IDENT_RE.match(source, pos)
-            yield _Token("ident", m.group(), pos)
-            pos = m.end()
-            continue
-        if ch in _PREC:
-            yield _Token("op", ch, pos)
-            pos += 1
-            continue
-        if ch == "(":
-            yield _Token("lparen", ch, pos)
-            pos += 1
-            continue
-        if ch == ")":
-            yield _Token("rparen", ch, pos)
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    yield _Token("end", "", n)
+    while True:
+        m = _TOKEN_RE.match(source, pos)
+        kind = m.lastgroup
+        if kind in _LEX_ERRORS:
+            raise ParseError(f"{_LEX_ERRORS[kind]} {m.group(kind)!r}", m.start(kind))
+        yield _Token(kind, m.group(kind), m.start(kind))
+        if kind == "end":
+            return
+        pos = m.end()
 
 
 class _Parser:
@@ -187,7 +173,7 @@ class _Parser:
         left, height = self.parse_atom()
         while True:
             tok = self.peek()
-            if tok.kind != "op" or tok.text not in _PREC:
+            if tok.kind != "op":
                 break
             prec = _PREC[tok.text]
             if prec < min_prec:

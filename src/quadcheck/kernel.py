@@ -41,7 +41,8 @@ from .errors import (
     real,
 )
 from .quadrature import (
-    _FIRST_WINDOW_EDGES, QuadratureOptions, QuadratureResult, integrate_half_line, options,
+    _FIRST_WINDOW_EDGES, QuadratureOptions, QuadratureResult, _target, integrate_half_line,
+    options,
 )
 
 __all__ = [
@@ -277,12 +278,11 @@ def require_converged(
     condition number ``l1_norm / |value|``.
     """
     if result.roundoff_limited:
-        opts = options(opts)
         size = modulus(result.value)
         raise RoundoffError(
             f"{what} is limited by roundoff (rounding floor "
             f"{result.rounding_floor:.3e} against tolerance "
-            f"{max(opts.abs_tol, opts.rel_tol * size):.3e}, condition number "
+            f"{_target(options(opts), result.value):.3e}, condition number "
             f"{result.l1_norm / size if size else math.inf:.3e}, "
             f"after {result.evaluations} evaluations)",
             result=result,

@@ -105,14 +105,6 @@ _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 
 
-def _pole_distance(z: complex) -> float:
-    """Distance from ``z`` to the nearest non-positive integer."""
-    n = round(z.real)
-    if n > 0:
-        n = 0
-    return abs(z - n)
-
-
 def _lanczos_sum(z: complex) -> complex:
     # z is already shifted by -1; valid for Re(z+1) >= 0.5.  Written out term
     # by term, which a loop makes a third dearer; summed from c0 upwards.
@@ -171,7 +163,8 @@ def gamma(z: complex) -> complex:
     (near the real axis above about 171.62).  Real arguments give real values.
     """
     z = complex_("gamma requires a finite number", z)
-    if z.real < 0.5 and _pole_distance(z) < POLE_GUARD_RADIUS:
+    # left of 0.5 the nearest integer, round(Re z), is a pole: it is at most 0
+    if z.real < 0.5 and abs(z - round(z.real)) < POLE_GUARD_RADIUS:
         raise PoleError(f"gamma pole too close to z = {z!r}")
     log_value, negate = _log_reciprocal_gamma(z)
     return _exp(-log_value, "gamma", z, negate)

@@ -174,6 +174,11 @@ class QuadratureResult(Frozen):
         return _FLOOR * self.l1_norm
 
 
+def _target(opts: QuadratureOptions, value: complex) -> float:
+    """The stop target ``max(abs_tol, rel_tol * |value|)``; inf past double range."""
+    return max(opts.abs_tol, opts.rel_tol * modulus(value))
+
+
 def _eval(f: Integrand, x: float) -> complex:
     """``f(x)`` as a finite complex; else IntegrandError at ``x``."""
     try:
@@ -199,9 +204,10 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     of ulp(integral of |f|) to stay honest once discretization error is
     gone.  Finiteness is checked once, on the |f| sum: only when it fails,
     or the integrand or a sum raises, are the nodes walked again, through
-    ``_eval``, to name the bad one.  Where every value is finite and only a
-    sum or a modulus overflowed, the rule is taken again on the values over
-    4 and its results multiplied by 4.
+    ``_eval``, to name the bad one; where none is bad on that walk, ``f``
+    is impure and the IntegrandError names the rule's centre.  Where every
+    value is finite and only a sum or a modulus overflowed, the rule is
+    taken again on the values over 4 and its results multiplied by 4.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -236,7 +242,7 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
     except (QuadcheckError, *FAILURES) as exc:
         _name_bad_node(f, c, h)
-        raise IntegrandError(c, str(exc)) from exc  # an impure f
+        raise IntegrandError(c, str(exc)) from exc  # an impure f: no node fails again
     try:
         resabs = (
             w7 * abs(fc) + w0 * (abs(l0) + abs(r0)) + w1 * (abs(l1) + abs(r1))
@@ -256,18 +262,19 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         resabs = math.inf
     if not math.isfinite(resabs):
         values = (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6)
-        if all(map(cmath.isfinite, values)):
-            # Only a weighted sum overflowed.  The Kronrod weights sum to 2,
-            # so the same rule on the values over 4, fed back in the order
-            # f is called, stays below DBL_MAX/2; f is not called again.
-            quarters = iter([0.25 * v for v in values])
-            q_value, q_err, q_abs = _gk15(lambda x, q=quarters: next(q), lo, hi)
-            if math.isfinite(4.0 * q_abs):
-                return 4.0 * q_value, 4.0 * q_err, 4.0 * q_abs
-        else:
-            _name_bad_node(f, c, h)  # none is bad only for an impure f
-        # the integral of |f| is beyond double range, or f is impure: no
-        # value, and the run ends unconverged
+        if not all(map(cmath.isfinite, values)):
+            _name_bad_node(f, c, h)
+            # an impure f: a value was not finite, and no node fails again
+            raise IntegrandError(c, "f(x) was not a finite number at one of the rule's nodes")
+        # Only a weighted sum overflowed.  The Kronrod weights sum to 2, so
+        # the same rule on the values over 4, fed back in the order f is
+        # called, stays below DBL_MAX/2; f is not called again.
+        quarters = iter([0.25 * v for v in values])
+        q_value, q_err, q_abs = _gk15(lambda x, q=quarters: next(q), lo, hi)
+        if math.isfinite(4.0 * q_abs):
+            return 4.0 * q_value, 4.0 * q_err, 4.0 * q_abs
+        # the integral of |f| is beyond double range: no value, and the run
+        # ends unconverged
         return complex(math.nan, math.nan), math.inf, math.inf
     resasc *= h
     resabs *= h
@@ -353,7 +360,6 @@ def _partition(
         error += e
         settled_l1 += settled
     exact_error = error  # the error total at the last exact summation
-    evals = 15 * (len(edges) - 1)
     budget = opts.max_subdivisions
     fraction = 1.0 - _TAIL_FRACTION if windowed else 1.0
     window = lo  # left edge of the newest window
@@ -361,14 +367,14 @@ def _partition(
     finished = not windowed
     roundoff_limited = False
     while True:
-        running_target = fraction * max(opts.abs_tol, opts.rel_tol * modulus(value))
+        running_target = fraction * _target(opts, value)
         if (
             error <= running_target
             or error <= exact_error / _RESUM_DROP
             or floor * settled_l1 > running_target
         ):
             value, error = _totals(segments)
-            target = max(opts.abs_tol, opts.rel_tol * modulus(value))
+            target = _target(opts, value)
             if not math.isfinite(error) or target == math.inf:
                 break  # a sum or |value| left double range: no bisection brings it back
             exact_error = error
@@ -393,7 +399,6 @@ def _partition(
                     break
                 window, hi = hi, min(hi * _WINDOW_GROWTH, _MAX_TRUNCATION)
                 v, e, settled = rule(window, hi)
-                evals += 15
                 value += v
                 error += e
                 settled_l1 += settled
@@ -412,7 +417,6 @@ def _partition(
         heapq.heappop(segments)
         v1, e1, settled1 = rule(a, m)
         v2, e2, settled2 = rule(m, b)
-        evals += 30
         budget -= 1
         value += v1 + v2 - v
         error += e1 + e2 + neg_e
@@ -423,17 +427,18 @@ def _partition(
         error += _contribution(segments, window)
     # an infinite error or target, from a sum or |value| beyond double range,
     # never converges
-    target = max(opts.abs_tol, opts.rel_tol * modulus(value))
-    converged = finished and not roundoff_limited and error <= target < math.inf
+    converged = finished and not roundoff_limited and error <= _target(opts, value) < math.inf
+    subdivisions = opts.max_subdivisions - budget
+    # one rule per segment, and each bisection replaced one rule by two
     return QuadratureResult(
         value,
         error,
-        evals,
+        15 * (len(segments) + subdivisions),
         hi if windowed else 0.0,
         converged,
         _l1_sum(segments, 4),
         roundoff_limited,
-        opts.max_subdivisions - budget,
+        subdivisions,
     )
 
 

@@ -87,6 +87,29 @@ def test_number_literals():
     assert parse(".25").value == 0.25
     assert parse("2e-3").value == 2e-3
     assert parse("1.25E2").value == 125.0
+    assert parse("1.").value == 1.0
+    assert parse(".5e-3").value == 5e-4
+
+
+@pytest.mark.parametrize("source, message, offset", [
+    (".", "malformed number starting with '.'", 0),
+    ("k+.", "malformed number starting with '.'", 2),
+    # an exponent needs a digit: "1" is the number and "e" trails it
+    ("1e", "unexpected trailing input 'e'", 1),
+    # digits are ASCII only: the full-width one is no digit
+    ("１+k", "unexpected character '１'", 0),
+    ("k+１", "unexpected character '１'", 2),
+])
+def test_lexer_errors_name_the_token_and_its_offset(source, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("source", ["k + 1", "k\t+\n1"])
+def test_whitespace_between_tokens_is_skipped(source):
+    assert parse(source) == parse("k+1") == Binary("+", Variable("k"), Number(1.0))
 
 
 def test_evaluate_examples():

@@ -187,6 +187,29 @@ def test_integrand_error_names_the_first_bad_node_in_rule_order():
     assert err.value.abscissa == 0.5 + 0.5 * 0.991455371120812639206854697526329
 
 
+def _flaky(third_call):
+    # exp(-x), except on its third call: the rule's first pass sees the bad
+    # value, and the walk that re-evaluates the nodes to name it does not
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return third_call() if len(calls) == 3 else math.exp(-x)
+
+    return f
+
+
+def _raise_value_error():
+    raise ValueError("flaky")
+
+
+@pytest.mark.parametrize("third_call", [_raise_value_error, lambda: math.nan])
+def test_impure_integrand_ends_in_integrand_error_at_the_rule_centre(third_call):
+    with pytest.raises(IntegrandError) as err:
+        integrate_finite(_flaky(third_call), 0.0, 1.0)
+    assert err.value.abscissa == 0.5
+
+
 def test_overflowing_sum_of_finite_values_is_not_an_integrand_error():
     # every value is finite and only the rule's weighted sums overflow: the
     # rule is taken again on the values over 4 and multiplied by 4
@@ -530,6 +553,20 @@ def test_budget_stops_are_not_roundoff_limited():
         lambda x: math.exp(-x) * math.cos(5.0 * x), QuadratureOptions(max_subdivisions=9)
     )
     assert not r.converged and not r.roundoff_limited
+
+
+def test_worst_segment_at_floating_point_resolution_stops_the_run():
+    # |x - 1|^-0.9 has its integrable singularity at the left edge: the
+    # worst segment is halved towards 1 until its midpoint rounds onto an
+    # edge.  The guard keeps f finite at x = 1; without it the rule's nodes
+    # collapse onto x = 1 there and the run ends in an IntegrandError.
+    r = integrate_finite(lambda x: abs(x - 1.0) ** -0.9 if x != 1.0 else 0.0, 1.0, 2.0)
+    assert not r.converged and not r.roundoff_limited
+    assert r.subdivisions == 52
+    assert r.evaluations == 1575 == 15 * (1 + 2 * r.subdivisions)
+    assert r.value.real == pytest.approx(9.7361, abs=5e-5)  # the true value is 10
+    # an understatement: the true error, 0.264, is 7.2 times this estimate
+    assert r.error_estimate == pytest.approx(0.0368, abs=5e-5)
 
 
 def test_positional_construction_defaults_the_roundoff_diagnostics():
