@@ -229,30 +229,89 @@ class VerificationReport(Frozen):
         )
 
 
+# Node tables.  A record that depends on a node alone (the kernel's a-free
+# terms at x; a fixed contour's point and its k) is built the first time the
+# node is met and read back by every later call, whatever F, a or the scale,
+# so what a table holds never changes a result.  A table holds at most its
+# cap, and is cleared rather than frozen when full, so one bisection-heavy
+# run cannot lock later runs out.  Tables are plain dicts read inline, as
+# ``table.get(node) or _kept(...)``: a dict subclass with __missing__ reads
+# slower, and raising KeyError at each first meeting costs more than the record.
+
+
+#: ``i pi``: ``k = x^2 + i pi x`` is taken as ``x (x + i pi)``, whose one complex
+#: product rounds to the bits of ``complex(x * x, pi * x)``, with no call.
+_I_PI = complex(0.0, math.pi)
+
+#: The rays ``X +/- iy`` leave the real axis at ``X``, an edge of every window.
+_RAY_START = _FIRST_WINDOW_EDGES[-1]
+
+
+def _line_node(y: float, c: float = _LINE_SHIFT) -> tuple[complex, complex]:
+    """The line node ``x = y - ic`` and its k."""
+    x = complex(y, -c)
+    return x, x * (x + _I_PI)
+
+
+def _ray_node(s: float) -> tuple[complex, complex, complex, complex]:
+    """The ray node ``x = X + i(s - X)``: x, conj x, k and ``k(-conj x)``."""
+    x = complex(_RAY_START, s - _RAY_START)
+    return x, x.conjugate(), x * (x + _I_PI), x * (x - _I_PI)
+
+
+#: kernel_weight's terms at float and at complex x, apart since ``1.0 == 1+0j``
+#: (``1+0j`` and ``1-0j`` are one key: their u^2 differ in the sign of a zero
+#: imaginary part, and the quotient's bits do not); k on the real axis; the
+#: line ``Im x = -_LINE_SHIFT``'s nodes by y, and the rays' by s.  A line whose
+#: shift is capped below _LINE_SHIFT (complex a) depends on a: no table.
+_REAL_TERMS, _COMPLEX_TERMS, _AXIS_NODES, _LINE_NODES, _RAY_NODES = {}, {}, {}, {}, {}
+
+#: Each table with its cap: at their caps they hold about 0.65, 0.39, 0.38,
+#: 0.19 and 0.13 MB.
+_NODE_TABLES = (
+    (_REAL_TERMS, 4096), (_COMPLEX_TERMS, 2048), (_AXIS_NODES, 4096), (_LINE_NODES, 1024),
+    (_RAY_NODES, 512),
+)
+_CAPS = {id(table): cap for table, cap in _NODE_TABLES}
+
+
+def _kept(table: dict, node: float | complex, record: tuple) -> tuple:
+    """``record``, now kept in ``table`` under ``node``; a full table is cleared first."""
+    if len(table) >= _CAPS[id(table)]:
+        table.clear()
+    table[node] = record
+    return record
+
+
 def kernel_weight(params: KernelParams, x: float | complex) -> float | complex:
     """The kernel ``cosh x / (1 + 2 a^2 cosh 2x + a^4)`` at x.
 
-    The one copy of the formula: ``(u + u^3)/2 / ((1 + a^2 u^2)(a^2 + u^2))``
-    at ``u = e^{-|x|}``, or for complex x at ``e^{-x}`` or ``e^{x}``,
-    whichever has ``|u| <= 1``, so nothing overflows and the evenness in x
-    is exact.  For real x and real a^2 (real or purely imaginary a) float
-    arithmetic gives the bits of ``complex(x, 0.0)``'s real part at about
-    half the cost.  Text, None, a real or complex x that is not finite,
-    params that are not KernelParams and x on a pole raise DomainError.
+    The one copy of the formula: ``h / ((1 + a^2 u^2)(a^2 + u^2))``, with
+    the a-free ``h = (u + u^3)/2`` and ``u^2`` built the first time x is
+    met and read back from a node table after that.  For
+    real x and real a^2 (real or purely imaginary a) float arithmetic gives
+    the bits of ``complex(x, 0.0)``'s real part at about half the cost.
+    Text, None, a real or complex x that is not finite, params that are
+    not KernelParams and x on a pole raise DomainError.
     """
-    if x.__class__ is complex and _cisfinite(x):
-        u = _cexp(x if x.real < 0.0 else -x)
-    elif x.__class__ is float:
-        u = _exp(-abs(x))
-        if not u > 0.0:  # x is infinite or NaN, or exp underflowed
-            real("kernel argument x must be a finite number", x)
-    else:  # any other number, converted to one of the two, or refused
+    cls = x.__class__
+    table = _COMPLEX_TERMS if cls is complex else _REAL_TERMS if cls is float else None
+    if table is None:  # any other number, converted to one of the two, or refused
         coerce = complex_ if isinstance(x, complex) else real
         return kernel_weight(params, coerce("kernel argument x must be a finite number", x))
+    terms = table.get(x)
+    if terms is None:  # the a-free half: at u = e^{-|x|}, or for complex x at e^{-x}
+        # or e^{x}, whichever has |u| <= 1, so nothing overflows and the
+        # evenness in x is exact
+        if not _cisfinite(x):
+            raise DomainError(f"kernel argument x must be a finite number, got {x!r}")
+        u = _cexp(x if x.real < 0.0 else -x) if cls is complex else _exp(-abs(x))
+        u2 = u * u
+        terms = _kept(table, x, (0.5 * (u + u * u2), u2))
+    h, u2 = terms
     try:
         a2 = params._a2
-        u2 = u * u
-        return 0.5 * (u + u * u2) / ((1.0 + a2 * u2) * (a2 + u2))
+        return h / ((1.0 + a2 * u2) * (a2 + u2))
     except ZeroDivisionError:
         raise DomainError(
             f"kernel denominator vanishes at x = {x!r} for a = {params.a!r}"
@@ -368,25 +427,26 @@ def master_integral(
     fn = F.fn  # the quadrature's own check rejects non-finite values
     # looked up now, not at import: a wrapper put on the module still sees every node
     weight = kernel_weight
-    # k = x^2 + i pi x as x (x + i pi): the one complex product rounds to
-    # the bits of complex(x * x, pi * x), with no call
-    i_pi = complex(0.0, math.pi)
     departs = terms is not None and F.schwarz_symmetric and abs(params.log_a().real) <= _RAY_LOG_A
     if departs and not terms:
         arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
         c = min(_LINE_SHIFT, _SHIFT_CAP * (0.5 * math.pi - arg_a))
-        if isinstance(params._a2, float):  # real a: K(conj x) = conj K(x)
+        if isinstance(params._a2, float):  # real a, so c = _LINE_SHIFT: K(conj x) = conj K(x)
             w = 2.0 * scale
 
             def f(y: float) -> complex:
-                x = complex(y, -c)
-                return w * (fn(x * (x + i_pi)) * weight(params, x)).real
+                x, k = _LINE_NODES.get(y) or _kept(_LINE_NODES, y, _line_node(y))
+                return w * (fn(k) * weight(params, x)).real
 
         else:
+            kept = c == _LINE_SHIFT  # a capped line's nodes are built, not kept
 
             def f(y: float) -> complex:
-                x = complex(y, -c)
-                g = fn(x * (x + i_pi))
+                if kept:
+                    x, k = _LINE_NODES.get(y) or _kept(_LINE_NODES, y, _line_node(y))
+                else:
+                    x, k = _line_node(y, c)
+                g = fn(k)
                 return scale * (
                     g * weight(params, x) + g.conjugate() * weight(params, x.conjugate())
                 )
@@ -395,30 +455,28 @@ def master_integral(
         w = 2.0 * scale
 
         def f(x: float) -> complex:
-            return w * fn(x * (x + i_pi)).real * weight(params, x)
+            k = _AXIS_NODES.get(x) or _kept(_AXIS_NODES, x, x * (x + _I_PI))
+            return w * fn(k).real * weight(params, x)
 
         lo, hi = _RAY_BETA
         if departs and all(lo < abs(beta) < hi for _, beta in terms):
-            head, x0 = f, _FIRST_WINDOW_EDGES[-1]
+            head = f
             # F's terms pair up: those at X - iy conjugate those at X + iy
             up = [(scale * c, complex(0.0, beta)) for c, beta in terms if beta > 0]
 
             def f(s: float) -> complex:
-                if s < x0:
+                if s < _RAY_START:
                     return head(s)
-                x = complex(x0, s - x0)
-                k, k_neg = x * (x + i_pi), x * (x - i_pi)
+                x, x_conj, k, k_neg = _RAY_NODES.get(s) or _kept(_RAY_NODES, s, _ray_node(s))
                 t = 0j
                 for c, i_beta in up:
                     t += c * (_cexp(i_beta * k) + _cexp(i_beta * k_neg))
-                return 1j * (
-                    t * weight(params, x) - t.conjugate() * weight(params, x.conjugate())
-                )
+                return 1j * (t * weight(params, x) - t.conjugate() * weight(params, x_conj))
 
     else:
 
         def f(x: float) -> complex:
-            k = x * (x + i_pi)
+            k = _AXIS_NODES.get(x) or _kept(_AXIS_NODES, x, x * (x + _I_PI))
             return scale * (fn(k) + fn(k.conjugate())) * weight(params, x)
 
     return integrate_half_line(f, opts)

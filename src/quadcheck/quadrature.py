@@ -367,6 +367,7 @@ def _partition(
     finished = not windowed
     roundoff_limited = False
     while True:
+        summed = False  # value and error are the exact sums of the segments as they stand
         running_target = fraction * _target(opts, value)
         if (
             error <= running_target
@@ -374,6 +375,7 @@ def _partition(
             or floor * settled_l1 > running_target
         ):
             value, error = _totals(segments)
+            summed = True
             target = _target(opts, value)
             if not math.isfinite(error) or target == math.inf:
                 break  # a sum or |value| left double range: no bisection brings it back
@@ -422,9 +424,11 @@ def _partition(
         error += e1 + e2 + neg_e
         settled_l1 += settled1 + settled2 - settled
 
-    value, error = _totals(segments)
+    if not summed:
+        value, error = _totals(segments)
     if windowed and window > lo:
-        error += _contribution(segments, window)
+        # a finished sweep stopped on the newest window's contribution, just taken
+        error += contributions[-1] if finished else _contribution(segments, window)
     # an infinite error or target, from a sum or |value| beyond double range,
     # never converges
     converged = finished and not roundoff_limited and error <= _target(opts, value) < math.inf

@@ -413,6 +413,7 @@ import sys
 import quadcheck.cli
 heavy = ("dataclasses", "inspect", "quadcheck.expr")
 print(",".join(m for m in heavy if m in sys.modules))
+assert not any(t for t, _ in sys.modules["quadcheck.kernel"]._NODE_TABLES), "import tabulated nodes"
 import quadcheck
 assert "parse" in dir(quadcheck) and "to_string" in dir(quadcheck)
 from quadcheck import evaluate, parse, to_string

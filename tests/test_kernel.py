@@ -33,8 +33,18 @@ from quadcheck import (
     verify_master,
     verify_seed,
 )
+from quadcheck import kernel
 from quadcheck.cli import _SEED_GRID_A, _SEED_GRID_T
-from quadcheck.kernel import REL_DIFF_FLOOR, VerificationReport, require_converged
+from quadcheck.kernel import (
+    _COMPLEX_TERMS,
+    _LINE_NODES,
+    _LINE_SHIFT,
+    _NODE_TABLES,
+    REL_DIFF_FLOOR,
+    VerificationReport,
+    master_integral,
+    require_converged,
+)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -502,3 +512,204 @@ def test_pole_of_F_at_the_closed_form_point_is_a_domain_error():
     F = TransformFunction(lambda k: 1 / (k - math.pi**2 / 4), schwarz_symmetric=True)
     with pytest.raises(DomainError, match="closed form"):
         verify_master(F, KernelParams(1.0))
+
+
+# --- the node tables --------------------------------------------------------
+
+_I_PI = complex(0.0, math.pi)
+_RATIONAL = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
+_COSINE_TERMS = ((0.5, 0.2), (0.5, -0.2))
+
+#: One run per contour master_integral takes: (F, a, scale, terms).  Every
+#: one but the capped line reads its nodes from a table.
+_CONTOURS = {
+    "real-a-line": (_RATIONAL, 0.7, 1.0, ()),
+    "complex-a-line": (_RATIONAL, 1 + 0.1j, 1.0, ()),
+    "capped-complex-a-line": (_RATIONAL, 1 + 2j, 1.0, ()),
+    "schwarz-axis": (_RATIONAL, 0.7, 0.5, None),
+    "non-schwarz-axis": (TransformFunction(lambda k: 1.0 / (k + 2.0 + 0.5j)), 0.7, 1.0, None),
+    "rays": (TransformFunction(lambda k: cmath.cos(0.2 * k), schwarz_symmetric=True), 1.0, 1.0,
+             _COSINE_TERMS),
+}
+
+
+def _contour_run(name):
+    F, a, scale, terms = _CONTOURS[name]
+    return master_integral(F, KernelParams(a), None, scale, terms)
+
+
+def _bisection_heavy_runs():
+    """Runs that spend the whole subdivision budget, each on more distinct
+    nodes than any table's cap: a sawtooth F on the real axis and the line."""
+    saw = TransformFunction(lambda k: (7.0 * k.real) % 1.0, schwarz_symmetric=True)
+    return [master_integral(saw, KernelParams(0.7), None, 1.0, terms) for terms in (None, ())]
+
+
+def _top_up_to_the_cap():
+    """Fresh nodes past every contour's end until each table holds its cap:
+    the next new node clears it."""
+    kp = KernelParams(0.7)
+    builds = [None, None, lambda x: x * (x + _I_PI), kernel._line_node, kernel._ray_node]
+    for (table, cap), build in zip(_NODE_TABLES, builds):
+        for node in range(1000, 1000 + cap - len(table)):
+            if build is None:  # kernel_weight keeps its own terms
+                kernel_weight(kp, complex(node, 1.0) if table is _COMPLEX_TERMS else float(node))
+            else:
+                table[float(node)] = build(float(node))
+
+
+def _clear_the_tables():
+    for table, _ in _NODE_TABLES:
+        table.clear()
+
+
+def _bits(result):
+    return (result.value.real.hex(), result.value.imag.hex(), result.error_estimate.hex(),
+            result.evaluations, result.subdivisions, result.converged)
+
+
+@pytest.mark.parametrize("name", sorted(_CONTOURS))
+def test_a_run_does_not_depend_on_what_the_node_tables_hold(name):
+    _clear_the_tables()
+    cold = _bits(_contour_run(name))
+    warm = _bits(_contour_run(name))
+    _bisection_heavy_runs()
+    _top_up_to_the_cap()
+    assert all(len(table) == cap for table, cap in _NODE_TABLES)
+    full = _bits(_contour_run(name))
+    assert cold == warm == full
+
+
+def _kernel_form(kp, x):
+    """kernel_weight's formula written out at x, with no table."""
+    u = cmath.exp(x if x.real < 0.0 else -x) if isinstance(x, complex) else math.exp(-abs(x))
+    a2, u2 = kp._a2, u * u
+    return 0.5 * (u + u * u2) / ((1.0 + a2 * u2) * (a2 + u2))
+
+
+def _written_out_form(name):
+    """Each contour's integrand written out at every node, with no table."""
+    F, a, scale, terms = _CONTOURS[name]
+    kp, fn = KernelParams(a), F.fn
+    if terms == ():
+        c = min(_LINE_SHIFT, 0.75 * (0.5 * math.pi - abs(cmath.phase(kp.a))))
+
+        def f(y):
+            x = complex(y, -c)
+            g = fn(x * (x + _I_PI))
+            if isinstance(kp._a2, float):
+                return 2.0 * scale * (g * _kernel_form(kp, x)).real
+            return scale * (g * _kernel_form(kp, x)
+                            + g.conjugate() * _kernel_form(kp, x.conjugate()))
+
+        return f
+
+    def axis(x):
+        k = x * (x + _I_PI)
+        if F.schwarz_symmetric:
+            return 2.0 * scale * fn(k).real * _kernel_form(kp, x)
+        return scale * (fn(k) + fn(k.conjugate())) * _kernel_form(kp, x)
+
+    if terms is None:
+        return axis
+
+    def rays(s):
+        if s < 8.0:
+            return axis(s)
+        x = complex(8.0, s - 8.0)
+        k, k_neg = x * (x + _I_PI), x * (x - _I_PI)
+        t = 0j
+        for coeff, beta in terms:
+            if beta > 0:
+                t += scale * coeff * (cmath.exp(1j * beta * k) + cmath.exp(1j * beta * k_neg))
+        return 1j * (t * _kernel_form(kp, x) - t.conjugate() * _kernel_form(kp, x.conjugate()))
+
+    return rays
+
+
+def _spy_nodes(monkeypatch):
+    """Record each node the next master_integral evaluates, with its value."""
+    seen = []
+
+    def spy(f, opts=None):
+        def record(x):
+            value = f(x)
+            seen.append((x, value))
+            return value
+
+        return integrate_half_line(record, opts)
+
+    monkeypatch.setattr(kernel, "integrate_half_line", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_CONTOURS))
+def test_the_tabled_integrand_is_the_written_out_form_bit_for_bit(name, monkeypatch):
+    seen = _spy_nodes(monkeypatch)
+    result = _contour_run(name)
+    assert len(seen) == result.evaluations
+    reference = _written_out_form(name)
+    for x, value in seen:
+        expected = reference(x)
+        assert (value.real.hex(), value.imag.hex()) == (
+            complex(expected).real.hex(), complex(expected).imag.hex()), x
+
+
+@pytest.mark.parametrize("name", sorted(_CONTOURS))
+def test_a_wrapper_on_kernel_weight_sees_every_node(name, monkeypatch):
+    calls = []
+    weight = kernel.kernel_weight
+    monkeypatch.setattr(kernel, "kernel_weight", lambda kp, x: calls.append(x) or weight(kp, x))
+    seen = _spy_nodes(monkeypatch)
+    _contour_run(name)
+    # one kernel factor per node, two where K(conj x) is not conj K(x)
+    twice = name in ("complex-a-line", "capped-complex-a-line")
+    factors = [2 if twice or name == "rays" and s >= 8.0 else 1 for s, _ in seen]
+    assert len(calls) == sum(factors)
+
+
+def test_kernel_weight_does_not_depend_on_what_its_tables_hold():
+    rng = random.Random(9)
+    xs = [rng.uniform(-40.0, 40.0) for _ in range(200)] + [0.0, -0.0, 800.0]
+    xs += [complex(rng.uniform(-40.0, 40.0), rng.uniform(-1.0, 1.0)) for _ in range(200)]
+    # a complex node on the real axis keeps the sign of its zero imaginary part
+    xs += [complex(1.5, 0.0), complex(1.5, -0.0), complex(-1.5, -0.0), complex(-1.5, 0.0)]
+    params = [KernelParams(a) for a in (0.7, 3.0, 1 + 1j, 0.5j)]
+
+    def key(value):
+        return type(value), complex(value).real.hex(), complex(value).imag.hex()
+
+    def bits():
+        return [key(kernel_weight(kp, x)) for kp in params for x in xs]
+
+    expected = [key(_kernel_form(kp, x)) for kp in params for x in xs]
+    _clear_the_tables()
+    assert bits() == expected  # cold
+    assert bits() == expected  # warm
+    _top_up_to_the_cap()
+    assert bits() == expected  # each table cleared once on the way
+
+
+def _opening_nodes():
+    """The nodes of the half-line's opening partition, as the rule computes them."""
+    from quadcheck.quadrature import _FIRST_WINDOW_EDGES, _XGK
+    nodes = []
+    for lo, hi in zip(_FIRST_WINDOW_EDGES, _FIRST_WINDOW_EDGES[1:]):
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes += [c] + [c - h * x for x in _XGK[:7]] + [c + h * x for x in _XGK[:7]]
+    return nodes
+
+
+def test_node_tables_stay_within_their_caps_and_take_new_runs(monkeypatch):
+    _clear_the_tables()
+    for result in _bisection_heavy_runs():
+        assert result.subdivisions == 2000 and result.evaluations > 10 * max(
+            cap for _, cap in _NODE_TABLES)
+    assert all(len(table) <= cap for table, cap in _NODE_TABLES)
+    _top_up_to_the_cap()
+    run_case("gaussian")
+    assert set(_opening_nodes()) <= set(_LINE_NODES)
+    kept = []
+    monkeypatch.setattr(kernel, "_kept", lambda table, node, record: kept.append(node) or record)
+    run_case("gaussian")
+    assert kept == []  # the repeat finds every node it needs, and its kernel terms
