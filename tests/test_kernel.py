@@ -37,9 +37,8 @@ from quadcheck import kernel
 from quadcheck.cli import _SEED_GRID_A, _SEED_GRID_T
 from quadcheck.kernel import (
     _COMPLEX_TERMS,
-    _LINE_NODES,
+    _COMPLEX_TERMS_CAP,
     _LINE_SHIFT,
-    _NODE_TABLES,
     REL_DIFF_FLOOR,
     VerificationReport,
     master_integral,
@@ -514,14 +513,15 @@ def test_pole_of_F_at_the_closed_form_point_is_a_domain_error():
         verify_master(F, KernelParams(1.0))
 
 
-# --- the node tables --------------------------------------------------------
+# --- the node table ---------------------------------------------------------
 
 _I_PI = complex(0.0, math.pi)
 _RATIONAL = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
 _COSINE_TERMS = ((0.5, 0.2), (0.5, -0.2))
 
-#: One run per contour master_integral takes: (F, a, scale, terms).  Every
-#: one but the capped line reads its nodes from a table.
+#: One run per contour master_integral takes: (F, a, scale, terms).  The
+#: lines and the rays read kernel_weight's terms from the node table; the
+#: axis computes them.
 _CONTOURS = {
     "real-a-line": (_RATIONAL, 0.7, 1.0, ()),
     "complex-a-line": (_RATIONAL, 1 + 0.1j, 1.0, ()),
@@ -540,27 +540,21 @@ def _contour_run(name):
 
 def _bisection_heavy_runs():
     """Runs that spend the whole subdivision budget, each on more distinct
-    nodes than any table's cap: a sawtooth F on the real axis and the line."""
+    nodes than the table's cap: a sawtooth F on the real axis and the line."""
     saw = TransformFunction(lambda k: (7.0 * k.real) % 1.0, schwarz_symmetric=True)
     return [master_integral(saw, KernelParams(0.7), None, 1.0, terms) for terms in (None, ())]
 
 
 def _top_up_to_the_cap():
-    """Fresh nodes past every contour's end until each table holds its cap:
+    """Fresh nodes past every contour's end until the table holds its cap:
     the next new node clears it."""
     kp = KernelParams(0.7)
-    builds = [None, None, lambda x: x * (x + _I_PI), kernel._line_node, kernel._ray_node]
-    for (table, cap), build in zip(_NODE_TABLES, builds):
-        for node in range(1000, 1000 + cap - len(table)):
-            if build is None:  # kernel_weight keeps its own terms
-                kernel_weight(kp, complex(node, 1.0) if table is _COMPLEX_TERMS else float(node))
-            else:
-                table[float(node)] = build(float(node))
+    for node in range(1000, 1000 + _COMPLEX_TERMS_CAP - len(_COMPLEX_TERMS)):
+        kernel_weight(kp, complex(node, 1.0))
 
 
-def _clear_the_tables():
-    for table, _ in _NODE_TABLES:
-        table.clear()
+def _clear_the_table():
+    _COMPLEX_TERMS.clear()
 
 
 def _bits(result):
@@ -570,12 +564,12 @@ def _bits(result):
 
 @pytest.mark.parametrize("name", sorted(_CONTOURS))
 def test_a_run_does_not_depend_on_what_the_node_tables_hold(name):
-    _clear_the_tables()
+    _clear_the_table()
     cold = _bits(_contour_run(name))
     warm = _bits(_contour_run(name))
     _bisection_heavy_runs()
     _top_up_to_the_cap()
-    assert all(len(table) == cap for table, cap in _NODE_TABLES)
+    assert len(_COMPLEX_TERMS) == _COMPLEX_TERMS_CAP
     full = _bits(_contour_run(name))
     assert cold == warm == full
 
@@ -683,11 +677,21 @@ def test_kernel_weight_does_not_depend_on_what_its_tables_hold():
         return [key(kernel_weight(kp, x)) for kp in params for x in xs]
 
     expected = [key(_kernel_form(kp, x)) for kp in params for x in xs]
-    _clear_the_tables()
+    _clear_the_table()
     assert bits() == expected  # cold
     assert bits() == expected  # warm
     _top_up_to_the_cap()
-    assert bits() == expected  # each table cleared once on the way
+    assert bits() == expected  # the table cleared once on the way
+
+
+def test_kernel_weight_at_float_x_leaves_the_table_untouched():
+    _clear_the_table()
+    for a in (0.7, 3.0, 1 + 1j, 0.5j):
+        for x in (0.0, -0.0, 0.3, -4.0, 30.0, 800.0):
+            kernel_weight(KernelParams(a), x)
+    _contour_run("schwarz-axis")
+    _contour_run("non-schwarz-axis")
+    assert _COMPLEX_TERMS == {}
 
 
 def _opening_nodes():
@@ -700,16 +704,14 @@ def _opening_nodes():
     return nodes
 
 
-def test_node_tables_stay_within_their_caps_and_take_new_runs(monkeypatch):
-    _clear_the_tables()
+def test_the_node_table_stays_within_its_cap_and_takes_new_runs():
+    _clear_the_table()
     for result in _bisection_heavy_runs():
-        assert result.subdivisions == 2000 and result.evaluations > 10 * max(
-            cap for _, cap in _NODE_TABLES)
-    assert all(len(table) <= cap for table, cap in _NODE_TABLES)
+        assert result.subdivisions == 2000 and result.evaluations > 10 * _COMPLEX_TERMS_CAP
+    assert len(_COMPLEX_TERMS) <= _COMPLEX_TERMS_CAP
     _top_up_to_the_cap()
     run_case("gaussian")
-    assert set(_opening_nodes()) <= set(_LINE_NODES)
-    kept = []
-    monkeypatch.setattr(kernel, "_kept", lambda table, node, record: kept.append(node) or record)
+    assert {complex(y, -_LINE_SHIFT) for y in _opening_nodes()} <= set(_COMPLEX_TERMS)
+    kept = dict(_COMPLEX_TERMS)
     run_case("gaussian")
-    assert kept == []  # the repeat finds every node it needs, and its kernel terms
+    assert _COMPLEX_TERMS == kept  # the repeat finds the terms of every node it meets
