@@ -22,6 +22,7 @@ from .kernel import (
     KernelParams,
     TransformFunction,
     VerificationReport,
+    _LINE_SHIFT,
     _verify,
 )
 from .quadrature import QuadratureOptions
@@ -48,11 +49,13 @@ class CaseDefinition(Frozen):
     master integral of F at kernel parameter ``kernel_a`` (the case's own
     ``a`` when None), and its right side is ``scale`` times the master
     closed form.  A row without ``exponentials`` takes its left side on the
-    line ``Im x = -0.8`` instead of the real axis (``kernel.master_integral``),
-    so its parameter rules must keep F analytic and decaying in the strip
-    ``-0.8 <= Im x <= 0``.  ``exponentials``, if set, gives F as the terms
-    ``c e^{i beta k}``, pairs ``(c, beta)``, for the rays of
-    ``kernel.master_integral``.
+    line ``Im x = -c`` instead of the real axis (``kernel.master_integral``),
+    with c the row's ``line_depth``, capped below the kernel's poles, so its
+    parameter rules must keep F analytic and decaying in the strip
+    ``-c <= Im x <= 0``.  The depth is a cost choice only: 0.8 by default, and
+    1.0 for the rows whose F the deeper line makes cheaper.  ``exponentials``,
+    if set, gives F as the terms ``c e^{i beta k}``, pairs ``(c, beta)``, for
+    the rays of ``kernel.master_integral``.
     """
 
     case_id: str
@@ -63,6 +66,7 @@ class CaseDefinition(Frozen):
     scale: float = 0.5  # the half-line printed forms
     kernel_a: complex | None = None
     exponentials: Callable[[Params], tuple[tuple[complex, float], ...]] | None = None
+    line_depth: float = _LINE_SHIFT
 
 
 # --- parameter rules --------------------------------------------------------
@@ -209,6 +213,7 @@ _CASES = {
             constraints="a nonzero (real a > 0 canonical); b real > 0",
             notes="Transform exp(-b k^2).",
             transform=_gaussian,
+            line_depth=1.0,
         ),
         CaseDefinition(
             case_id="cosine",
@@ -224,7 +229,7 @@ _CASES = {
                 "(complex a experimental)"
             ),
             notes=(
-                "Transform cos(alpha k).  At 0.1 < |alpha| < 1/pi and |ln|a|| <= 6 "
+                "Transform cos(alpha k).  At 0.05 <= |alpha| < 1/pi and |ln|a|| <= 6 "
                 "the tail past 8 is on the rays 8 +/- iy, and truncation is the "
                 "contour parameter 8 + y.  For alpha*pi > 1 the integrand grows like "
                 "exp((alpha*pi-1)x) and the run ends with a divergence error "
@@ -250,6 +255,7 @@ _CASES = {
             transform=_gamma,
             scale=4.0 / math.pi,
             kernel_a=1.0,
+            line_depth=1.0,
         ),
         CaseDefinition(
             case_id="zeta",
@@ -266,6 +272,8 @@ _CASES = {
             transform=_zeta,
             scale=4.0 / math.pi,
             kernel_a=1.0,
+            # the n >= 1 rule keeps zeta's zeros out of the whole strip
+            line_depth=1.0,
         ),
     )
 }
@@ -317,5 +325,6 @@ def run_case(
     kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
     terms = case.exponentials(clean) if case.exponentials else ()
     return _verify(
-        case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes, terms
+        case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes,
+        terms, case.line_depth,
     )

@@ -16,11 +16,11 @@ The kernel is even and ``k(-x) = conj k(x)`` for ``k(x) = x^2 + i pi x``,
 so every identity is taken on one path: the half-line integral of
 ``(F(k) + F(conj k)) K``, which is ``2 Re F(k) K`` for Schwarz-symmetric F,
 times the scale of the printed form.  The catalog's rows and the seed
-identity fold the line ``Im x = -0.8`` the same way, since their F are
-analytic in the strip down to it, and the cosine row takes its tail on
-steepest-descent rays; a user's F stays on the real axis.  One function
-builds every verification report from that integral and the scaled closed
-form.
+identity fold a line ``Im x = -c`` the same way, c = 0.8 or the row's own
+depth, since their F are analytic in the strip down to it, and the cosine
+row takes its tail on steepest-descent rays; a user's F stays on the real
+axis.  One function builds every verification report from that integral
+and the scaled closed form.
 """
 
 from __future__ import annotations
@@ -74,18 +74,23 @@ _cexp = cmath.exp
 _cisfinite = cmath.isfinite
 
 #: Terms ``c e^{i beta k}`` take their tail on ``master_integral``'s rays when
-#: every ``|beta|`` is inside _RAY_BETA (below, the rays decay too slowly to pay;
-#: from 1/pi on, the real-axis integral diverges).  Any contour leaves the
-#: real axis only where ``|ln|a|| <= _RAY_LOG_A``, which keeps the kernel's
-#: poles, at ``Re x = +/- ln|a|``, 2 left of the rays, and a^2 far inside
-#: double range for the kernel at complex x.
-_RAY_BETA = (0.1, 1.0 / math.pi)
+#: every ``|beta|`` is in ``[lo, hi)`` of _RAY_BETA.  lo sits at the measured
+#: break-even for cos(beta k) at 11 values of a from 0.0025 to 300, complex
+#: ones too: at 0.05 the rays take 3240 evaluations against 3000 on the real
+#: axis (600, 240 and 195 against 480, 210 and 150 at a = 0.0025, 1 and 300),
+#: at 0.06 2625 against 3360, and at 0.1 2355 against 6420.  From 1/pi on, the
+#: real-axis integral diverges.  Any contour leaves the real axis only where
+#: ``|ln|a|| <= _RAY_LOG_A``, which keeps the kernel's poles, at
+#: ``Re x = +/- ln|a|``, 2 left of the rays, and a^2 far inside double range
+#: for the kernel at complex x.
+_RAY_BETA = (0.05, 1.0 / math.pi)
 _RAY_LOG_A = 6.0
 
 #: The catalog rows and the seed identity take their left side on the line
-#: ``Im x = -c`` with ``c = _LINE_SHIFT`` (``master_integral``'s ``terms=()``),
-#: at most _SHIFT_CAP of the way to the nearest kernel pole, which sits at
-#: ``Im x = |arg a| - pi/2`` for the root a with Re a > 0.
+#: ``Im x = -c`` (``master_integral``'s ``terms=()``), with c the row's depth,
+#: _LINE_SHIFT unless the row sets its own, and at most _SHIFT_CAP of the way
+#: to the nearest kernel pole, which sits at ``Im x = |arg a| - pi/2`` for the
+#: root a with Re a > 0.
 _LINE_SHIFT = 0.8
 _SHIFT_CAP = 0.75
 
@@ -365,6 +370,7 @@ def master_integral(
     opts: QuadratureOptions | None = None,
     scale: float = 1.0,
     terms: tuple[tuple[complex, float], ...] | None = None,
+    depth: float = _LINE_SHIFT,
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
@@ -379,9 +385,10 @@ def master_integral(
     lets a Schwarz-symmetric F leave it where ``|ln|a|| <= 6``, in one of
     two ways (Henrici, *Applied and Computational Complex Analysis* I, 1974):
 
-    * ``()`` takes the integral on the line ``x = y - ic``, with
-      c = 0.8 capped at 3/4 of the way to the nearest kernel pole, at
-      ``Im x = |arg a| - pi/2``.  ``k(-y - ic)`` is ``conj k(y - ic)`` and
+    * ``()`` takes the integral on the line ``x = y - ic``, with c the
+      ``depth``, 0.8 by default, capped at 3/4 of the way to the nearest
+      kernel pole, at ``Im x = |arg a| - pi/2``; the caller vouches for F
+      down to that depth.  ``k(-y - ic)`` is ``conj k(y - ic)`` and
       the kernel is even, so the half-line integrand in y is
       ``F(k) K(x) + conj F(k) K(conj x)``, which is ``2 Re F(k) K(x)`` for
       real a^2; truncation is the y reached.  On the line
@@ -389,7 +396,7 @@ def master_integral(
       ``|F|`` that the real axis sees shrink as c grows.
     * F's terms, pairs ``(c, beta)`` with F(k) the sum of
       ``c e^{i beta k}``, take the tail on steepest-descent rays when every
-      ``|beta|`` is in (0.1, 1/pi), and the real axis otherwise
+      ``|beta|`` is in [0.05, 1/pi), and the real axis otherwise
       (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006): the
       contour parameter s runs over [0, X] on the real axis, X = 8 being an
       edge of every window, then over both rays ``X +/- iy`` at height
@@ -406,7 +413,7 @@ def master_integral(
     if departs and not terms:
         arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
         # y - ic is complex(y, -c) bit for bit when c > 0, with no call
-        ic = complex(0.0, min(_LINE_SHIFT, _SHIFT_CAP * (0.5 * math.pi - arg_a)))
+        ic = complex(0.0, min(depth, _SHIFT_CAP * (0.5 * math.pi - arg_a)))
         if isinstance(params._a2, float):  # real a: K(conj x) = conj K(x)
             w = 2.0 * scale
 
@@ -430,7 +437,7 @@ def master_integral(
             return w * fn(x * (x + _I_PI)).real * weight(params, x)
 
         lo, hi = _RAY_BETA
-        if departs and all(lo < abs(beta) < hi for _, beta in terms):
+        if departs and all(lo <= abs(beta) < hi for _, beta in terms):
             head = f
             # F's terms pair up: those at X - iy conjugate those at X + iy
             up = [(scale * c, complex(0.0, beta)) for c, beta in terms if beta > 0]
@@ -481,6 +488,7 @@ def _verify(
     what: str = "master-identity integral",
     notes: str = "",
     terms: tuple[tuple[complex, float], ...] | None = None,
+    depth: float = _LINE_SHIFT,
 ) -> VerificationReport:
     """Compare ``scale`` times both sides of the master identity for F.
 
@@ -489,7 +497,7 @@ def _verify(
     DomainError: with it every comparison would fail, or pass unchecked.
     """
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
-    lhs = master_integral(F, params, opts, scale, terms)
+    lhs = master_integral(F, params, opts, scale, terms, depth)
     lhs_result = require_converged(lhs, what, opts)
     return VerificationReport.from_sides(
         case_name=name,

@@ -195,7 +195,12 @@ def reciprocal_gamma(z: complex) -> complex:
 # |Im z| growth of the alternating-series error bound.
 # ---------------------------------------------------------------------------
 
-_ETA_COEFF_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+_ETA_COEFF_CACHE: dict[int, tuple[float, ...]] = {}
+
+#: log 1 ... log _ETA_MAX_TERMS, read by both sums: the eta series takes at
+#: most that many terms, and the Dirichlet sum at most 28 (at Re s = 10).
+_ETA_MAX_TERMS = 160
+_LOGS = tuple(math.log(k) for k in range(1, _ETA_MAX_TERMS + 1))
 
 #: eta(s) and 1 - 2^(1-s) both vanish at s = 1 + i k _ETA_ZERO_STEP, k != 0;
 #: at _ETA_ZERO_RADIUS from there the series and the functional equation
@@ -203,12 +208,12 @@ _ETA_COEFF_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 _ETA_ZERO_STEP, _ETA_ZERO_RADIUS = 2.0 * math.pi / _LN2, 0.025
 
 
-def _eta_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _eta_coefficients(n: int) -> tuple[float, ...]:
     """Alternating-series acceleration weights.
 
-    Returns ``(c_k, log(k+1))`` for k = 0..n-1 with
-    c_k = (-1)^k (d_n - d_k)/d_n and d_k the standard Chebyshev-polynomial
-    integer weights.  Exact integer arithmetic avoids cancellation when
+    Returns ``c_k`` for k = 0..n-1 with c_k = (-1)^k (d_n - d_k)/d_n and
+    d_k the standard Chebyshev-polynomial integer weights; the series pairs
+    them with ``_LOGS``.  Exact integer arithmetic avoids cancellation when
     forming the ratios.
     """
     cached = _ETA_COEFF_CACHE.get(n)
@@ -228,12 +233,11 @@ def _eta_coefficients(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         (float(dn - d[k]) / float(dn)) * (1.0 if k % 2 == 0 else -1.0)
         for k in range(n)
     )
-    logs = tuple(math.log(k + 1) for k in range(n))
-    _ETA_COEFF_CACHE[n] = (coeffs, logs)
-    return coeffs, logs
+    _ETA_COEFF_CACHE[n] = coeffs
+    return coeffs
 
 
-def _eta_table(s: complex) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _eta_table(s: complex) -> tuple[float, ...]:
     """The acceleration weights for s: ``_eta_coefficients`` of its term count.
 
     Error of the accelerated series decays like (3+sqrt 8)^-n but carries a
@@ -249,17 +253,16 @@ def _eta_table(s: complex) -> tuple[tuple[float, ...], tuple[float, ...]]:
     if s.real < 0.5:
         n += 4
     # quantize so the coefficient cache gets reused
-    n = min(((n + 3) // 4) * 4, 160)
+    n = min(((n + 3) // 4) * 4, _ETA_MAX_TERMS)
     return _eta_coefficients(n)
 
 
 def _zeta_alternating(s: complex) -> complex:
     """eta(s) / (1 - 2^(1-s)) by the accelerated eta series, for Re s >= 0
     but next to its 0/0 points; accuracy degrades gracefully for Re s < 0."""
-    coeffs, logs = _eta_table(s)
     acc = 0j
     minus_s, exp = -s, cmath.exp
-    for c, ln_k in zip(coeffs, logs):
+    for c, ln_k in zip(_eta_table(s), _LOGS):
         acc += c * exp(minus_s * ln_k)
     # zeta = eta / (1 - 2^(1-s)), the divisor as -2 e^(h) sinh(h) with
     # h = (1-s) ln 2 / 2, which does not cancel near s = 1
@@ -273,8 +276,9 @@ def _zeta_dirichlet(s: complex) -> complex:
     # tail of sum_{k>N} k^-sigma is below N^(1-sigma)/(sigma-1)
     n_terms = max(2, math.ceil(math.exp((32.2 - math.log(sigma - 1.0)) / (sigma - 1.0))))
     acc = 1.0 + 0j
-    for k in range(2, n_terms + 1):
-        acc += cmath.exp(-s * math.log(k))
+    minus_s, exp = -s, cmath.exp
+    for ln_k in _LOGS[1:n_terms]:
+        acc += exp(minus_s * ln_k)
     return acc
 
 

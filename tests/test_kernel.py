@@ -637,6 +637,14 @@ def _spy_nodes(monkeypatch):
     return seen
 
 
+def _spy_weight(monkeypatch):
+    """Record the x of every kernel_weight call the next run makes."""
+    calls = []
+    weight = kernel.kernel_weight
+    monkeypatch.setattr(kernel, "kernel_weight", lambda kp, x: calls.append(x) or weight(kp, x))
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(_CONTOURS))
 def test_the_tabled_integrand_is_the_written_out_form_bit_for_bit(name, monkeypatch):
     seen = _spy_nodes(monkeypatch)
@@ -651,9 +659,7 @@ def test_the_tabled_integrand_is_the_written_out_form_bit_for_bit(name, monkeypa
 
 @pytest.mark.parametrize("name", sorted(_CONTOURS))
 def test_a_wrapper_on_kernel_weight_sees_every_node(name, monkeypatch):
-    calls = []
-    weight = kernel.kernel_weight
-    monkeypatch.setattr(kernel, "kernel_weight", lambda kp, x: calls.append(x) or weight(kp, x))
+    calls = _spy_weight(monkeypatch)
     seen = _spy_nodes(monkeypatch)
     _contour_run(name)
     # one kernel factor per node, two where K(conj x) is not conj K(x)
@@ -710,8 +716,51 @@ def test_the_node_table_stays_within_its_cap_and_takes_new_runs():
         assert result.subdivisions == 2000 and result.evaluations > 10 * _COMPLEX_TERMS_CAP
     assert len(_COMPLEX_TERMS) <= _COMPLEX_TERMS_CAP
     _top_up_to_the_cap()
-    run_case("gaussian")
-    assert {complex(y, -_LINE_SHIFT) for y in _opening_nodes()} <= set(_COMPLEX_TERMS)
+    run_case("gaussian")  # on its own line, at depth 1.0
+    assert {complex(y, -1.0) for y in _opening_nodes()} <= set(_COMPLEX_TERMS)
     kept = dict(_COMPLEX_TERMS)
     run_case("gaussian")
     assert _COMPLEX_TERMS == kept  # the repeat finds the terms of every node it meets
+
+
+# --- each row's contour: the ray band and the line depth --------------------
+
+@pytest.mark.parametrize("alpha,on_rays", [
+    (0.05, True), (-0.05, True), (0.1, True), (0.049, False), (-0.049, False),
+])
+def test_cosine_takes_the_rays_from_the_lower_edge_of_the_band(alpha, on_rays, monkeypatch):
+    calls = _spy_weight(monkeypatch)
+    rep = run_case("cosine", {"alpha": alpha, "a": 1.0})
+    assert rep.passed
+    evaluations = rep.diagnostics.evaluations
+    # a ray node takes K at x and at conj x; an axis node takes K once
+    if on_rays:
+        assert len(calls) > evaluations
+        assert any(isinstance(x, complex) and x.real == 8.0 for x in calls)
+    else:
+        assert len(calls) == evaluations
+        assert all(isinstance(x, float) for x in calls)
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("gaussian", 1.0), ("gamma", 1.0), ("zeta", 1.0),
+    ("rational", 0.8), ("bessel", 0.8), ("seed", 0.8),
+])
+def test_each_row_takes_its_line_at_its_depth(name, depth, monkeypatch):
+    calls = _spy_weight(monkeypatch)
+    rep = verify_seed(1.0, 1.0) if name == "seed" else run_case(name)
+    assert rep.passed
+    assert len(calls) == rep.diagnostics.evaluations
+    assert {x.imag for x in calls} == {-depth}
+
+
+def test_the_row_depth_keeps_its_cap_below_the_kernel_poles(monkeypatch):
+    calls = _spy_weight(monkeypatch)
+    a = 1 + 2j
+    cap = 0.75 * (0.5 * math.pi - cmath.phase(a))
+    assert cap == pytest.approx(0.348, abs=5e-4)
+    rep = run_case("gaussian", {"a": a})
+    assert rep.passed
+    # complex a^2: K is taken at x and at conj x
+    assert len(calls) == 2 * rep.diagnostics.evaluations
+    assert {x.imag for x in calls} == {-cap, cap}

@@ -23,7 +23,8 @@ from quadcheck import (
     reciprocal_gamma,
     zeta,
 )
-from quadcheck.numerics import _zeta_alternating
+from quadcheck import numerics
+from quadcheck.numerics import _zeta_alternating, _zeta_dirichlet
 
 mp.mp.dps = 30
 
@@ -349,6 +350,41 @@ def test_zeta_truncated_series_where_tail_is_tiny():
         assert tail_bound < 1e-11
         value = zeta(s)
         assert abs(value - partial) <= tail_bound + 1e-10 * abs(value), s
+
+
+def _dirichlet_with_a_log_per_term(s):
+    sigma = s.real
+    n_terms = max(2, math.ceil(math.exp((32.2 - math.log(sigma - 1.0)) / (sigma - 1.0))))
+    acc = 1.0 + 0j
+    for k in range(2, n_terms + 1):
+        acc += cmath.exp(-s * math.log(k))
+    return acc
+
+
+def _alternating_with_a_log_per_term(s):
+    acc = 0j
+    for k, c in enumerate(numerics._eta_table(s)):
+        acc += c * cmath.exp(-s * math.log(k + 1))
+    h = 0.5 * (1.0 - s) * math.log(2.0)
+    return acc / (-2.0 * cmath.exp(h) * cmath.sinh(h))
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_both_zeta_sums_read_the_log_table_bit_for_bit():
+    # the table holds the same logarithms, summed in the same order
+    rng = random.Random(25)
+    for _ in range(300):
+        s = complex(rng.uniform(10.0, 60.0), rng.uniform(-200.0, 200.0))
+        assert _bits(_zeta_dirichlet(s)) == _bits(_dirichlet_with_a_log_per_term(s)), s
+    strip = [complex(rng.uniform(0.0, 10.0), rng.uniform(-50.0, 50.0)) for _ in range(300)]
+    # past |Im s| of about 155 the series takes the table's last term, log 160
+    strip += [0.5 + 160j, 3.0 - 400j]
+    assert len(numerics._eta_table(strip[-1])) == len(numerics._LOGS) == 160
+    for s in strip:
+        assert _bits(_zeta_alternating(s)) == _bits(_alternating_with_a_log_per_term(s)), s
 
 
 def test_zeta_against_independent_implementation():

@@ -9,8 +9,9 @@ import math
 import mpmath as mp
 import pytest
 
-from quadcheck import run_case, verify_seed
+from quadcheck import KernelParams, TransformFunction, run_case, verify_seed
 from quadcheck.catalog import get_case
+from quadcheck.kernel import master_integral
 
 _DPS = 20
 _REL = 1e-9
@@ -220,3 +221,32 @@ def test_gamma_on_the_line_meets_its_estimate_against_mpmath(a, b):
     with mp.workdps(_DPS):
         exact = float(mp.rgamma(mp.mpf(a) + mp.mpf(b)))
     assert abs(rep.lhs - exact) <= rep.diagnostics.error_estimate, (rep.lhs, exact)
+
+
+# --- the rows' own depth, against the default line -------------------------
+#
+# Gaussian, gamma and zeta take their line at depth 1.0.  Moving the line
+# inside the strip where F and the kernel are analytic does not change the
+# integral, so each run must pass and agree with the same integral on the
+# line Im x = -0.8 within the two runs' estimates, and it is never dearer.
+
+_DEPTH_POINTS = (
+    [("gaussian", {"b": b}) for b in (0.05, 0.5, 2.0)]
+    + [("gamma", {"a": a, "b": b}) for a, b in ((0.0, 0.5), (2.0, 3.0), (3.0, -2.0), (7.0, -0.5))]
+    + [("zeta", {"n": n, "a": a}) for n in range(1, 5) for a in (0.3, 8.0, 90.0)]
+)
+
+
+@pytest.mark.parametrize("case_id,params", _DEPTH_POINTS)
+def test_the_row_depth_agrees_with_the_default_line(case_id, params):
+    case = get_case(case_id)
+    assert case.line_depth == 1.0
+    rep = run_case(case_id, params)
+    assert rep.passed
+    F = TransformFunction(case.transform(rep.params), schwarz_symmetric=True)
+    kp = KernelParams(rep.params["a"] if case.kernel_a is None else case.kernel_a)
+    default = master_integral(F, kp, None, case.scale, (), 0.8)
+    assert default.converged
+    estimates = rep.diagnostics.error_estimate + default.error_estimate
+    assert abs(rep.lhs - default.value) <= estimates, (rep.lhs, default.value)
+    assert rep.diagnostics.evaluations <= default.evaluations
