@@ -48,14 +48,17 @@ class CaseDefinition(Frozen):
     parameters; the case's left side is ``scale`` times the full-line
     master integral of F at kernel parameter ``kernel_a`` (the case's own
     ``a`` when None), and its right side is ``scale`` times the master
-    closed form.  A row without ``exponentials`` takes its left side on the
-    line ``Im x = -c`` instead of the real axis (``kernel.master_integral``),
-    with c the row's ``line_depth``, capped below the kernel's poles, so its
-    parameter rules must keep F analytic and decaying in the strip
-    ``-c <= Im x <= 0``.  The depth is a cost choice only: 0.8 by default, and
-    1.0 for the rows whose F the deeper line makes cheaper.  ``exponentials``,
-    if set, gives F as the terms ``c e^{i beta k}``, pairs ``(c, beta)``, for
-    the rays of ``kernel.master_integral``.
+    closed form.  Every row takes its left side on the line ``x = y - ic``
+    (``kernel.master_integral``), with c the row's ``line_depth`` capped
+    below the kernel's poles, and 0 where ``|ln|a|| > 6``, so its
+    parameter rules must keep F analytic
+    and decaying in the strip ``-c <= Im x <= 0``.  The depth is a cost
+    choice only: 0.8 by default, 1.0 for the rows whose F the deeper line
+    makes cheaper, and 0, the real axis, for cosine.  ``exponentials``, if
+    set, gives F as the terms ``c e^{i beta k}``, pairs ``(c, beta)``, for
+    the rays of ``kernel.master_integral``, which start on the axis.
+    ``truncation`` is the y reached on the line, and the contour parameter
+    s on the rays.
     """
 
     case_id: str
@@ -236,6 +239,7 @@ _CASES = {
                 "instead of a number."
             ),
             transform=_cosine,
+            line_depth=0.0,  # the head of the rays, and every run off them, is the axis
             exponentials=lambda p: ((0.5, p["alpha"].real), (0.5, -p["alpha"].real)),
         ),
         CaseDefinition(
@@ -326,5 +330,5 @@ def run_case(
     terms = case.exponentials(clean) if case.exponentials else ()
     return _verify(
         case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes,
-        terms, case.line_depth,
+        case.line_depth, terms,
     )

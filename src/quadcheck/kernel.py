@@ -12,15 +12,16 @@ The kernel is ``cosh x / (1 + 2 a^2 cosh 2x + a^4)``, which factors as
   ``pi exp(-t (pi^2/4 + ln^2 a)) / (4 a (1 + a^2))``, which is half the
   master identity for ``F(k) = exp(-t k)``.
 
-The kernel is even and ``k(-x) = conj k(x)`` for ``k(x) = x^2 + i pi x``,
-so every identity is taken on one path: the half-line integral of
-``(F(k) + F(conj k)) K``, which is ``2 Re F(k) K`` for Schwarz-symmetric F,
-times the scale of the printed form.  The catalog's rows and the seed
-identity fold a line ``Im x = -c`` the same way, c = 0.8 or the row's own
-depth, since their F are analytic in the strip down to it, and the cosine
-row takes its tail on steepest-descent rays; a user's F stays on the real
-axis.  One function builds every verification report from that integral
-and the scaled closed form.
+Every identity is taken on one contour, the line ``x = y - ic``, and c = 0
+is the real axis.  The kernel is even and ``k(-x) = conj k(x)`` for
+``k(x) = x^2 + i pi x``, so the line folds onto y >= 0 as the half-line
+integral of ``F(k) K(x) + F(conj k) K(conj x)``, which is
+``2 Re F(k) K(x)`` for Schwarz-symmetric F at real a^2, times the scale of
+the printed form.  The data sets c: the seed identity takes 0.8 and each
+catalog row its ``line_depth``, since their F are analytic in the strip
+down to it; the cosine row takes 0 and its tail on steepest-descent rays;
+a user's F takes 0.  One function builds every verification report from
+that integral and the scaled closed form.
 """
 
 from __future__ import annotations
@@ -86,11 +87,10 @@ _cisfinite = cmath.isfinite
 _RAY_BETA = (0.05, 1.0 / math.pi)
 _RAY_LOG_A = 6.0
 
-#: The catalog rows and the seed identity take their left side on the line
-#: ``Im x = -c`` (``master_integral``'s ``terms=()``), with c the row's depth,
-#: _LINE_SHIFT unless the row sets its own, and at most _SHIFT_CAP of the way
-#: to the nearest kernel pole, which sits at ``Im x = |arg a| - pi/2`` for the
-#: root a with Re a > 0.
+#: The seed identity takes its left side on the line ``Im x = -c`` with c
+#: _LINE_SHIFT, and each catalog row at its own depth, _LINE_SHIFT unless the
+#: row sets another; c is at most _SHIFT_CAP of the way to the nearest kernel
+#: pole, which sits at ``Im x = |arg a| - pi/2`` for the root a with Re a > 0.
 _LINE_SHIFT = 0.8
 _SHIFT_CAP = 0.75
 
@@ -135,7 +135,8 @@ class TransformFunction(Frozen):
     ``schwarz_symmetric`` asserts F(conj k) = conj F(k); that holds for
     Laplace images of real-valued functions and makes the full-line
     integrals real for real a.  It also selects how the folded integrand is
-    formed: ``2 Re F(k)`` when set, ``F(k) + F(conj k)`` otherwise.  A false
+    formed: from ``conj F(k)`` when set, from ``F(conj k)`` otherwise, and
+    only a set flag lets the contour leave the real axis.  A false
     assertion therefore makes the left side wrong and the verification
     fail; leave the flag unset when unsure.  The flag must be a ``bool``.
 
@@ -369,8 +370,8 @@ def master_integral(
     params: KernelParams,
     opts: QuadratureOptions | None = None,
     scale: float = 1.0,
-    terms: tuple[tuple[complex, float], ...] | None = None,
-    depth: float = _LINE_SHIFT,
+    depth: float = 0.0,
+    terms: tuple[tuple[complex, float], ...] = (),
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
@@ -380,27 +381,25 @@ def master_integral(
     inadmissible F raise DivergenceError, and convergence is left for the
     caller to check.
 
-    ``terms`` None keeps the real axis, for an F known only there.  Any
-    other value vouches that F is analytic and decays below the axis, and
-    lets a Schwarz-symmetric F leave it where ``|ln|a|| <= 6``, in one of
-    two ways (Henrici, *Applied and Computational Complex Analysis* I, 1974):
+    Every run is the line ``x = y - ic``, and c = 0 is the real axis
+    (Henrici, *Applied and Computational Complex Analysis* I, 1974).  c is
+    ``depth``, capped at 3/4 of the way to the nearest kernel pole, at
+    ``Im x = |arg a| - pi/2``; it is 0 where F is not Schwarz-symmetric or
+    ``|ln|a|| > 6``.  The default, 0, is for an F known only on the axis;
+    a positive depth vouches that F is analytic and decays down to it.
+    ``k(-y - ic)`` is ``conj k(y - ic)`` and the kernel is even, so the
+    half-line integrand in y is ``F(k) K(x) + F(conj k) K(conj x)``, which
+    is ``2 Re F(k) K(x)`` for a Schwarz F at real a^2; truncation is the y
+    reached.  On the line ``k = y^2 + c(pi - c) + iy(pi - 2c)``: the chirp
+    and the hump of ``|F|`` that the axis sees shrink as c grows.
 
-    * ``()`` takes the integral on the line ``x = y - ic``, with c the
-      ``depth``, 0.8 by default, capped at 3/4 of the way to the nearest
-      kernel pole, at ``Im x = |arg a| - pi/2``; the caller vouches for F
-      down to that depth.  ``k(-y - ic)`` is ``conj k(y - ic)`` and
-      the kernel is even, so the half-line integrand in y is
-      ``F(k) K(x) + conj F(k) K(conj x)``, which is ``2 Re F(k) K(x)`` for
-      real a^2; truncation is the y reached.  On the line
-      ``k = y^2 + c(pi - c) + iy(pi - 2c)``: the chirp and the hump of
-      ``|F|`` that the real axis sees shrink as c grows.
-    * F's terms, pairs ``(c, beta)`` with F(k) the sum of
-      ``c e^{i beta k}``, take the tail on steepest-descent rays when every
-      ``|beta|`` is in [0.05, 1/pi), and the real axis otherwise
-      (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006): the
-      contour parameter s runs over [0, X] on the real axis, X = 8 being an
-      edge of every window, then over both rays ``X +/- iy`` at height
-      ``y = s - X``, and truncation is the last window's right edge in s.
+    ``terms``, pairs ``(c, beta)`` with a Schwarz F(k) the sum of
+    ``c e^{i beta k}``, take the tail on steepest-descent rays when every
+    ``|beta|`` is in [0.05, 1/pi) and ``|ln|a|| <= 6`` (Huybrechs and
+    Vandewalle, SIAM J. Numer. Anal. 44, 2006): the contour parameter s
+    runs over [0, X] on the line at c = 0, X = 8 being an edge of every
+    window, then over both rays ``X +/- iy`` at height ``y = s - X``, and
+    truncation is the last window's right edge in s.
     """
     _operands(F, params)
     _norm_factor(params.a)
@@ -409,56 +408,47 @@ def master_integral(
     fn = F.fn  # the quadrature's own check rejects non-finite values
     # looked up now, not at import: a wrapper put on the module still sees every node
     weight = kernel_weight
-    departs = terms is not None and F.schwarz_symmetric and abs(params.log_a().real) <= _RAY_LOG_A
-    if departs and not terms:
+    schwarz = F.schwarz_symmetric
+    departs = schwarz and abs(params.log_a().real) <= _RAY_LOG_A
+    lo, hi = _RAY_BETA
+    rays = departs and terms and all(lo <= abs(beta) < hi for _, beta in terms)
+    ic = 0.0  # on the axis x stays a float, for kernel_weight's float branch
+    if depth and departs and not rays:
         arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
         # y - ic is complex(y, -c) bit for bit when c > 0, with no call
         ic = complex(0.0, min(depth, _SHIFT_CAP * (0.5 * math.pi - arg_a)))
-        if isinstance(params._a2, float):  # real a: K(conj x) = conj K(x)
-            w = 2.0 * scale
-
-            def f(y: float) -> complex:
-                x = y - ic
-                return w * (fn(x * (x + _I_PI)) * weight(params, x)).real
-
-        else:
-
-            def f(y: float) -> complex:
-                x = y - ic
-                g = fn(x * (x + _I_PI))
-                return scale * (
-                    g * weight(params, x) + g.conjugate() * weight(params, x.conjugate())
-                )
-
-    elif F.schwarz_symmetric:
+    if schwarz and isinstance(params._a2, float):  # real a^2: K(conj x) = conj K(x)
         w = 2.0 * scale
 
-        def f(x: float) -> complex:
-            return w * fn(x * (x + _I_PI)).real * weight(params, x)
-
-        lo, hi = _RAY_BETA
-        if departs and all(lo <= abs(beta) < hi for _, beta in terms):
-            head = f
-            # F's terms pair up: those at X - iy conjugate those at X + iy
-            up = [(scale * c, complex(0.0, beta)) for c, beta in terms if beta > 0]
-
-            def f(s: float) -> complex:
-                if s < _RAY_START:
-                    return head(s)
-                x = complex(_RAY_START, s - _RAY_START)
-                k, k_neg = x * (x + _I_PI), x * (x - _I_PI)
-                t = 0j
-                for c, i_beta in up:
-                    t += c * (_cexp(i_beta * k) + _cexp(i_beta * k_neg))
-                return 1j * (
-                    t * weight(params, x) - t.conjugate() * weight(params, x.conjugate())
-                )
+        def f(y: float) -> complex:
+            x = y - ic
+            return w * (fn(x * (x + _I_PI)) * weight(params, x)).real
 
     else:
 
-        def f(x: float) -> complex:
+        def f(y: float) -> complex:
+            x = y - ic
             k = x * (x + _I_PI)
-            return scale * (fn(k) + fn(k.conjugate())) * weight(params, x)
+            g = fn(k)
+            h = g.conjugate() if schwarz else fn(k.conjugate())
+            return scale * (g * weight(params, x) + h * weight(params, x.conjugate()))
+
+    if rays:
+        head = f
+        # F's terms pair up: those at X - iy conjugate those at X + iy
+        up = [(scale * c, complex(0.0, beta)) for c, beta in terms if beta > 0]
+
+        def f(s: float) -> complex:
+            if s < _RAY_START:
+                return head(s)
+            x = complex(_RAY_START, s - _RAY_START)
+            k, k_neg = x * (x + _I_PI), x * (x - _I_PI)
+            t = 0j
+            for c, i_beta in up:
+                t += c * (_cexp(i_beta * k) + _cexp(i_beta * k_neg))
+            return 1j * (
+                t * weight(params, x) - t.conjugate() * weight(params, x.conjugate())
+            )
 
     return integrate_half_line(f, opts)
 
@@ -487,8 +477,8 @@ def _verify(
     scale: float = 1.0,
     what: str = "master-identity integral",
     notes: str = "",
-    terms: tuple[tuple[complex, float], ...] | None = None,
-    depth: float = _LINE_SHIFT,
+    depth: float = 0.0,
+    terms: tuple[tuple[complex, float], ...] = (),
 ) -> VerificationReport:
     """Compare ``scale`` times both sides of the master identity for F.
 
@@ -497,7 +487,7 @@ def _verify(
     DomainError: with it every comparison would fail, or pass unchecked.
     """
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
-    lhs = master_integral(F, params, opts, scale, terms, depth)
+    lhs = master_integral(F, params, opts, scale, depth, terms)
     lhs_result = require_converged(lhs, what, opts)
     return VerificationReport.from_sides(
         case_name=name,
@@ -554,8 +544,8 @@ def seed_lhs(
     params: KernelParams, t: float, opts: QuadratureOptions | None = None
 ) -> QuadratureResult:
     """Half-line integral side of the seed identity (real a > 0 only),
-    taken on the line Im x = -0.8 (``master_integral``'s ``terms=()``)."""
-    return master_integral(_seed(params, t), params, opts, _SEED_SCALE, ())
+    taken on the line Im x = -0.8."""
+    return master_integral(_seed(params, t), params, opts, _SEED_SCALE, _LINE_SHIFT)
 
 
 def verify_seed(
@@ -570,5 +560,5 @@ def verify_seed(
     record = {"a": params.a, "t": complex(t)}
     return _verify(
         "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral",
-        terms=(),
+        depth=_LINE_SHIFT,
     )

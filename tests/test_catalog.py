@@ -711,7 +711,7 @@ def test_far_out_in_ln_a_the_rows_keep_the_real_axis():
 
 def test_the_seed_takes_the_same_line():
     F = TransformFunction(lambda k: cmath.exp(-k), schwarz_symmetric=True)
-    on_line = master_integral(F, KernelParams(1.0), scale=0.5, terms=())
+    on_line = master_integral(F, KernelParams(1.0), scale=0.5, depth=0.8)
     assert verify_seed(1.0, 1.0).diagnostics == on_line
     # the truncation is the y reached along the line
     assert on_line.truncation_used == 12.0
@@ -721,7 +721,7 @@ def test_the_shift_needs_the_schwarz_flag():
     # F(conj k) = conj F(k) is what folds the line onto y >= 0
     F = TransformFunction(lambda k: 1.0 / (k + 2.0))
     params = KernelParams(0.7)
-    assert master_integral(F, params, terms=()) == master_integral(F, params)
+    assert master_integral(F, params, depth=0.8) == master_integral(F, params)
 
 
 def _on_the_real_axis(case_id, params):

@@ -147,14 +147,15 @@ def test_transform_undefined_on_the_contour_exits_3(capsys, F):
     assert "integrand fails at x = 0.25" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("F, a, message", [
+@pytest.mark.parametrize("F, a, code, message", [
     # the integral's modulus is beyond double range: never converged
-    ("1e307*(1+i)", "0.1", "did not converge"),
-    # no symmetry sample is usable, and F(k) + F(conj k) overflows at a node
-    ("1.5e308*(1+i)", "1", "integrand fails at x = 0.25"),
+    ("1e307*(1+i)", "0.1", 3, "did not converge"),
+    # no symmetry sample is usable; the fold F(k) K(x) + F(conj k) K(conj x)
+    # stays in range at every node, and pi F(k0) / (2 a (1 + a^2)) does not
+    ("1.5e308*(1+i)", "1", 2, "the closed form must be a finite number"),
 ])
-def test_transform_whose_modulus_overflows_exits_3(capsys, F, a, message):
-    assert main(["custom", "--F", F, "--a", a]) == 3
+def test_transform_whose_modulus_overflows_is_a_typed_failure(capsys, F, a, code, message):
+    assert main(["custom", "--F", F, "--a", a]) == code
     err = capsys.readouterr().err
     assert message in err and "OverflowError" not in err
 

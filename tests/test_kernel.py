@@ -519,30 +519,37 @@ _I_PI = complex(0.0, math.pi)
 _RATIONAL = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
 _COSINE_TERMS = ((0.5, 0.2), (0.5, -0.2))
 
-#: One run per contour master_integral takes: (F, a, scale, terms).  The
-#: lines and the rays read kernel_weight's terms from the node table; the
-#: axis computes them.
+#: One run per contour master_integral takes: (F, a, scale, depth, terms).
+#: The lines and the rays read kernel_weight's terms from the node table;
+#: the axis, the line at depth 0, computes them.
 _CONTOURS = {
-    "real-a-line": (_RATIONAL, 0.7, 1.0, ()),
-    "complex-a-line": (_RATIONAL, 1 + 0.1j, 1.0, ()),
-    "capped-complex-a-line": (_RATIONAL, 1 + 2j, 1.0, ()),
-    "schwarz-axis": (_RATIONAL, 0.7, 0.5, None),
-    "non-schwarz-axis": (TransformFunction(lambda k: 1.0 / (k + 2.0 + 0.5j)), 0.7, 1.0, None),
+    "real-a-line": (_RATIONAL, 0.7, 1.0, _LINE_SHIFT, ()),
+    "complex-a-line": (_RATIONAL, 1 + 0.1j, 1.0, _LINE_SHIFT, ()),
+    "capped-complex-a-line": (_RATIONAL, 1 + 2j, 1.0, _LINE_SHIFT, ()),
+    "schwarz-axis": (_RATIONAL, 0.7, 0.5, 0.0, ()),
+    # the scale is applied after the product with the kernel
+    "scaled-schwarz-axis": (_RATIONAL, 0.7, 4.0 / math.pi, 0.0, ()),
+    # cosine below the ray band at the row's a: F K(x) + conj F K(conj x)
+    "complex-a-axis": (TransformFunction(lambda k: cmath.cos(0.04 * k), schwarz_symmetric=True),
+                       1 + 2j, 0.5, 0.0, ((0.5, 0.04), (0.5, -0.04))),
+    # F without the Schwarz flag stays on the axis at any depth
+    "non-schwarz-axis": (TransformFunction(lambda k: 1.0 / (k + 2.0 + 0.5j)), 0.7, 1.0,
+                         _LINE_SHIFT, ()),
     "rays": (TransformFunction(lambda k: cmath.cos(0.2 * k), schwarz_symmetric=True), 1.0, 1.0,
-             _COSINE_TERMS),
+             0.0, _COSINE_TERMS),
 }
 
 
 def _contour_run(name):
-    F, a, scale, terms = _CONTOURS[name]
-    return master_integral(F, KernelParams(a), None, scale, terms)
+    F, a, scale, depth, terms = _CONTOURS[name]
+    return master_integral(F, KernelParams(a), None, scale, depth, terms)
 
 
 def _bisection_heavy_runs():
     """Runs that spend the whole subdivision budget, each on more distinct
     nodes than the table's cap: a sawtooth F on the real axis and the line."""
     saw = TransformFunction(lambda k: (7.0 * k.real) % 1.0, schwarz_symmetric=True)
-    return [master_integral(saw, KernelParams(0.7), None, 1.0, terms) for terms in (None, ())]
+    return [master_integral(saw, KernelParams(0.7), None, 1.0, depth) for depth in (0.0, 0.8)]
 
 
 def _top_up_to_the_cap():
@@ -583,33 +590,25 @@ def _kernel_form(kp, x):
 
 def _written_out_form(name):
     """Each contour's integrand written out at every node, with no table."""
-    F, a, scale, terms = _CONTOURS[name]
-    kp, fn = KernelParams(a), F.fn
-    if terms == ():
-        c = min(_LINE_SHIFT, 0.75 * (0.5 * math.pi - abs(cmath.phase(kp.a))))
+    F, a, scale, depth, terms = _CONTOURS[name]
+    kp, fn, schwarz = KernelParams(a), F.fn, F.schwarz_symmetric
+    c = min(depth, 0.75 * (0.5 * math.pi - abs(cmath.phase(kp.a)))) if schwarz else 0.0
 
-        def f(y):
-            x = complex(y, -c)
-            g = fn(x * (x + _I_PI))
-            if isinstance(kp._a2, float):
-                return 2.0 * scale * (g * _kernel_form(kp, x)).real
-            return scale * (g * _kernel_form(kp, x)
-                            + g.conjugate() * _kernel_form(kp, x.conjugate()))
-
-        return f
-
-    def axis(x):
+    def line(y):
+        x = complex(y, -c) if c else y
         k = x * (x + _I_PI)
-        if F.schwarz_symmetric:
-            return 2.0 * scale * fn(k).real * _kernel_form(kp, x)
-        return scale * (fn(k) + fn(k.conjugate())) * _kernel_form(kp, x)
+        g = fn(k)
+        if schwarz and isinstance(kp._a2, float):
+            return 2.0 * scale * (g * _kernel_form(kp, x)).real
+        h = g.conjugate() if schwarz else fn(k.conjugate())
+        return scale * (g * _kernel_form(kp, x) + h * _kernel_form(kp, x.conjugate()))
 
-    if terms is None:
-        return axis
+    if not terms or not all(0.05 <= abs(beta) < 1 / math.pi for _, beta in terms):
+        return line
 
     def rays(s):
         if s < 8.0:
-            return axis(s)
+            return line(s)
         x = complex(8.0, s - 8.0)
         k, k_neg = x * (x + _I_PI), x * (x - _I_PI)
         t = 0j
@@ -662,8 +661,9 @@ def test_a_wrapper_on_kernel_weight_sees_every_node(name, monkeypatch):
     calls = _spy_weight(monkeypatch)
     seen = _spy_nodes(monkeypatch)
     _contour_run(name)
-    # one kernel factor per node, two where K(conj x) is not conj K(x)
-    twice = name in ("complex-a-line", "capped-complex-a-line")
+    # one kernel factor per node, two where the fold is not 2 Re F(k) K(x)
+    twice = name in ("complex-a-line", "capped-complex-a-line", "complex-a-axis",
+                     "non-schwarz-axis")
     factors = [2 if twice or name == "rays" and s >= 8.0 else 1 for s, _ in seen]
     assert len(calls) == sum(factors)
 
@@ -695,8 +695,8 @@ def test_kernel_weight_at_float_x_leaves_the_table_untouched():
     for a in (0.7, 3.0, 1 + 1j, 0.5j):
         for x in (0.0, -0.0, 0.3, -4.0, 30.0, 800.0):
             kernel_weight(KernelParams(a), x)
-    _contour_run("schwarz-axis")
-    _contour_run("non-schwarz-axis")
+    for name in ("schwarz-axis", "scaled-schwarz-axis", "complex-a-axis", "non-schwarz-axis"):
+        _contour_run(name)
     assert _COMPLEX_TERMS == {}
 
 

@@ -4,12 +4,13 @@ functions, so neither the package's quadrature nor its gamma and zeta
 enter the reference value.
 """
 
+import cmath
 import math
 
 import mpmath as mp
 import pytest
 
-from quadcheck import KernelParams, TransformFunction, run_case, verify_seed
+from quadcheck import KernelParams, TransformFunction, run_case, verify_master, verify_seed
 from quadcheck.catalog import get_case
 from quadcheck.kernel import master_integral
 
@@ -121,6 +122,32 @@ def test_lhs_matches_mpmath_quad_of_the_folded_integrand(case_id, params):
         rep = run_case(case_id, params)
     expected = _oracle(case_id, params)
     assert abs(rep.lhs - expected) <= _REL * abs(expected), (rep.lhs, expected)
+
+
+# --- the general fold, for F without the Schwarz symmetry -------------------
+#
+# The catalog's rows are all Schwarz-symmetric.  An F that is not folds as
+# F(k) K(x) + F(conj k) K(conj x) on the axis, so the oracle here is the
+# unfolded full-line integral of F(x^2 + i pi x) K(x).
+
+
+@pytest.mark.parametrize("a", [0.7, 1 + 0.5j, 3 - 1j])
+def test_the_general_fold_matches_mpmath_quad_of_the_full_line(a):
+    F = TransformFunction(lambda k: 1 / (k + 2) + 0.5j * cmath.exp(-k))
+    rep = verify_master(F, KernelParams(a))
+    assert rep.passed and rep.experimental
+    with mp.workdps(_DPS):
+        a2 = mp.mpc(a) ** 2
+
+        def f(x):
+            k = mp.mpc(x * x, mp.pi * x)
+            K = mp.cosh(x) / (1 + 2 * a2 * mp.cosh(2 * x) + a2 * a2)
+            return (1 / (k + 2) + 0.5j * mp.exp(-k)) * K
+
+        expected = complex(mp.quad(f, [-b for b in reversed(_BREAKS)] + _BREAKS[1:]))
+    miss = abs(rep.lhs - expected)
+    assert miss <= rep.diagnostics.error_estimate, (rep.lhs, expected)
+    assert miss <= _REL * abs(expected), (rep.lhs, expected)
 
 
 # --- cosine up to alpha pi < 1, on the steepest-descent rays ----------------
@@ -245,7 +272,7 @@ def test_the_row_depth_agrees_with_the_default_line(case_id, params):
     assert rep.passed
     F = TransformFunction(case.transform(rep.params), schwarz_symmetric=True)
     kp = KernelParams(rep.params["a"] if case.kernel_a is None else case.kernel_a)
-    default = master_integral(F, kp, None, case.scale, (), 0.8)
+    default = master_integral(F, kp, None, case.scale, 0.8)
     assert default.converged
     estimates = rep.diagnostics.error_estimate + default.error_estimate
     assert abs(rep.lhs - default.value) <= estimates, (rep.lhs, default.value)
