@@ -48,17 +48,15 @@ class CaseDefinition(Frozen):
     parameters; the case's left side is ``scale`` times the full-line
     master integral of F at kernel parameter ``kernel_a`` (the case's own
     ``a`` when None), and its right side is ``scale`` times the master
-    closed form.  Every row takes its left side on the line ``x = y - ic``
-    (``kernel.master_integral``), with c the row's ``line_depth`` capped
-    below the kernel's poles, and 0 where ``|ln|a|| > 6``, so its
-    parameter rules must keep F analytic
-    and decaying in the strip ``-c <= Im x <= 0``.  The depth is a cost
-    choice only: 0.8 by default, 1.0 for the rows whose F the deeper line
-    makes cheaper, and 0, the real axis, for cosine.  ``exponentials``, if
-    set, gives F as the terms ``c e^{i beta k}``, pairs ``(c, beta)``, for
-    the rays of ``kernel.master_integral``, which start on the axis.
-    ``truncation`` is the y reached on the line, and the contour parameter
-    s on the rays.
+    closed form.  ``contour`` is ``kernel.master_integral``'s: a float, the
+    depth c of the line ``x = y - ic`` capped below the kernel's poles and
+    0 where ``|ln|a|| > 6``, so the parameter rules must keep F analytic
+    and decaying in the strip ``-c <= Im x <= 0``; or, as for cosine, a
+    callable of the checked parameters that gives F's terms
+    ``c e^{i beta k}``, pairs ``(c, beta)``, whose tail may take the rays.
+    The depth is a cost choice only: 0.8 by default, 1.0 for the rows whose
+    F the deeper line makes cheaper.  ``truncation`` is the y reached on
+    the line, and the contour parameter s on the rays.
     """
 
     case_id: str
@@ -68,8 +66,7 @@ class CaseDefinition(Frozen):
     transform: Callable[[Params], Transform]
     scale: float = 0.5  # the half-line printed forms
     kernel_a: complex | None = None
-    exponentials: Callable[[Params], tuple[tuple[complex, float], ...]] | None = None
-    line_depth: float = _LINE_SHIFT
+    contour: float | Callable[[Params], tuple[tuple[complex, float], ...]] = _LINE_SHIFT
 
 
 # --- parameter rules --------------------------------------------------------
@@ -216,7 +213,7 @@ _CASES = {
             constraints="a nonzero (real a > 0 canonical); b real > 0",
             notes="Transform exp(-b k^2).",
             transform=_gaussian,
-            line_depth=1.0,
+            contour=1.0,
         ),
         CaseDefinition(
             case_id="cosine",
@@ -239,8 +236,8 @@ _CASES = {
                 "instead of a number."
             ),
             transform=_cosine,
-            line_depth=0.0,  # the head of the rays, and every run off them, is the axis
-            exponentials=lambda p: ((0.5, p["alpha"].real), (0.5, -p["alpha"].real)),
+            # the head of the rays, and every run off them, is the axis
+            contour=lambda p: ((0.5, p["alpha"].real), (0.5, -p["alpha"].real)),
         ),
         CaseDefinition(
             case_id="gamma",
@@ -259,7 +256,7 @@ _CASES = {
             transform=_gamma,
             scale=4.0 / math.pi,
             kernel_a=1.0,
-            line_depth=1.0,
+            contour=1.0,
         ),
         CaseDefinition(
             case_id="zeta",
@@ -277,7 +274,7 @@ _CASES = {
             scale=4.0 / math.pi,
             kernel_a=1.0,
             # the n >= 1 rule keeps zeta's zeros out of the whole strip
-            line_depth=1.0,
+            contour=1.0,
         ),
     )
 }
@@ -327,8 +324,6 @@ def run_case(
         clean[name] = rule(name, complex_(what, given.get(name, default), ParameterError))
     F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
     kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
-    terms = case.exponentials(clean) if case.exponentials else ()
-    return _verify(
-        case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}", case.notes,
-        case.line_depth, terms,
-    )
+    contour = case.contour(clean) if callable(case.contour) else case.contour
+    return _verify(case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}",
+                   case.notes, contour)

@@ -17,11 +17,11 @@ is the real axis.  The kernel is even and ``k(-x) = conj k(x)`` for
 ``k(x) = x^2 + i pi x``, so the line folds onto y >= 0 as the half-line
 integral of ``F(k) K(x) + F(conj k) K(conj x)``, which is
 ``2 Re F(k) K(x)`` for Schwarz-symmetric F at real a^2, times the scale of
-the printed form.  The data sets c: the seed identity takes 0.8 and each
-catalog row its ``line_depth``, since their F are analytic in the strip
-down to it; the cosine row takes 0 and its tail on steepest-descent rays;
-a user's F takes 0.  One function builds every verification report from
-that integral and the scaled closed form.
+the printed form.  One argument names the contour: a depth c, which
+vouches that F is analytic and decays down to it, or F's exponential
+terms, whose tail may take steepest-descent rays.  The seed identity takes
+0.8, each catalog row its own, and a user's F 0.  One function builds
+every verification report from that integral and the scaled closed form.
 """
 
 from __future__ import annotations
@@ -134,11 +134,11 @@ class TransformFunction(Frozen):
 
     ``schwarz_symmetric`` asserts F(conj k) = conj F(k); that holds for
     Laplace images of real-valued functions and makes the full-line
-    integrals real for real a.  It also selects how the folded integrand is
-    formed: from ``conj F(k)`` when set, from ``F(conj k)`` otherwise, and
-    only a set flag lets the contour leave the real axis.  A false
-    assertion therefore makes the left side wrong and the verification
-    fail; leave the flag unset when unsure.  The flag must be a ``bool``.
+    integrals real for real a.  It selects the folded integrand, not the
+    contour: ``conj F(k)`` when set, ``F(conj k)`` otherwise, and
+    ``2 Re F(k) K(x)`` when set at real a^2.  A false assertion therefore
+    makes the left side wrong and the verification fail; leave the flag
+    unset when unsure.  The flag must be a ``bool``.
 
     Calling the transform returns ``fn(k)`` as a finite complex; a value
     that is not a finite number raises DomainError.
@@ -357,7 +357,10 @@ def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
     ln_a = cmath.log(a)
     k0 = math.pi * math.pi / 4.0 + ln_a * ln_a
     try:
-        value = math.pi * F(k0) / (2.0 * _norm_factor(a))
+        f0, d = F(k0), 2.0 * _norm_factor(a)
+        value = math.pi * f0 / d
+        if not _cisfinite(value):  # pi F(k0) past double range: a quarter, then back
+            value = 4.0 * (math.pi * (0.25 * f0) / d)
     except QuadcheckError:
         raise
     except FAILURES as exc:
@@ -370,8 +373,7 @@ def master_integral(
     params: KernelParams,
     opts: QuadratureOptions | None = None,
     scale: float = 1.0,
-    depth: float = 0.0,
-    terms: tuple[tuple[complex, float], ...] = (),
+    contour: float | tuple[tuple[complex, float], ...] = 0.0,
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
@@ -381,25 +383,27 @@ def master_integral(
     inadmissible F raise DivergenceError, and convergence is left for the
     caller to check.
 
-    Every run is the line ``x = y - ic``, and c = 0 is the real axis
-    (Henrici, *Applied and Computational Complex Analysis* I, 1974).  c is
-    ``depth``, capped at 3/4 of the way to the nearest kernel pole, at
-    ``Im x = |arg a| - pi/2``; it is 0 where F is not Schwarz-symmetric or
-    ``|ln|a|| > 6``.  The default, 0, is for an F known only on the axis;
-    a positive depth vouches that F is analytic and decays down to it.
-    ``k(-y - ic)`` is ``conj k(y - ic)`` and the kernel is even, so the
-    half-line integrand in y is ``F(k) K(x) + F(conj k) K(conj x)``, which
-    is ``2 Re F(k) K(x)`` for a Schwarz F at real a^2; truncation is the y
-    reached.  On the line ``k = y^2 + c(pi - c) + iy(pi - 2c)``: the chirp
-    and the hump of ``|F|`` that the axis sees shrink as c grows.
+    The value does not depend on where the contour runs inside the strip
+    where F and the kernel are analytic (Henrici, *Applied and
+    Computational Complex Analysis* I, 1974), so ``contour`` and a alone
+    choose it.  A float is the depth c of the line ``x = y - ic``: 0, the
+    default, is the real axis, and a positive depth vouches that F is
+    analytic and decays down to it.  c is capped at 3/4 of the way to the
+    nearest kernel pole, at ``Im x = |arg a| - pi/2``, and is 0 where
+    ``|ln|a|| > 6``.  ``k(-y - ic)`` is ``conj k(y - ic)`` and the kernel
+    is even, so the half-line integrand in y is
+    ``F(k) K(x) + F(conj k) K(conj x)`` for any F, and ``2 Re F(k) K(x)``
+    for a Schwarz F at real a^2; truncation is the y reached.  On the line
+    ``k = y^2 + c(pi - c) + iy(pi - 2c)`` the chirp and the hump of ``|F|``
+    that the axis sees shrink as c grows.
 
-    ``terms``, pairs ``(c, beta)`` with a Schwarz F(k) the sum of
-    ``c e^{i beta k}``, take the tail on steepest-descent rays when every
-    ``|beta|`` is in [0.05, 1/pi) and ``|ln|a|| <= 6`` (Huybrechs and
-    Vandewalle, SIAM J. Numer. Anal. 44, 2006): the contour parameter s
-    runs over [0, X] on the line at c = 0, X = 8 being an edge of every
-    window, then over both rays ``X +/- iy`` at height ``y = s - X``, and
-    truncation is the last window's right edge in s.
+    A tuple of pairs ``(c, beta)``, with F(k) the Schwarz sum of
+    ``c e^{i beta k}``, never takes the line: where every ``|beta|`` is in
+    [0.05, 1/pi) and ``|ln|a|| <= 6`` (Huybrechs and Vandewalle, SIAM J.
+    Numer. Anal. 44, 2006) s runs over [0, X] on the axis, X = 8 being an
+    edge of every window, then over the steepest-descent rays ``X +/- iy``
+    at ``y = s - X``, and truncation is the last window's right edge in s;
+    elsewhere the run is on the axis.
     """
     _operands(F, params)
     _norm_factor(params.a)
@@ -409,14 +413,15 @@ def master_integral(
     # looked up now, not at import: a wrapper put on the module still sees every node
     weight = kernel_weight
     schwarz = F.schwarz_symmetric
-    departs = schwarz and abs(params.log_a().real) <= _RAY_LOG_A
+    near = abs(params.log_a().real) <= _RAY_LOG_A
+    terms = contour if isinstance(contour, tuple) else ()
     lo, hi = _RAY_BETA
-    rays = departs and terms and all(lo <= abs(beta) < hi for _, beta in terms)
+    rays = near and terms and all(lo <= abs(beta) < hi for _, beta in terms)
     ic = 0.0  # on the axis x stays a float, for kernel_weight's float branch
-    if depth and departs and not rays:
+    if near and contour and not terms:
         arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
         # y - ic is complex(y, -c) bit for bit when c > 0, with no call
-        ic = complex(0.0, min(depth, _SHIFT_CAP * (0.5 * math.pi - arg_a)))
+        ic = complex(0.0, min(contour, _SHIFT_CAP * (0.5 * math.pi - arg_a)))
     if schwarz and isinstance(params._a2, float):  # real a^2: K(conj x) = conj K(x)
         w = 2.0 * scale
 
@@ -431,7 +436,8 @@ def master_integral(
             k = x * (x + _I_PI)
             g = fn(k)
             h = g.conjugate() if schwarz else fn(k.conjugate())
-            return scale * (g * weight(params, x) + h * weight(params, x.conjugate()))
+            w = weight(params, x)  # on the axis x is conj x
+            return scale * (g * w + h * (weight(params, x.conjugate()) if ic else w))
 
     if rays:
         head = f
@@ -477,8 +483,7 @@ def _verify(
     scale: float = 1.0,
     what: str = "master-identity integral",
     notes: str = "",
-    depth: float = 0.0,
-    terms: tuple[tuple[complex, float], ...] = (),
+    contour: float | tuple[tuple[complex, float], ...] = 0.0,
 ) -> VerificationReport:
     """Compare ``scale`` times both sides of the master identity for F.
 
@@ -487,7 +492,7 @@ def _verify(
     DomainError: with it every comparison would fail, or pass unchecked.
     """
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
-    lhs = master_integral(F, params, opts, scale, depth, terms)
+    lhs = master_integral(F, params, opts, scale, contour)
     lhs_result = require_converged(lhs, what, opts)
     return VerificationReport.from_sides(
         case_name=name,
@@ -560,5 +565,5 @@ def verify_seed(
     record = {"a": params.a, "t": complex(t)}
     return _verify(
         "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral",
-        depth=_LINE_SHIFT,
+        contour=_LINE_SHIFT,
     )

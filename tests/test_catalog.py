@@ -38,6 +38,7 @@ from quadcheck import (
 )
 import quadcheck.catalog
 import quadcheck.numerics
+from quadcheck import kernel
 from quadcheck._frozen import replace
 from quadcheck.catalog import _ZETA_FIRST_ZERO, CATALOG_ORDER, get_case
 from quadcheck.kernel import DEFAULT_TOLERANCE, _verify, master_integral
@@ -711,17 +712,27 @@ def test_far_out_in_ln_a_the_rows_keep_the_real_axis():
 
 def test_the_seed_takes_the_same_line():
     F = TransformFunction(lambda k: cmath.exp(-k), schwarz_symmetric=True)
-    on_line = master_integral(F, KernelParams(1.0), scale=0.5, depth=0.8)
+    on_line = master_integral(F, KernelParams(1.0), scale=0.5, contour=0.8)
     assert verify_seed(1.0, 1.0).diagnostics == on_line
     # the truncation is the y reached along the line
     assert on_line.truncation_used == 12.0
 
 
-def test_the_shift_needs_the_schwarz_flag():
-    # F(conj k) = conj F(k) is what folds the line onto y >= 0
+def test_the_line_does_not_need_the_schwarz_flag(monkeypatch):
+    # F(k) K(x) + F(conj k) K(conj x) folds the line onto y >= 0 for any F
     F = TransformFunction(lambda k: 1.0 / (k + 2.0))
     params = KernelParams(0.7)
-    assert master_integral(F, params, depth=0.8) == master_integral(F, params)
+    calls = []
+    weight = kernel.kernel_weight
+    monkeypatch.setattr(kernel, "kernel_weight", lambda kp, x: calls.append(x) or weight(kp, x))
+    line = master_integral(F, params, contour=0.8)
+    monkeypatch.undo()
+    axis = master_integral(F, params)
+    assert line.converged and axis.converged
+    # K at each node x = y - 0.8i, then at conj x
+    assert len(calls) == 2 * line.evaluations
+    assert [x.imag for x in calls[::2]] == [-0.8] * line.evaluations
+    assert abs(line.value - axis.value) <= line.error_estimate + axis.error_estimate
 
 
 def _on_the_real_axis(case_id, params):

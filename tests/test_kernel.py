@@ -34,6 +34,7 @@ from quadcheck import (
     verify_seed,
 )
 from quadcheck import kernel
+from quadcheck.catalog import list_cases
 from quadcheck.cli import _SEED_GRID_A, _SEED_GRID_T
 from quadcheck.kernel import (
     _COMPLEX_TERMS,
@@ -330,6 +331,28 @@ def test_master_rhs_cosine_transform_complex_a():
     assert abs(master_rhs(F, KernelParams(1 + 2j)) - expected) < 1e-15
 
 
+def test_master_rhs_past_double_range_in_pi_F_alone_is_rescaled():
+    # pi F(k0) overflows; a quarter of F(k0), then 4 times the quotient, is
+    # the same form scaled by powers of two, so no bit moves
+    F = TransformFunction(lambda k: complex(1.5e308, 1.5e308))
+    assert master_rhs(F, KernelParams(1.0)) == complex(1.1780972450961725e308,
+                                                       1.1780972450961725e308)
+    # wherever pi F(k0) / (2 a (1 + a^2)) is finite, its bits stand
+    forms = [(TransformFunction(lambda k: cmath.exp(-k)), KernelParams(1.0))]
+    for case in list_cases():
+        clean = {name: rule(name, default) for name, (default, rule) in case.params.items()}
+        kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
+        forms.append((TransformFunction(case.transform(clean)), kp))
+    for F, kp in forms:
+        a = kp.a
+        ln_a = cmath.log(a)
+        k0 = math.pi * math.pi / 4.0 + ln_a * ln_a
+        expected = math.pi * F(k0) / (2.0 * (a * (1.0 + a * a)))
+        value = master_rhs(F, kp)
+        assert (value.real.hex(), value.imag.hex()) == (
+            expected.real.hex(), expected.imag.hex()), kp
+
+
 def test_master_lhs_rational():
     F = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
     r = master_lhs(F, KernelParams(0.7))
@@ -519,30 +542,33 @@ _I_PI = complex(0.0, math.pi)
 _RATIONAL = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
 _COSINE_TERMS = ((0.5, 0.2), (0.5, -0.2))
 
-#: One run per contour master_integral takes: (F, a, scale, depth, terms).
+_NON_SCHWARZ = TransformFunction(lambda k: 1.0 / (k + 2.0 + 0.5j))
+
+#: One run per contour master_integral takes: (F, a, scale, contour).
 #: The lines and the rays read kernel_weight's terms from the node table;
 #: the axis, the line at depth 0, computes them.
 _CONTOURS = {
-    "real-a-line": (_RATIONAL, 0.7, 1.0, _LINE_SHIFT, ()),
-    "complex-a-line": (_RATIONAL, 1 + 0.1j, 1.0, _LINE_SHIFT, ()),
-    "capped-complex-a-line": (_RATIONAL, 1 + 2j, 1.0, _LINE_SHIFT, ()),
-    "schwarz-axis": (_RATIONAL, 0.7, 0.5, 0.0, ()),
+    "real-a-line": (_RATIONAL, 0.7, 1.0, _LINE_SHIFT),
+    "complex-a-line": (_RATIONAL, 1 + 0.1j, 1.0, _LINE_SHIFT),
+    "capped-complex-a-line": (_RATIONAL, 1 + 2j, 1.0, _LINE_SHIFT),
+    "schwarz-axis": (_RATIONAL, 0.7, 0.5, 0.0),
     # the scale is applied after the product with the kernel
-    "scaled-schwarz-axis": (_RATIONAL, 0.7, 4.0 / math.pi, 0.0, ()),
+    "scaled-schwarz-axis": (_RATIONAL, 0.7, 4.0 / math.pi, 0.0),
     # cosine below the ray band at the row's a: F K(x) + conj F K(conj x)
     "complex-a-axis": (TransformFunction(lambda k: cmath.cos(0.04 * k), schwarz_symmetric=True),
-                       1 + 2j, 0.5, 0.0, ((0.5, 0.04), (0.5, -0.04))),
-    # F without the Schwarz flag stays on the axis at any depth
-    "non-schwarz-axis": (TransformFunction(lambda k: 1.0 / (k + 2.0 + 0.5j)), 0.7, 1.0,
-                         _LINE_SHIFT, ()),
+                       1 + 2j, 0.5, ((0.5, 0.04), (0.5, -0.04))),
+    # F without the Schwarz flag: F(k) K(x) + F(conj k) K(conj x), on the
+    # axis at depth 0 and on the line at a positive depth
+    "non-schwarz-axis": (_NON_SCHWARZ, 0.7, 1.0, 0.0),
+    "non-schwarz-line": (_NON_SCHWARZ, 0.7, 1.0, _LINE_SHIFT),
     "rays": (TransformFunction(lambda k: cmath.cos(0.2 * k), schwarz_symmetric=True), 1.0, 1.0,
-             0.0, _COSINE_TERMS),
+             _COSINE_TERMS),
 }
 
 
 def _contour_run(name):
-    F, a, scale, depth, terms = _CONTOURS[name]
-    return master_integral(F, KernelParams(a), None, scale, depth, terms)
+    F, a, scale, contour = _CONTOURS[name]
+    return master_integral(F, KernelParams(a), None, scale, contour)
 
 
 def _bisection_heavy_runs():
@@ -590,9 +616,10 @@ def _kernel_form(kp, x):
 
 def _written_out_form(name):
     """Each contour's integrand written out at every node, with no table."""
-    F, a, scale, depth, terms = _CONTOURS[name]
+    F, a, scale, contour = _CONTOURS[name]
     kp, fn, schwarz = KernelParams(a), F.fn, F.schwarz_symmetric
-    c = min(depth, 0.75 * (0.5 * math.pi - abs(cmath.phase(kp.a)))) if schwarz else 0.0
+    terms = contour if isinstance(contour, tuple) else ()
+    c = 0.0 if terms else min(contour, 0.75 * (0.5 * math.pi - abs(cmath.phase(kp.a))))
 
     def line(y):
         x = complex(y, -c) if c else y
@@ -662,8 +689,8 @@ def test_a_wrapper_on_kernel_weight_sees_every_node(name, monkeypatch):
     seen = _spy_nodes(monkeypatch)
     _contour_run(name)
     # one kernel factor per node, two where the fold is not 2 Re F(k) K(x)
-    twice = name in ("complex-a-line", "capped-complex-a-line", "complex-a-axis",
-                     "non-schwarz-axis")
+    # off the axis: on it x is conj x
+    twice = name in ("complex-a-line", "capped-complex-a-line", "non-schwarz-line")
     factors = [2 if twice or name == "rays" and s >= 8.0 else 1 for s, _ in seen]
     assert len(calls) == sum(factors)
 
@@ -764,3 +791,11 @@ def test_the_row_depth_keeps_its_cap_below_the_kernel_poles(monkeypatch):
     # complex a^2: K is taken at x and at conj x
     assert len(calls) == 2 * rep.diagnostics.evaluations
     assert {x.imag for x in calls} == {-cap, cap}
+
+
+def test_a_terms_contour_never_takes_the_line():
+    # past the ray band F's terms keep the axis, where cos(0.35 k) grows
+    # like exp((0.35 pi - 1) x); no depth can come with them
+    F = TransformFunction(lambda k: cmath.cos(0.35 * k), schwarz_symmetric=True)
+    with pytest.raises(DivergenceError):
+        master_integral(F, KernelParams(1.0), contour=((0.5, 0.35), (0.5, -0.35)))

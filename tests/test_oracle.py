@@ -127,8 +127,9 @@ def test_lhs_matches_mpmath_quad_of_the_folded_integrand(case_id, params):
 # --- the general fold, for F without the Schwarz symmetry -------------------
 #
 # The catalog's rows are all Schwarz-symmetric.  An F that is not folds as
-# F(k) K(x) + F(conj k) K(conj x) on the axis, so the oracle here is the
-# unfolded full-line integral of F(x^2 + i pi x) K(x).
+# F(k) K(x) + F(conj k) K(conj x) on the axis and on the line at depth 0.8,
+# so the oracle here is the unfolded full-line integral of
+# F(x^2 + i pi x) K(x) on the real axis.
 
 
 @pytest.mark.parametrize("a", [0.7, 1 + 0.5j, 3 - 1j])
@@ -136,6 +137,8 @@ def test_the_general_fold_matches_mpmath_quad_of_the_full_line(a):
     F = TransformFunction(lambda k: 1 / (k + 2) + 0.5j * cmath.exp(-k))
     rep = verify_master(F, KernelParams(a))
     assert rep.passed and rep.experimental
+    line = master_integral(F, KernelParams(a), contour=0.8)
+    assert line.converged
     with mp.workdps(_DPS):
         a2 = mp.mpc(a) ** 2
 
@@ -148,6 +151,9 @@ def test_the_general_fold_matches_mpmath_quad_of_the_full_line(a):
     miss = abs(rep.lhs - expected)
     assert miss <= rep.diagnostics.error_estimate, (rep.lhs, expected)
     assert miss <= _REL * abs(expected), (rep.lhs, expected)
+    miss = abs(line.value - expected)
+    assert miss <= line.error_estimate, (line.value, expected)
+    assert miss <= _REL * abs(expected), (line.value, expected)
 
 
 # --- cosine up to alpha pi < 1, on the steepest-descent rays ----------------
@@ -267,7 +273,7 @@ _DEPTH_POINTS = (
 @pytest.mark.parametrize("case_id,params", _DEPTH_POINTS)
 def test_the_row_depth_agrees_with_the_default_line(case_id, params):
     case = get_case(case_id)
-    assert case.line_depth == 1.0
+    assert case.contour == 1.0
     rep = run_case(case_id, params)
     assert rep.passed
     F = TransformFunction(case.transform(rep.params), schwarz_symmetric=True)

@@ -40,8 +40,8 @@ VALUES = [
      ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, False, "n"),
      ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, True, "n")),
     (CaseDefinition,
-     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, None, None, 0.8),
-     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, None, None, 0.8)),
+     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, None, 0.8),
+     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, None, 0.8)),
     (Number, (2.0,), (3.0,)),
     (Constant, ("pi",), ("e",)),
     (Variable, ("k",), ("x",)),
