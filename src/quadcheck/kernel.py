@@ -189,50 +189,41 @@ def detect_schwarz_symmetry(fn: Callable[[complex], complex]) -> bool:
 
 
 class VerificationReport(Frozen):
-    """Both sides of an identity, their difference, and a pass flag."""
+    """Both sides of an identity, and the verdict on their difference.
+
+    A report stores the facts of a run.  ``lhs``, the value of
+    ``diagnostics``, and ``abs_diff``, ``rel_diff`` and ``passed`` are
+    computed from them at each read, so a report cannot contradict itself.
+    ``rel_diff`` divides by ``|rhs|`` floored at REL_DIFF_FLOOR, and past
+    double range compares the quarters of both sides.  A run passes when
+    either difference is below the tolerance.
+    """
 
     case_name: str
     params: Mapping[str, complex]
-    lhs: complex
     rhs: complex
-    abs_diff: float
-    rel_diff: float
     tolerance: float
-    passed: bool
     diagnostics: QuadratureResult
     experimental: bool = False
     notes: str = ""
 
-    @classmethod
-    def from_sides(
-        cls,
-        case_name: str,
-        params: Mapping[str, complex],
-        lhs: complex,
-        rhs: complex,
-        tolerance: float,
-        diagnostics: QuadratureResult,
-        experimental: bool = False,
-        notes: str = "",
-    ) -> "VerificationReport":
-        abs_diff, size = modulus(lhs - rhs), modulus(rhs)
-        # past double range, the ratio of the quarters, whose moduli stay in range
-        rel_diff = (abs_diff / max(size, REL_DIFF_FLOOR) if size < math.inf
-                    else modulus(0.25 * lhs - 0.25 * rhs) / modulus(0.25 * rhs))
-        passed = rel_diff < tolerance or abs_diff < tolerance
-        return cls(
-            case_name=case_name,
-            params=dict(params),
-            lhs=lhs,
-            rhs=rhs,
-            abs_diff=abs_diff,
-            rel_diff=rel_diff,
-            tolerance=tolerance,
-            passed=passed,
-            diagnostics=diagnostics,
-            experimental=experimental,
-            notes=notes,
-        )
+    @property
+    def lhs(self) -> complex:
+        return self.diagnostics.value
+
+    @property
+    def abs_diff(self) -> float:
+        return modulus(self.lhs - self.rhs)
+
+    @property
+    def rel_diff(self) -> float:
+        size = modulus(self.rhs)
+        return (self.abs_diff / max(size, REL_DIFF_FLOOR) if size < math.inf
+                else modulus(0.25 * self.lhs - 0.25 * self.rhs) / modulus(0.25 * self.rhs))
+
+    @property
+    def passed(self) -> bool:
+        return self.rel_diff < self.tolerance or self.abs_diff < self.tolerance
 
 
 #: ``i pi``: ``k = x^2 + i pi x`` is taken as ``x (x + i pi)``, whose one complex
@@ -368,6 +359,21 @@ def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
     return complex_("the closed form must be a finite number", value)
 
 
+def _contour(contour) -> tuple[float, tuple[tuple[complex, float], ...]]:
+    """The depth and the terms ``contour`` names, or DomainError."""
+    what = "contour must be a finite depth >= 0 or a non-empty tuple of pairs (c, real beta)"
+    if not isinstance(contour, tuple):
+        depth = real(what, contour)
+        if depth >= 0.0:  # -0.0 too: the axis
+            return depth, ()
+    elif contour and all(isinstance(term, tuple) and len(term) == 2 for term in contour):
+        for c, beta in contour:
+            complex_(what, c)
+            real(what, beta)
+        return 0.0, contour
+    raise DomainError(f"{what}, got {contour!r}")
+
+
 def master_integral(
     F: TransformFunction,
     params: KernelParams,
@@ -377,11 +383,11 @@ def master_integral(
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
-    The scale is applied inside the integrand, so the function integrated
-    is the scaled one.  a = +/- i and Re a = 0, which puts a kernel pole
-    on the real axis, raise DomainError before any quadrature,
-    inadmissible F raise DivergenceError, and convergence is left for the
-    caller to check.
+    The scale, a finite real, is applied inside the integrand, so the
+    function integrated is the scaled one.  A contour of neither form
+    below, a = +/- i and Re a = 0, which puts a kernel pole on the real
+    axis, raise DomainError before any quadrature, inadmissible F raise
+    DivergenceError, and convergence is left for the caller to check.
 
     The value does not depend on where the contour runs inside the strip
     where F and the kernel are analytic (Henrici, *Applied and
@@ -406,6 +412,8 @@ def master_integral(
     elsewhere the run is on the axis.
     """
     _operands(F, params)
+    scale = real("scale must be a finite number", scale)
+    depth, terms = _contour(contour)
     _norm_factor(params.a)
     if params.a.real == 0:
         raise DomainError(f"Re a = 0 puts a kernel pole on the real axis: a = {params.a!r}")
@@ -414,14 +422,13 @@ def master_integral(
     weight = kernel_weight
     schwarz = F.schwarz_symmetric
     near = abs(params.log_a().real) <= _RAY_LOG_A
-    terms = contour if isinstance(contour, tuple) else ()
     lo, hi = _RAY_BETA
     rays = near and terms and all(lo <= abs(beta) < hi for _, beta in terms)
     ic = 0.0  # on the axis x stays a float, for kernel_weight's float branch
-    if near and contour and not terms:
+    if near and depth:
         arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
         # y - ic is complex(y, -c) bit for bit when c > 0, with no call
-        ic = complex(0.0, min(contour, _SHIFT_CAP * (0.5 * math.pi - arg_a)))
+        ic = complex(0.0, min(depth, _SHIFT_CAP * (0.5 * math.pi - arg_a)))
     if schwarz and isinstance(params._a2, float):  # real a^2: K(conj x) = conj K(x)
         w = 2.0 * scale
 
@@ -492,18 +499,10 @@ def _verify(
     DomainError: with it every comparison would fail, or pass unchecked.
     """
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
-    lhs = master_integral(F, params, opts, scale, contour)
-    lhs_result = require_converged(lhs, what, opts)
-    return VerificationReport.from_sides(
-        case_name=name,
-        params=record,
-        lhs=lhs_result.value,
-        rhs=scale * master_rhs(F, params),
-        tolerance=tolerance,
-        diagnostics=lhs_result,
-        experimental=not (params.is_real_positive and F.schwarz_symmetric),
-        notes=notes,
-    )
+    diagnostics = require_converged(master_integral(F, params, opts, scale, contour), what, opts)
+    experimental = not (params.is_real_positive and F.schwarz_symmetric)
+    return VerificationReport(name, dict(record), scale * master_rhs(F, params), tolerance,
+                              diagnostics, experimental, notes)
 
 
 def verify_master(

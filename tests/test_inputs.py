@@ -28,6 +28,7 @@ from quadcheck import (
     PoleError,
     UnknownCaseError,
 )
+from quadcheck.kernel import master_integral
 
 _CORPUS = [
     ("text", "x"),
@@ -113,6 +114,8 @@ _ENTRY_POINTS = {
     "evaluate bindings": lambda v: qc.evaluate(qc.parse("k"), {"k": v}),
     "kernel_weight x": lambda v: qc.kernel_weight(_A, v),
     "kernel_weight params": lambda v: qc.kernel_weight(v, 1.0),
+    "master_integral contour": lambda v: master_integral(_F, _A, contour=v),
+    "master_integral scale": lambda v: master_integral(_F, _A, scale=v),
 }
 
 _CELLS = [
@@ -286,6 +289,30 @@ _OBJECTS = {
     "evaluate bindings mapping list": (
         lambda: qc.evaluate(qc.parse("k"), [("k", 1.0)]), DomainError
     ),
+    # a contour is a depth >= 0 or a non-empty tuple of pairs (c, beta) of
+    # finite numbers with beta real, checked before any quadrature
+    "master_integral contour terms list": (
+        lambda: master_integral(_F, _A, contour=[(0.5, 0.2), (0.5, -0.2)]), DomainError
+    ),
+    "master_integral contour one-element term": (
+        lambda: master_integral(_F, _A, contour=((0.5,),)), DomainError
+    ),
+    "master_integral contour flat pair": (
+        lambda: master_integral(_F, _A, contour=(0.5, 0.2)), DomainError
+    ),
+    "master_integral contour no terms": (lambda: master_integral(_F, _A, contour=()), DomainError),
+    "master_integral contour negative depth": (
+        lambda: master_integral(_F, _A, contour=-0.5), DomainError
+    ),
+    "master_integral contour complex beta": (
+        lambda: master_integral(_F, _A, contour=((0.5, 0.2j), (0.5, -0.2j))), DomainError
+    ),
+    "master_integral contour nan c": (
+        lambda: master_integral(_F, _A, contour=((math.nan, 0.2), (0.5, -0.2))), DomainError
+    ),
+    "master_integral contour text c": (
+        lambda: master_integral(_F, _A, contour=(("0.5", 0.2), (0.5, -0.2))), DomainError
+    ),
 }
 
 
@@ -294,3 +321,9 @@ def test_wrong_typed_object_argument_is_a_typed_refusal(entry):
     call, error = _OBJECTS[entry]
     with pytest.raises(error):
         call()
+
+
+def test_a_depth_of_zero_of_either_sign_is_the_axis():
+    axis = master_integral(_F, _A)
+    assert master_integral(_F, _A, contour=-0.0) == axis
+    assert master_integral(_F, _A, contour=0) == axis

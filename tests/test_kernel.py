@@ -500,18 +500,88 @@ def test_transform_function_schwarz_invariant_holds_when_flagged():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def _report(lhs, rhs, tolerance=1e-8):
+    """A report whose left side is the value of a synthetic quadrature result."""
+    diag = QuadratureResult(lhs, 1e-15, 15, 10.0, True)
+    return VerificationReport("synthetic", {}, rhs, tolerance, diag)
+
+
 def test_report_pass_uses_or_of_relative_and_absolute():
-    diag = seed_lhs(KernelParams(1.0), 1.0)
     # rhs exactly zero: relative diff saturates, absolute criterion decides
-    rep = VerificationReport.from_sides(
-        "synthetic", {}, lhs=1e-12 + 0j, rhs=0j, tolerance=1e-8, diagnostics=diag
-    )
+    rep = _report(1e-12 + 0j, 0j)
+    assert rep.lhs == 1e-12 + 0j
     assert rep.passed
     assert rep.rel_diff > 1.0
-    rep2 = VerificationReport.from_sides(
-        "synthetic", {}, lhs=1.0 + 0j, rhs=0j, tolerance=1e-8, diagnostics=diag
-    )
+    assert rep.abs_diff == 1e-12
+    rep2 = _report(1.0 + 0j, 0j)
     assert not rep2.passed
+    assert (rep2.abs_diff, rep2.rel_diff) == (1.0, 1.0 / REL_DIFF_FLOOR)
+
+
+def test_report_past_double_range_compares_the_quarters():
+    # |rhs| is beyond double range though its parts are finite: abs_diff is
+    # huge, and rel_diff is the ratio of the quarters of both sides, not
+    # abs_diff / inf = 0, so a relative miss of 1e-6 fails
+    rhs = complex(1.5e308, 1.5e308)
+    close = _report(complex(1.5e308 * (1 + 1e-10), 1.5e308), rhs)
+    far = _report(complex(1.5e308 * (1 + 1e-6), 1.5e308), rhs)
+    for rep, relative in ((close, 1e-10), (far, 1e-6)):
+        assert rep.abs_diff > 1e290
+        assert rep.rel_diff == pytest.approx(relative / math.sqrt(2.0), rel=1e-6)
+    assert close.passed
+    assert not far.passed
+
+
+#: The verdict of the default runs, bit for bit: (case, abs_diff.hex(),
+#: rel_diff.hex(), passed) for each catalog row at its defaults ...
+_DEFAULT_VERDICTS = [
+    ("rational", "0x0.0p+0", "0x0.0p+0", True),
+    ("bessel", "0x0.0p+0", "0x0.0p+0", True),
+    ("gaussian", "0x1.e000000000000p-55", "0x1.37821375069b3p-49", True),
+    ("cosine", "0x1.04760c95db310p-56", "0x1.9f3282d7d261ep-53", True),
+    ("gamma", "0x0.0p+0", "0x0.0p+0", True),
+    ("zeta", "0x1.0000000000000p-56", "0x1.894f8eba5764dp-53", True),
+]
+
+#: ... and (a, t, abs_diff.hex(), rel_diff.hex(), passed) on kernel-check's grid.
+_GRID_VERDICTS = [
+    (0.3, 0.2, "0x1.0000000000000p-52", "0x1.d29b073008fe1p-53", True),
+    (0.3, 0.65, "0x0.0p+0", "0x0.0p+0", True),
+    (0.3, 1.1, "0x1.0000000000000p-57", "0x1.ef38ab60878bbp-53", True),
+    (0.3, 1.55, "0x1.0000000000000p-60", "0x1.68c09629f9ff7p-53", True),
+    (0.3, 2.0, "0x1.0000000000000p-63", "0x1.06cbc98c54f55p-53", True),
+    (0.975, 0.2, "0x0.0p+0", "0x0.0p+0", True),
+    (0.975, 0.65, "0x1.0000000000000p-56", "0x1.816e18c3578e0p-53", True),
+    (0.975, 1.1, "0x1.0000000000000p-56", "0x1.2490738412240p-51", True),
+    (0.975, 1.55, "0x1.0000000000000p-57", "0x1.bc25b0ce728dfp-51", True),
+    (0.975, 2.0, "0x1.8000000000000p-60", "0x1.f9b37b9ab87b7p-52", True),
+    (1.65, 0.2, "0x0.0p+0", "0x0.0p+0", True),
+    (1.65, 0.65, "0x1.0000000000000p-57", "0x1.6e21989642a41p-52", True),
+    (1.65, 1.1, "0x1.0000000000000p-58", "0x1.3706b451cc67dp-51", True),
+    (1.65, 1.55, "0x1.8000000000000p-61", "0x1.8c527b83831bfp-52", True),
+    (1.65, 2.0, "0x1.4000000000000p-61", "0x1.188f9eec83358p-50", True),
+    (2.325, 0.2, "0x0.0p+0", "0x0.0p+0", True),
+    (2.325, 0.65, "0x0.0p+0", "0x0.0p+0", True),
+    (2.325, 1.1, "0x1.0000000000000p-62", "0x1.39182e05997c9p-53", True),
+    (2.325, 1.55, "0x1.0000000000000p-63", "0x1.474d011c96878p-52", True),
+    (2.325, 2.0, "0x1.0000000000000p-66", "0x1.5626d89e9d167p-53", True),
+    (3.0, 0.2, "0x0.0p+0", "0x0.0p+0", True),
+    (3.0, 0.65, "0x1.0000000000000p-61", "0x1.a02b0c2fe0322p-53", True),
+    (3.0, 1.1, "0x0.0p+0", "0x0.0p+0", True),
+    (3.0, 1.55, "0x1.4000000000000p-64", "0x1.bbd120a73ed22p-51", True),
+    (3.0, 2.0, "0x1.8000000000000p-66", "0x1.5bd7aab282b3cp-50", True),
+]
+
+
+def _verdict(rep):
+    return rep.abs_diff.hex(), rep.rel_diff.hex(), rep.passed
+
+
+def test_default_verdicts_are_pinned_bit_for_bit():
+    rows = [case.case_id for case in list_cases()]
+    assert [(c, *_verdict(run_case(c))) for c in rows] == _DEFAULT_VERDICTS
+    grid = [(a, t) for a in _SEED_GRID_A for t in _SEED_GRID_T]
+    assert [(a, t, *_verdict(verify_seed(a, t))) for a, t in grid] == _GRID_VERDICTS
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1.0, math.inf, "x", "1e-8", None, 1e-8j])

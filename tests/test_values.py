@@ -18,6 +18,7 @@ from quadcheck import (
     integrate_half_line,
     integrate_real_line,
 )
+from quadcheck._frozen import replace
 from quadcheck.catalog import get_case
 from quadcheck.expr import Binary, Call, Constant, Negate, Number, Variable, _Token
 
@@ -37,8 +38,8 @@ VALUES = [
     (KernelParams, (0.7 + 0j,), (0.8 + 0j,)),
     (TransformFunction, (_reciprocal, True, "r"), (_reciprocal, True, "s")),
     (VerificationReport,
-     ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, False, "n"),
-     ("case", {"a": 1 + 0j}, 1 + 0j, 1 + 0j, 0.0, 0.0, 1e-8, True, _RESULT, True, "n")),
+     ("case", {"a": 1 + 0j}, 1 + 0j, 1e-8, _RESULT, False, "n"),
+     ("case", {"a": 1 + 0j}, 1 + 0j, 1e-8, _RESULT, True, "n")),
     (CaseDefinition,
      ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, None, 0.8),
      ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, None, 0.8)),
@@ -144,10 +145,42 @@ def test_defaults():
     assert r.l1_norm == 0.0 and r.roundoff_limited is False
     t = TransformFunction(_reciprocal)
     assert t.schwarz_symmetric is False and t.name == ""
-    rep = VerificationReport("c", {}, 0j, 0j, 0.0, 0.0, 1e-8, True, r)
+    rep = VerificationReport("c", {}, 0j, 1e-8, r)
     assert rep.experimental is False and rep.notes == ""
     case = CaseDefinition("id", _RATIONAL.params, "c", "n", _RATIONAL.transform)
     assert case.scale == 0.5 and case.kernel_a is None
+
+
+_DERIVED = ("lhs", "abs_diff", "rel_diff", "passed")
+
+
+def test_report_stores_its_facts_and_derives_the_verdict():
+    rep = VerificationReport("c", {}, 1 + 2.5j, 1e-8, _RESULT)
+    assert len(VerificationReport.__match_args__) == 7
+    assert not set(_DERIVED) & set(VerificationReport.__match_args__)
+    assert (rep.lhs, rep.abs_diff, rep.rel_diff, rep.passed) == (
+        _RESULT.value, 0.5, 0.5 / abs(1 + 2.5j), False
+    )
+
+
+@pytest.mark.parametrize("name", _DERIVED)
+def test_report_verdict_is_read_only(name):
+    rep = VerificationReport("c", {}, 1 + 2j, 1e-8, _RESULT)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        VerificationReport("c", {}, 1 + 2j, 1e-8, _RESULT, **{name: getattr(rep, name)})
+    with pytest.raises(AttributeError):
+        setattr(rep, name, getattr(rep, name))
+    with pytest.raises(AttributeError):
+        delattr(rep, name)
+
+
+def test_replacing_a_side_recomputes_the_verdict():
+    rep = VerificationReport("c", {}, 1 + 2j, 1e-8, _RESULT)
+    assert rep.passed and rep.abs_diff == 0.0
+    moved = replace(rep, rhs=1 + 3j)
+    assert not moved.passed
+    assert (moved.abs_diff, moved.rel_diff) == (1.0, 1.0 / abs(1 + 3j))
+    assert replace(moved, rhs=1 + 2j) == rep
 
 
 @pytest.mark.parametrize("kwargs, message", [
