@@ -43,17 +43,18 @@ class CaseDefinition(Frozen):
 
     ``params`` maps each parameter name, in record order, to its default
     and its rule: ``rule(name, value)`` returns the normalized value or
-    raises ParameterError.  ``constraints`` states the domain in prose.
-    ``transform`` builds the Schwarz-symmetric transform F from checked
-    parameters; the case's left side is ``scale`` times the full-line
-    master integral of F at kernel parameter ``kernel_a`` (the case's own
-    ``a`` when None), and its right side is ``scale`` times the master
-    closed form.  ``contour`` is ``kernel.master_integral``'s: a float, the
+    raises ParameterError: the rules are the domain, which ``notes`` state
+    in prose where needed.  ``transform`` builds the Schwarz-symmetric
+    transform F from checked parameters; the case's left side is ``scale``
+    times the full-line master integral of F at kernel parameter
+    ``kernel_a`` (the case's own ``a`` when None), and its right side is
+    ``scale`` times the master closed form.  ``contour`` is ``kernel.master_integral``'s: a float, the
     depth c of the line ``x = y - ic`` capped below the kernel's poles and
     0 where ``|ln|a|| > 6``, so the parameter rules must keep F analytic
     and decaying in the strip ``-c <= Im x <= 0``; or, as for cosine, a
-    callable of the checked parameters that gives F's terms
-    ``c e^{i beta k}``, pairs ``(c, beta)``, whose tail may take the rays.
+    callable of the checked parameters that gives one pair ``(c, beta)``,
+    beta >= 0, with F(k) = ``c e^{i beta k} + conj(c) e^{-i beta k}``,
+    whose tail may take the rays.
     The depth is a cost choice only: 0.8 by default, 1.0 for the rows whose
     F the deeper line makes cheaper.  ``truncation`` is the y reached on
     the line, and the contour parameter s on the rays.
@@ -61,12 +62,11 @@ class CaseDefinition(Frozen):
 
     case_id: str
     params: Mapping[str, tuple[complex, Rule]]
-    constraints: str
     notes: str
     transform: Callable[[Params], Transform]
     scale: float = 0.5  # the half-line printed forms
     kernel_a: complex | None = None
-    contour: float | Callable[[Params], tuple[tuple[complex, float], ...]] = _LINE_SHIFT
+    contour: float | Callable[[Params], tuple[complex, float]] = _LINE_SHIFT
 
 
 # --- parameter rules --------------------------------------------------------
@@ -188,7 +188,6 @@ _CASES = {
                 # the b -> 0 limit differs from b = 0, so zero and negative b are refused
                 "b": (2.0 + 0j, _positive),
             },
-            constraints="a nonzero (real a > 0 canonical); b real > 0",
             notes=(
                 "Transform 1/(k+b).  b <= 0 is rejected: the b -> 0 limit of the "
                 "integral differs from its value at b = 0."
@@ -198,7 +197,6 @@ _CASES = {
         CaseDefinition(
             case_id="bessel",
             params={"a": (7.0 + 0j, _nonzero)},
-            constraints="a nonzero (real a > 0 canonical)",
             notes=(
                 "Transform 1/sqrt(1+k^2) (principal square root).  The reference "
                 "check value 0.000708622 matches a=7, not the printed a=0.7: at "
@@ -210,7 +208,6 @@ _CASES = {
         CaseDefinition(
             case_id="gaussian",
             params={"a": (0.3 + 0j, _nonzero), "b": (0.3 + 0j, _positive)},
-            constraints="a nonzero (real a > 0 canonical); b real > 0",
             notes="Transform exp(-b k^2).",
             transform=_gaussian,
             contour=1.0,
@@ -224,10 +221,6 @@ _CASES = {
                 "alpha": (0.1 + 0j, _real),
                 "a": (1.0 + 2.0j, _nonzero),
             },
-            constraints=(
-                "alpha real with alpha*pi < 1 for convergence; a nonzero "
-                "(complex a experimental)"
-            ),
             notes=(
                 "Transform cos(alpha k).  At 0.05 <= |alpha| < 1/pi and |ln|a|| <= 6 "
                 "the tail past 8 is on the rays 8 +/- iy, and truncation is the "
@@ -236,8 +229,9 @@ _CASES = {
                 "instead of a number."
             ),
             transform=_cosine,
-            # the head of the rays, and every run off them, is the axis
-            contour=lambda p: ((0.5, p["alpha"].real), (0.5, -p["alpha"].real)),
+            # cos(alpha k) = 0.5 e^{i |alpha| k} + 0.5 e^{-i |alpha| k}; the
+            # head of the rays, and every run off them, is the axis
+            contour=lambda p: (0.5, abs(p["alpha"].real)),
         ),
         CaseDefinition(
             case_id="gamma",
@@ -248,7 +242,6 @@ _CASES = {
                 "a": (0.5 + 0j, _nonnegative),
                 "b": (1.0 + 0j, _real),
             },
-            constraints="a real >= 0; b real",
             notes=(
                 "Transform 1/gamma(4 a k / pi^2 + b) at the sech specialization, "
                 "rescaled x -> x/pi; the closed form is 1/gamma(a+b)."
@@ -261,7 +254,6 @@ _CASES = {
         CaseDefinition(
             case_id="zeta",
             params={"n": (1.0 + 0j, _order), "x": (0.5 + 0j, _unit), "a": (2.0 + 0j, _positive)},
-            constraints="n integer in 0..4; 0 < x < 1 real; a real > 0, a < 99.895 for n >= 1",
             notes=(
                 "Contour integral over the imaginary axis, parametrized s = i t: "
                 "transform x^(k/pi^2) / (2 pi zeta(4 a k/pi^2)^n) at the sech "

@@ -18,8 +18,9 @@ is the real axis.  The kernel is even and ``k(-x) = conj k(x)`` for
 integral of ``F(k) K(x) + F(conj k) K(conj x)``, which is
 ``2 Re F(k) K(x)`` for Schwarz-symmetric F at real a^2, times the scale of
 the printed form.  One argument names the contour: a depth c, which
-vouches that F is analytic and decays down to it, or F's exponential
-terms, whose tail may take steepest-descent rays.  The seed identity takes
+vouches that F is analytic and decays down to it, or one pair (c, beta)
+that states F as ``c e^{i beta k} + conj(c) e^{-i beta k}``, whose tail may
+take steepest-descent rays.  The seed identity takes
 0.8, each catalog row its own, and a user's F 0.  One function builds
 every verification report from that integral and the scaled closed form.
 """
@@ -74,8 +75,8 @@ _exp = math.exp
 _cexp = cmath.exp
 _cisfinite = cmath.isfinite
 
-#: Terms ``c e^{i beta k}`` take their tail on ``master_integral``'s rays when
-#: every ``|beta|`` is in ``[lo, hi)`` of _RAY_BETA.  lo sits at the measured
+#: A pair ``(c, beta)`` takes its tail on ``master_integral``'s rays when beta
+#: is in ``[lo, hi)`` of _RAY_BETA.  lo sits at the measured
 #: break-even for cos(beta k) at 11 values of a from 0.0025 to 300, complex
 #: ones too: at 0.05 the rays take 3240 evaluations against 3000 on the real
 #: axis (600, 240 and 195 against 480, 210 and 150 at a = 0.0025, 1 and 300),
@@ -359,18 +360,17 @@ def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
     return complex_("the closed form must be a finite number", value)
 
 
-def _contour(contour) -> tuple[float, tuple[tuple[complex, float], ...]]:
-    """The depth and the terms ``contour`` names, or DomainError."""
-    what = "contour must be a finite depth >= 0 or a non-empty tuple of pairs (c, real beta)"
+def _contour(contour) -> tuple[float, tuple[complex, float] | None]:
+    """The depth and the pair ``contour`` names, or DomainError."""
+    what = "contour must be a finite depth >= 0 or one pair (c, real beta >= 0)"
     if not isinstance(contour, tuple):
         depth = real(what, contour)
         if depth >= 0.0:  # -0.0 too: the axis
-            return depth, ()
-    elif contour and all(isinstance(term, tuple) and len(term) == 2 for term in contour):
-        for c, beta in contour:
-            complex_(what, c)
-            real(what, beta)
-        return 0.0, contour
+            return depth, None
+    elif len(contour) == 2:
+        c, beta = complex_(what, contour[0]), real(what, contour[1])
+        if beta >= 0.0:
+            return 0.0, (c, beta)
     raise DomainError(f"{what}, got {contour!r}")
 
 
@@ -379,7 +379,7 @@ def master_integral(
     params: KernelParams,
     opts: QuadratureOptions | None = None,
     scale: float = 1.0,
-    contour: float | tuple[tuple[complex, float], ...] = 0.0,
+    contour: float | tuple[complex, float] = 0.0,
 ) -> QuadratureResult:
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
@@ -403,17 +403,18 @@ def master_integral(
     ``k = y^2 + c(pi - c) + iy(pi - 2c)`` the chirp and the hump of ``|F|``
     that the axis sees shrink as c grows.
 
-    A tuple of pairs ``(c, beta)``, with F(k) the Schwarz sum of
-    ``c e^{i beta k}``, never takes the line: where every ``|beta|`` is in
-    [0.05, 1/pi) and ``|ln|a|| <= 6`` (Huybrechs and Vandewalle, SIAM J.
-    Numer. Anal. 44, 2006) s runs over [0, X] on the axis, X = 8 being an
-    edge of every window, then over the steepest-descent rays ``X +/- iy``
-    at ``y = s - X``, and truncation is the last window's right edge in s;
-    elsewhere the run is on the axis.
+    One pair ``(c, beta)``, finite c and real beta >= 0, states F as
+    ``c e^{i beta k} + conj(c) e^{-i beta k}`` and never takes the line:
+    where F has the Schwarz flag, beta is in [0.05, 1/pi) and
+    ``|ln|a|| <= 6`` (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
+    2006) s runs over [0, X] on the axis, X = 8 being an edge of every
+    window, then over the steepest-descent rays ``X +/- iy`` at
+    ``y = s - X``, where the pair stands for F, and truncation is the last
+    window's right edge in s; elsewhere the run is on the axis.
     """
     _operands(F, params)
     scale = real("scale must be a finite number", scale)
-    depth, terms = _contour(contour)
+    depth, pair = _contour(contour)
     _norm_factor(params.a)
     if params.a.real == 0:
         raise DomainError(f"Re a = 0 puts a kernel pole on the real axis: a = {params.a!r}")
@@ -423,7 +424,6 @@ def master_integral(
     schwarz = F.schwarz_symmetric
     near = abs(params.log_a().real) <= _RAY_LOG_A
     lo, hi = _RAY_BETA
-    rays = near and terms and all(lo <= abs(beta) < hi for _, beta in terms)
     ic = 0.0  # on the axis x stays a float, for kernel_weight's float branch
     if near and depth:
         arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
@@ -446,19 +446,17 @@ def master_integral(
             w = weight(params, x)  # on the axis x is conj x
             return scale * (g * w + h * (weight(params, x.conjugate()) if ic else w))
 
-    if rays:
+    if near and schwarz and pair and lo <= pair[1] < hi:
         head = f
-        # F's terms pair up: those at X - iy conjugate those at X + iy
-        up = [(scale * c, complex(0.0, beta)) for c, beta in terms if beta > 0]
+        # F's term at X - iy, conj(c) e^{-i beta k}, conjugates c e^{i beta k} at X + iy
+        c, i_beta = scale * pair[0], complex(0.0, pair[1])
 
         def f(s: float) -> complex:
             if s < _RAY_START:
                 return head(s)
             x = complex(_RAY_START, s - _RAY_START)
             k, k_neg = x * (x + _I_PI), x * (x - _I_PI)
-            t = 0j
-            for c, i_beta in up:
-                t += c * (_cexp(i_beta * k) + _cexp(i_beta * k_neg))
+            t = c * (_cexp(i_beta * k) + _cexp(i_beta * k_neg))
             return 1j * (
                 t * weight(params, x) - t.conjugate() * weight(params, x.conjugate())
             )
@@ -490,7 +488,7 @@ def _verify(
     scale: float = 1.0,
     what: str = "master-identity integral",
     notes: str = "",
-    contour: float | tuple[tuple[complex, float], ...] = 0.0,
+    contour: float | tuple[complex, float] = 0.0,
 ) -> VerificationReport:
     """Compare ``scale`` times both sides of the master identity for F.
 

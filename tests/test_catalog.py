@@ -143,6 +143,21 @@ def test_cosine_alpha_must_be_real():
         run_case("cosine", {"alpha": 1j, "a": 1.0})
 
 
+@pytest.mark.parametrize("alpha", [-0.3, -0.05, 0.0, 0.049, 0.1, 0.3])
+def test_cosine_row_states_its_F_and_its_pair_alike(alpha):
+    # the rays read F off the pair (c, beta) as c e^{i beta k} + conj(c) e^{-i beta k}
+    case = quadcheck.catalog.get_case("cosine")
+    p = {"alpha": complex(alpha), "a": 1 + 2j}
+    F = case.transform(p)
+    c, beta = case.contour(p)
+    axis = [y / 4.0 for y in range(33)]
+    rays = [complex(8.0, y) for y in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
+    for x in axis + rays:
+        for k in (x * (x + 1j * math.pi), x * (x - 1j * math.pi)):
+            pair = c * cmath.exp(1j * beta * k) + c.conjugate() * cmath.exp(-1j * beta * k)
+            assert abs(F(k) - pair) <= 1e-13 * abs(F(k)), (x, k)
+
+
 def test_gamma_case_reference_values():
     for (a, b), expected in (
         ((0.5, 1.0), 1.1283791670955125739),

@@ -289,29 +289,41 @@ _OBJECTS = {
     "evaluate bindings mapping list": (
         lambda: qc.evaluate(qc.parse("k"), [("k", 1.0)]), DomainError
     ),
-    # a contour is a depth >= 0 or a non-empty tuple of pairs (c, beta) of
-    # finite numbers with beta real, checked before any quadrature
-    "master_integral contour terms list": (
-        lambda: master_integral(_F, _A, contour=[(0.5, 0.2), (0.5, -0.2)]), DomainError
+    # a contour is a depth >= 0 or one pair (c, beta) of finite numbers with
+    # beta real and >= 0, checked before any quadrature
+    "master_integral contour pair list": (
+        lambda: master_integral(_F, _A, contour=[0.5, 0.2]), DomainError
     ),
-    "master_integral contour one-element term": (
-        lambda: master_integral(_F, _A, contour=((0.5,),)), DomainError
+    "master_integral contour one-element tuple": (
+        lambda: master_integral(_F, _A, contour=(0.5,)), DomainError
     ),
-    "master_integral contour flat pair": (
-        lambda: master_integral(_F, _A, contour=(0.5, 0.2)), DomainError
+    "master_integral contour three-element tuple": (
+        lambda: master_integral(_F, _A, contour=(0.5, 0.2, 0.0)), DomainError
     ),
-    "master_integral contour no terms": (lambda: master_integral(_F, _A, contour=()), DomainError),
+    # the mirror term of the pair is implied, never given
+    "master_integral contour tuple of pairs": (
+        lambda: master_integral(_F, _A, contour=((0.5, 0.2), (0.5, -0.2))), DomainError
+    ),
+    "master_integral contour empty tuple": (
+        lambda: master_integral(_F, _A, contour=()), DomainError
+    ),
     "master_integral contour negative depth": (
         lambda: master_integral(_F, _A, contour=-0.5), DomainError
     ),
+    "master_integral contour negative beta": (
+        lambda: master_integral(_F, _A, contour=(0.5, -0.2)), DomainError
+    ),
     "master_integral contour complex beta": (
-        lambda: master_integral(_F, _A, contour=((0.5, 0.2j), (0.5, -0.2j))), DomainError
+        lambda: master_integral(_F, _A, contour=(0.5, 0.2j)), DomainError
+    ),
+    "master_integral contour nan beta": (
+        lambda: master_integral(_F, _A, contour=(0.5, math.nan)), DomainError
     ),
     "master_integral contour nan c": (
-        lambda: master_integral(_F, _A, contour=((math.nan, 0.2), (0.5, -0.2))), DomainError
+        lambda: master_integral(_F, _A, contour=(math.nan, 0.2)), DomainError
     ),
     "master_integral contour text c": (
-        lambda: master_integral(_F, _A, contour=(("0.5", 0.2), (0.5, -0.2))), DomainError
+        lambda: master_integral(_F, _A, contour=("0.5", 0.2)), DomainError
     ),
 }
 

@@ -610,7 +610,7 @@ def test_pole_of_F_at_the_closed_form_point_is_a_domain_error():
 
 _I_PI = complex(0.0, math.pi)
 _RATIONAL = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
-_COSINE_TERMS = ((0.5, 0.2), (0.5, -0.2))
+_COSINE_PAIR = (0.5, 0.2)
 
 _NON_SCHWARZ = TransformFunction(lambda k: 1.0 / (k + 2.0 + 0.5j))
 
@@ -626,13 +626,13 @@ _CONTOURS = {
     "scaled-schwarz-axis": (_RATIONAL, 0.7, 4.0 / math.pi, 0.0),
     # cosine below the ray band at the row's a: F K(x) + conj F K(conj x)
     "complex-a-axis": (TransformFunction(lambda k: cmath.cos(0.04 * k), schwarz_symmetric=True),
-                       1 + 2j, 0.5, ((0.5, 0.04), (0.5, -0.04))),
+                       1 + 2j, 0.5, (0.5, 0.04)),
     # F without the Schwarz flag: F(k) K(x) + F(conj k) K(conj x), on the
     # axis at depth 0 and on the line at a positive depth
     "non-schwarz-axis": (_NON_SCHWARZ, 0.7, 1.0, 0.0),
     "non-schwarz-line": (_NON_SCHWARZ, 0.7, 1.0, _LINE_SHIFT),
     "rays": (TransformFunction(lambda k: cmath.cos(0.2 * k), schwarz_symmetric=True), 1.0, 1.0,
-             _COSINE_TERMS),
+             _COSINE_PAIR),
 }
 
 
@@ -688,8 +688,8 @@ def _written_out_form(name):
     """Each contour's integrand written out at every node, with no table."""
     F, a, scale, contour = _CONTOURS[name]
     kp, fn, schwarz = KernelParams(a), F.fn, F.schwarz_symmetric
-    terms = contour if isinstance(contour, tuple) else ()
-    c = 0.0 if terms else min(contour, 0.75 * (0.5 * math.pi - abs(cmath.phase(kp.a))))
+    pair = contour if isinstance(contour, tuple) else None
+    c = 0.0 if pair else min(contour, 0.75 * (0.5 * math.pi - abs(cmath.phase(kp.a))))
 
     def line(y):
         x = complex(y, -c) if c else y
@@ -700,18 +700,16 @@ def _written_out_form(name):
         h = g.conjugate() if schwarz else fn(k.conjugate())
         return scale * (g * _kernel_form(kp, x) + h * _kernel_form(kp, x.conjugate()))
 
-    if not terms or not all(0.05 <= abs(beta) < 1 / math.pi for _, beta in terms):
+    if not (pair and schwarz and 0.05 <= pair[1] < 1 / math.pi):
         return line
+    coeff, beta = pair
 
     def rays(s):
         if s < 8.0:
             return line(s)
         x = complex(8.0, s - 8.0)
         k, k_neg = x * (x + _I_PI), x * (x - _I_PI)
-        t = 0j
-        for coeff, beta in terms:
-            if beta > 0:
-                t += scale * coeff * (cmath.exp(1j * beta * k) + cmath.exp(1j * beta * k_neg))
+        t = scale * coeff * (cmath.exp(1j * beta * k) + cmath.exp(1j * beta * k_neg))
         return 1j * (t * _kernel_form(kp, x) - t.conjugate() * _kernel_form(kp, x.conjugate()))
 
     return rays
@@ -864,8 +862,18 @@ def test_the_row_depth_keeps_its_cap_below_the_kernel_poles(monkeypatch):
 
 
 def test_a_terms_contour_never_takes_the_line():
-    # past the ray band F's terms keep the axis, where cos(0.35 k) grows
-    # like exp((0.35 pi - 1) x); no depth can come with them
+    # past the ray band F's pair keeps the axis, where cos(0.35 k) grows
+    # like exp((0.35 pi - 1) x); no depth can come with it
     F = TransformFunction(lambda k: cmath.cos(0.35 * k), schwarz_symmetric=True)
     with pytest.raises(DivergenceError):
-        master_integral(F, KernelParams(1.0), contour=((0.5, 0.35), (0.5, -0.35)))
+        master_integral(F, KernelParams(1.0), contour=(0.5, 0.35))
+
+
+@pytest.mark.parametrize("a", [1.0, 0.7, 1 + 2j])
+def test_an_unflagged_F_with_a_pair_takes_the_axis_bit_for_bit(a):
+    # 0.5 e^{0.2ik} is not the Schwarz sum of the pair (0.5, 0.2), and F
+    # vouches for no symmetry, so the pair cannot stand for F on the rays
+    F = TransformFunction(lambda k: 0.5 * cmath.exp(0.2j * k))
+    kp = KernelParams(a)
+    assert _bits(master_integral(F, kp, contour=(0.5, 0.2))) == _bits(
+        master_integral(F, kp, contour=0.0))

@@ -41,8 +41,8 @@ VALUES = [
      ("case", {"a": 1 + 0j}, 1 + 0j, 1e-8, _RESULT, False, "n"),
      ("case", {"a": 1 + 0j}, 1 + 0j, 1e-8, _RESULT, True, "n")),
     (CaseDefinition,
-     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 0.5, None, 0.8),
-     ("id", _RATIONAL.params, "c", "n", _RATIONAL.transform, 1.0, None, 0.8)),
+     ("id", _RATIONAL.params, "n", _RATIONAL.transform, 0.5, None, 0.8),
+     ("id", _RATIONAL.params, "n", _RATIONAL.transform, 1.0, None, 0.8)),
     (Number, (2.0,), (3.0,)),
     (Constant, ("pi",), ("e",)),
     (Variable, ("k",), ("x",)),
@@ -147,7 +147,7 @@ def test_defaults():
     assert t.schwarz_symmetric is False and t.name == ""
     rep = VerificationReport("c", {}, 0j, 1e-8, r)
     assert rep.experimental is False and rep.notes == ""
-    case = CaseDefinition("id", _RATIONAL.params, "c", "n", _RATIONAL.transform)
+    case = CaseDefinition("id", _RATIONAL.params, "n", _RATIONAL.transform)
     assert case.scale == 0.5 and case.kernel_a is None
 
 
