@@ -4,8 +4,8 @@ Everything here is plain double precision over Python's built-in ``complex``.
 All multivalued functions use the principal branch, see ``PRINCIPAL_BRANCH``.
 The two nontrivial functions are ``gamma`` (the log form of the Lanczos
 approximation plus the reflection formula, both in logs) and ``zeta``
-(accelerated alternating series on Re z >= 0, functional equation for
-Re z < 0, each but in the discs where it is 0/0), both implemented from
+(one Euler-Maclaurin sum on -1 <= Re z < 10, the functional equation left
+of it and a plain Dirichlet sum right of it), both implemented from
 scratch so their accuracy can be property-tested against independent
 series oracles.  Arguments follow the input rule (``errors.complex_``).
 An argument that is not a finite number, and a result beyond double range,
@@ -116,8 +116,8 @@ def _lanczos_sum(z: complex) -> complex:
 
 
 def _log_gamma_right(z: complex) -> complex:
-    # log gamma for Re z >= 0.5, and as good on |Re z| <= 0.025 for zeta's functional
-    # equation; branch of log(lanczos sum) is irrelevant to callers that exponentiate it.
+    # log gamma for Re z >= 0.5; branch of log(lanczos sum) is irrelevant to
+    # callers that exponentiate it.
     w = z - 1.0
     t = w + _LANCZOS_G + 0.5
     return _LOG_SQRT_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(w))
@@ -189,85 +189,44 @@ def reciprocal_gamma(z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Zeta: accelerated alternating (Dirichlet eta) series with Chebyshev-derived
-# weights for Re z >= 0, functional equation for Re z < 0.  A plain Dirichlet
-# sum takes over for Re z >= 10 where it is both cheaper and immune to the
-# |Im z| growth of the alternating-series error bound.
+# Zeta: one Euler-Maclaurin sum (Edwards, Riemann's Zeta Function, 1974,
+# section 6.4) on -1 <= Re z < 10, the functional equation left of that, and
+# a plain Dirichlet sum for Re z >= 10, where it needs fewer terms.
 # ---------------------------------------------------------------------------
 
-_ETA_COEFF_CACHE: dict[int, tuple[float, ...]] = {}
+#: log 1 ... log 160, read by both sums: the Euler-Maclaurin sum stops at
+#: N <= 160, and the Dirichlet sum takes at most 28 terms (at Re s = 10).
+_LOGS = tuple(math.log(k) for k in range(1, 161))
 
-#: log 1 ... log _ETA_MAX_TERMS, read by both sums: the eta series takes at
-#: most that many terms, and the Dirichlet sum at most 28 (at Re s = 10).
-_ETA_MAX_TERMS = 160
-_LOGS = tuple(math.log(k) for k in range(1, _ETA_MAX_TERMS + 1))
-
-#: eta(s) and 1 - 2^(1-s) both vanish at s = 1 + i k _ETA_ZERO_STEP, k != 0;
-#: at _ETA_ZERO_RADIUS from there the series and the functional equation
-#: both read about 2e-13 relative error.
-_ETA_ZERO_STEP, _ETA_ZERO_RADIUS = 2.0 * math.pi / _LN2, 0.025
-
-
-def _eta_coefficients(n: int) -> tuple[float, ...]:
-    """Alternating-series acceleration weights.
-
-    Returns ``c_k`` for k = 0..n-1 with c_k = (-1)^k (d_n - d_k)/d_n and
-    d_k the standard Chebyshev-polynomial integer weights; the series pairs
-    them with ``_LOGS``.  Exact integer arithmetic avoids cancellation when
-    forming the ratios.
-    """
-    cached = _ETA_COEFF_CACHE.get(n)
-    if cached is not None:
-        return cached
-    d = []
-    s = 0
-    for j in range(n + 1):
-        s += (
-            math.factorial(n + j - 1)
-            * 4**j
-            // (math.factorial(n - j) * math.factorial(2 * j))
-        )
-        d.append(n * s)
-    dn = d[n]
-    coeffs = tuple(
-        (float(dn - d[k]) / float(dn)) * (1.0 if k % 2 == 0 else -1.0)
-        for k in range(n)
+#: B_2j / (2j)! for j = 1 ... 10, the weights of the Euler-Maclaurin corrections.
+_EM_WEIGHTS = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate(
+        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+         -3617 / 510, 43867 / 798, -174611 / 330),
+        start=1,
     )
-    _ETA_COEFF_CACHE[n] = coeffs
-    return coeffs
+)
 
 
-def _eta_table(s: complex) -> tuple[float, ...]:
-    """The acceleration weights for s: ``_eta_coefficients`` of its term count.
+def _zeta_euler_maclaurin(s: complex) -> complex:
+    """zeta(s) = sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2
+    + sum_{j=1}^{10} B_2j/(2j)! s(s+1)...(s+2j-2) N^(-s-2j+1), for s != 1.
 
-    Error of the accelerated series decays like (3+sqrt 8)^-n but carries a
-    factor exp(pi |Im s| / 2).  Measured against mpmath, the terms needed
-    for 1e-14 relative error (absolute where |zeta| < 1) are
-        |Im s|            2   5  10  20  30  40  50
-        Re s >= 0.5      20  22  26  34  42  50  60
-        0 <= Re s < 0.5  20  22  28  36
-    and past |Im s| = 20 the strip reaches its rounding floor, up to 5e-14,
-    first.  The rule below gives 4 to 10 terms more than that.
+    N = min(floor(0.6 |s|) + 8, 160).  On -1 <= Re s < 10, |Im s| <= 50
+    the remainder bound of this (N, 10) is below 1e-13 max(1, |zeta(s)|).
     """
-    n = int((33.0 + 0.5 * math.pi * abs(s.imag)) / 1.7627) + 3
-    if s.real < 0.5:
-        n += 4
-    # quantize so the coefficient cache gets reused
-    n = min(((n + 3) // 4) * 4, _ETA_MAX_TERMS)
-    return _eta_coefficients(n)
-
-
-def _zeta_alternating(s: complex) -> complex:
-    """eta(s) / (1 - 2^(1-s)) by the accelerated eta series, for Re s >= 0
-    but next to its 0/0 points; accuracy degrades gracefully for Re s < 0."""
+    n = min(int(0.6 * abs(s)) + 8, len(_LOGS))
     acc = 0j
     minus_s, exp = -s, cmath.exp
-    for c, ln_k in zip(_eta_table(s), _LOGS):
-        acc += c * exp(minus_s * ln_k)
-    # zeta = eta / (1 - 2^(1-s)), the divisor as -2 e^(h) sinh(h) with
-    # h = (1-s) ln 2 / 2, which does not cancel near s = 1
-    h = 0.5 * (1.0 - s) * _LN2
-    return acc / (-2.0 * exp(h) * cmath.sinh(h))
+    for ln_k in _LOGS[:n - 1]:
+        acc += exp(minus_s * ln_k)
+    # the corrections by Horner's rule in 1/N^2, innermost weight first
+    inv_n2 = 1.0 / (n * n)
+    h = 0j
+    for j in range(len(_EM_WEIGHTS), 0, -1):
+        h = _EM_WEIGHTS[j - 1] + h * (s + (2 * j - 1)) * (s + 2 * j) * inv_n2
+    return acc + exp(minus_s * _LOGS[n - 1]) * (n / (s - 1.0) + 0.5 + s * h / n)
 
 
 def _zeta_dirichlet(s: complex) -> complex:
@@ -283,26 +242,28 @@ def _zeta_dirichlet(s: complex) -> complex:
 
 
 def _zeta_reflect(s: complex) -> complex:
-    """Functional equation: zeta(s) = chi(s) zeta(1-s), for Re s < 0 and
-    next to the eta series' 0/0 points, where 1 - s has |Re| <= 0.025.
+    """Functional equation: zeta(s) = chi(s) zeta(1-s), for Re s < -1.
 
     chi is formed in log space, so gamma(1-s) may exceed double range as
     long as chi itself does not.
     """
     log_chi = s * _LN2 + (s - 1.0) * _LN_PI + _log_gamma_right(1.0 - s)
-    return cmath.exp(log_chi) * cmath.sin(0.5 * math.pi * s) * _zeta_alternating(1.0 - s)
+    return cmath.exp(log_chi) * cmath.sin(0.5 * math.pi * s) * _zeta_euler_maclaurin(1.0 - s)
 
 
 def zeta(z: complex) -> complex:
     """Riemann zeta function for complex arguments.
 
-    Validated to >= 10 significant digits for Re z >= 0, |Im z| <= 50 (the
-    region our contour integrals sweep); an AccuracyWarning is emitted when
-    asked for points far outside it.  Raises PoleError within
+    The formula is chosen from Re z alone: the Dirichlet sum from 10 on,
+    the Euler-Maclaurin sum on -1 <= Re z < 10 and the functional equation
+    left of -1.  Validated to >= 10 significant digits for Re z >= 0,
+    |Im z| <= 50 (the region our contour integrals sweep); an
+    AccuracyWarning is emitted when asked for points outside it, where left
+    of Re z = 10 the error grows with |Im z| (at Re z = 0.5, 1e-10 at
+    |Im z| = 400 and 0.3 at 1000).  Raises PoleError within
     ``POLE_GUARD_RADIUS`` of z = 1, and DomainError where the functional
     equation's value is beyond double range (Re z below about -260 near the
-    real axis) and where the series cannot be summed in doubles (|Im z| near
-    1e308).
+    real axis) and where the sum overflows (|Im z| from about 1e19).
     """
     z = complex_("zeta requires a finite number", z)
     if modulus(z - 1.0) < POLE_GUARD_RADIUS:
@@ -315,16 +276,8 @@ def zeta(z: complex) -> complex:
         if abs(z.imag) > ZETA_VALIDATED_IM_MAX or z.real < ZETA_VALIDATED_RE_MIN:
             # constant text, so the default filter shows it once per call site
             warnings.warn(_ZETA_OUTSIDE_MESSAGE, AccuracyWarning, stacklevel=2)
-        # The series serves Re z >= 0 and the functional equation Re z < 0, each but
-        # within _ETA_ZERO_RADIUS of where it is 0/0: z = 1 + it, and by the series at
-        # 1 - z, z = it (t = 0 too: the pole of zeta(1-z)), t a multiple of _ETA_ZERO_STEP.
-        reflect = z.real < 0.0
-        x = z.real if reflect else z.real - 1.0
-        if abs(x) < _ETA_ZERO_RADIUS:
-            t = round(z.imag / _ETA_ZERO_STEP) * _ETA_ZERO_STEP
-            if math.hypot(x, z.imag - t) < _ETA_ZERO_RADIUS and (reflect or t != 0.0):
-                reflect = not reflect
-        series = _zeta_reflect if reflect else _zeta_alternating
+        # left of -1, not of 0: reflecting next to z = 0 would form (1 - z) - 1
+        series = _zeta_euler_maclaurin if z.real >= -1.0 else _zeta_reflect
     try:
         value = series(z)
         if cmath.isfinite(value):

@@ -24,7 +24,7 @@ from quadcheck import (
     zeta,
 )
 from quadcheck import numerics
-from quadcheck.numerics import _zeta_alternating, _zeta_dirichlet
+from quadcheck.numerics import _zeta_dirichlet, _zeta_euler_maclaurin
 
 mp.mp.dps = 30
 
@@ -361,12 +361,20 @@ def _dirichlet_with_a_log_per_term(s):
     return acc
 
 
-def _alternating_with_a_log_per_term(s):
+def _euler_maclaurin_terms(s):
+    """N of the Euler-Maclaurin sum at s."""
+    return min(int(0.6 * abs(s)) + 8, 160)
+
+
+def _euler_maclaurin_with_a_log_per_term(s):
+    n = _euler_maclaurin_terms(s)
     acc = 0j
-    for k, c in enumerate(numerics._eta_table(s)):
-        acc += c * cmath.exp(-s * math.log(k + 1))
-    h = 0.5 * (1.0 - s) * math.log(2.0)
-    return acc / (-2.0 * cmath.exp(h) * cmath.sinh(h))
+    for k in range(1, n):
+        acc += cmath.exp(-s * math.log(k))
+    h = 0j
+    for j in range(10, 0, -1):
+        h = numerics._EM_WEIGHTS[j - 1] + h * (s + (2 * j - 1)) * (s + 2 * j) * (1.0 / (n * n))
+    return acc + cmath.exp(-s * math.log(n)) * (n / (s - 1.0) + 0.5 + s * h / n)
 
 
 def _bits(z):
@@ -380,11 +388,29 @@ def test_both_zeta_sums_read_the_log_table_bit_for_bit():
         s = complex(rng.uniform(10.0, 60.0), rng.uniform(-200.0, 200.0))
         assert _bits(_zeta_dirichlet(s)) == _bits(_dirichlet_with_a_log_per_term(s)), s
     strip = [complex(rng.uniform(0.0, 10.0), rng.uniform(-50.0, 50.0)) for _ in range(300)]
-    # past |Im s| of about 155 the series takes the table's last term, log 160
-    strip += [0.5 + 160j, 3.0 - 400j]
-    assert len(numerics._eta_table(strip[-1])) == len(numerics._LOGS) == 160
+    # from |s| of about 253.3 the sum stops at the table's last term, N = 160
+    strip += [-1.0 + 50j, 0.5 + 254j, 3.0 - 400j]
+    assert _euler_maclaurin_terms(strip[-2]) == len(numerics._LOGS) == 160
     for s in strip:
-        assert _bits(_zeta_alternating(s)) == _bits(_alternating_with_a_log_per_term(s)), s
+        assert _bits(_zeta_euler_maclaurin(s)) == _bits(_euler_maclaurin_with_a_log_per_term(s)), s
+
+
+def test_zeta_euler_maclaurin_remainder_is_bounded_below_1e_13():
+    # Cohen and Olivier's bound on the remainder after M corrections,
+    # |s (s+1) ... (s+2M+1) B_2M+2 N^(-sigma-2M-1) / ((2M+2)! (sigma+2M+1))|,
+    # valid for sigma > -2M-1, at the sum's (N, M = 10): with it the digits
+    # are proved at each point, not sampled.  The worst point of a 0.1 x 1
+    # grid is -1 - 48i, at 0.21 of the target.
+    rng = random.Random(31)
+    points = [complex(rng.uniform(-1.0, 10.0), rng.uniform(-50.0, 50.0)) for _ in range(400)]
+    points += [complex(-1.0, 48.0), complex(-1.0, -50.0), complex(0.5, 50.0), complex(9.99, 50.0)]
+    weight = abs(mp.bernoulli(22)) / mp.factorial(22)
+    for s in points:
+        n = _euler_maclaurin_terms(s)
+        s_mp = mp.mpc(s.real, s.imag)
+        rising = mp.fprod(abs(s_mp + j) for j in range(22))
+        bound = rising * weight * mp.mpf(n) ** (-s.real - 21) / (s.real + 21)
+        assert bound < 1e-13 * max(1, abs(mp.zeta(s_mp))), s
 
 
 def test_zeta_against_independent_implementation():
@@ -402,7 +428,7 @@ def test_zeta_against_independent_implementation():
 
 
 def test_zeta_in_the_strip_below_one_half_against_mpmath():
-    # 0 <= Re s < 0.5 is taken by the alternating series directly, not by
+    # 0 <= Re s < 0.5 is taken by the Euler-Maclaurin sum directly, not by
     # the functional equation
     rng = random.Random(78)
     for _ in range(300):
@@ -412,15 +438,15 @@ def test_zeta_in_the_strip_below_one_half_against_mpmath():
 
 
 def test_zeta_functional_equation_1000_samples():
-    # two genuinely different routes: the alternating series at z, and the
-    # reflection factor chi(z) times the alternating series at 1-z
+    # two genuinely different routes: the Euler-Maclaurin sum at z, and the
+    # reflection factor chi(z) times the Euler-Maclaurin sum at 1-z
     rng = random.Random(13)
     checked = 0
     while checked < 1000:
         z = complex(rng.uniform(0.2, 0.8), rng.uniform(-30, 30))
         if abs(z - 1) < 0.1:
             continue
-        direct = _zeta_alternating(z)
+        direct = _zeta_euler_maclaurin(z)
         if abs(direct) < 1e-3:
             # relative comparison is meaningless right next to a zeta zero
             continue
@@ -430,16 +456,21 @@ def test_zeta_functional_equation_1000_samples():
             * cmath.sin(0.5 * math.pi * z)
             * gamma(1.0 - z)
         )
-        reflected = chi * _zeta_alternating(1.0 - z)
+        reflected = chi * _zeta_euler_maclaurin(1.0 - z)
         assert abs(direct - reflected) / abs(direct) < 1e-9, z
         checked += 1
 
 
 def test_zeta_left_of_the_strip_against_mpmath():
-    # Re s < 0 goes through the functional equation
+    # Re s < -1 goes through the functional equation, -1 <= Re s < 0 through
+    # the Euler-Maclaurin sum; so do both sides of that edge, and both sides
+    # of z = 0, where reflecting would form (1 - s) - 1
     rng = random.Random(79)
-    for _ in range(100):
-        s = complex(rng.uniform(-10.0, -0.05), rng.uniform(-50, 50))
+    points = [complex(rng.uniform(-10.0, -0.05), rng.uniform(-50, 50)) for _ in range(100)]
+    points += [complex(rng.uniform(-1.05, -0.95), rng.uniform(-50, 50)) for _ in range(100)]
+    points += [r * cmath.exp(2j * math.pi * (j + 0.25) / 16)
+               for r in (1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.1) for j in range(16)]
+    for s in points:
         ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
@@ -456,8 +487,8 @@ def test_zeta_pole_guard():
 
 
 def test_zeta_next_to_its_pole_against_mpmath():
-    # the series divides eta by 1 - 2^(1-s) = -2 e^(h) sinh(h), h = (1-s) ln 2 / 2,
-    # which keeps every digit as s nears 1
+    # the pole is the sum's term N^(1-s)/(s-1), which keeps every digit as
+    # s nears 1
     for r in (1e-7, 1e-5, 1e-3, 0.01, 0.03, 0.05, 0.1):
         for j in range(16):
             s = 1 + r * cmath.exp(2j * math.pi * (j + 0.25) / 16)
@@ -465,14 +496,15 @@ def test_zeta_next_to_its_pole_against_mpmath():
             assert abs(zeta(s) - ref) <= 1e-15 * abs(ref), s
 
 
-#: eta(s) and 1 - 2^(1-s) both vanish at s = 1 + i k _ETA_STEP, k != 0
+#: eta(s) and 1 - 2^(1-s) both vanish at s = 1 + i k _ETA_STEP, k != 0, so
+#: zeta from their quotient is 0/0 there; the Euler-Maclaurin sum has no
+#: special point on that line, nor on its mirror Re s = 0
 _ETA_STEP = 2 * math.pi / math.log(2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
-def test_zeta_where_the_eta_quotient_is_0_over_0_against_mpmath(k):
-    # a reference at mpmath's default 53 bits is itself 4.7e-7 off at k = 1.
-    # The worst here is 2.0e-13; the quotient itself reads 1.1e-12 at 0.005
+def test_zeta_on_the_line_re_1_at_steps_of_2_pi_over_ln_2_against_mpmath(k):
+    # a reference at mpmath's default 53 bits is itself 4.7e-7 off at k = 1
     centre = complex(1.0, k * _ETA_STEP)
     points = [centre + d for d in (0.0, 1e-12, 1e-6, 1e-3)]
     points += [centre + r * cmath.exp(2j * math.pi * j / 8)
@@ -483,9 +515,7 @@ def test_zeta_where_the_eta_quotient_is_0_over_0_against_mpmath(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, -1, -5])
-def test_zeta_left_of_the_mirrored_0_over_0_points_against_mpmath(k):
-    # the functional equation takes zeta(1-s) from the eta quotient, which is
-    # 0/0 for s = i k _ETA_STEP; the series at s takes those discs instead
+def test_zeta_left_of_the_imaginary_axis_at_steps_of_2_pi_over_ln_2_against_mpmath(k):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         for d in (1e-12, 1e-6, 1e-3, 0.02):
