@@ -195,9 +195,9 @@ class VerificationReport(Frozen):
     A report stores the facts of a run.  ``lhs``, the value of
     ``diagnostics``, and ``abs_diff``, ``rel_diff`` and ``passed`` are
     computed from them at each read, so a report cannot contradict itself.
-    ``rel_diff`` divides by ``|rhs|`` floored at REL_DIFF_FLOOR, and past
-    double range compares the quarters of both sides.  A run passes when
-    either difference is below the tolerance.
+    ``rel_diff`` divides by ``|rhs|`` floored at REL_DIFF_FLOOR; the closed
+    forms that ``_verify`` stores have a modulus in double range.  A run
+    passes when either difference is below the tolerance.
     """
 
     case_name: str
@@ -218,9 +218,7 @@ class VerificationReport(Frozen):
 
     @property
     def rel_diff(self) -> float:
-        size = modulus(self.rhs)
-        return (self.abs_diff / max(size, REL_DIFF_FLOOR) if size < math.inf
-                else modulus(0.25 * self.lhs - 0.25 * self.rhs) / modulus(0.25 * self.rhs))
+        return self.abs_diff / max(modulus(self.rhs), REL_DIFF_FLOOR)
 
     @property
     def passed(self) -> bool:
@@ -340,8 +338,8 @@ def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
     """Closed form of the master identity: pi F(pi^2/4 + ln^2 a) / (2a(1+a^2)).
 
     Raises DomainError where F(pi^2/4 + ln^2 a) is undefined, or the closed
-    form is not a finite number.  A QuadcheckError that F raises, such as a
-    PoleError, passes through unchanged.  The left side depends on a^2
+    form or its modulus is not finite.  A QuadcheckError that F raises, such
+    as a PoleError, passes through unchanged.  The left side depends on a^2
     only, so for Re a < 0 the closed form is taken at -a.
     """
     _operands(F, params)
@@ -349,15 +347,19 @@ def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
     ln_a = cmath.log(a)
     k0 = math.pi * math.pi / 4.0 + ln_a * ln_a
     try:
-        f0, d = F(k0), 2.0 * _norm_factor(a)
-        value = math.pi * f0 / d
-        if not _cisfinite(value):  # pi F(k0) past double range: a quarter, then back
-            value = 4.0 * (math.pi * (0.25 * f0) / d)
+        value = math.pi * F(k0) / (2.0 * _norm_factor(a))
     except QuadcheckError:
         raise
     except FAILURES as exc:
         raise DomainError(f"the closed form fails: F({k0!r}) raised {exc!r}") from None
-    return complex_("the closed form must be a finite number", value)
+    return _closed_form(value)
+
+
+def _closed_form(value: complex) -> complex:
+    """``value`` if finite, with a modulus in double range; else DomainError."""
+    if modulus(complex_("the closed form must be a finite number", value)) < math.inf:
+        return value
+    raise DomainError(f"the closed form's modulus is beyond double range: {value!r}")
 
 
 def _contour(contour) -> tuple[float, tuple[complex, float] | None]:
@@ -499,8 +501,8 @@ def _verify(
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
     diagnostics = require_converged(master_integral(F, params, opts, scale, contour), what, opts)
     experimental = not (params.is_real_positive and F.schwarz_symmetric)
-    return VerificationReport(name, dict(record), scale * master_rhs(F, params), tolerance,
-                              diagnostics, experimental, notes)
+    rhs = _closed_form(scale * master_rhs(F, params))  # a scale above 1 can leave range
+    return VerificationReport(name, dict(record), rhs, tolerance, diagnostics, experimental, notes)
 
 
 def verify_master(

@@ -8,8 +8,8 @@ approximation plus the reflection formula, both in logs) and ``zeta``
 of it and a plain Dirichlet sum right of it), both implemented from
 scratch so their accuracy can be property-tested against independent
 series oracles.  Arguments follow the input rule (``errors.complex_``).
-An argument that is not a finite number, and a result beyond double range,
-raise DomainError; results that underflow are subnormal or 0.
+A non-finite argument, a result beyond double range and a zeta past its
+table raise DomainError; results that underflow are subnormal or 0.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def reciprocal_gamma(z: complex) -> complex:
 # a plain Dirichlet sum for Re z >= 10, where it needs fewer terms.
 # ---------------------------------------------------------------------------
 
-#: log 1 ... log 160, read by both sums: the Euler-Maclaurin sum stops at
-#: N <= 160, and the Dirichlet sum takes at most 28 terms (at Re s = 10).
+#: log 1 ... log 160, read by both sums: the Euler-Maclaurin sum is refused
+#: past N = 160, and the Dirichlet sum takes at most 28 terms (at Re s = 10).
 _LOGS = tuple(math.log(k) for k in range(1, 161))
 
 #: B_2j / (2j)! for j = 1 ... 10, the weights of the Euler-Maclaurin corrections.
@@ -213,10 +213,12 @@ def _zeta_euler_maclaurin(s: complex) -> complex:
     """zeta(s) = sum_{k<N} k^-s + N^(1-s)/(s-1) + N^-s/2
     + sum_{j=1}^{10} B_2j/(2j)! s(s+1)...(s+2j-2) N^(-s-2j+1), for s != 1.
 
-    N = min(floor(0.6 |s|) + 8, 160).  On -1 <= Re s < 10, |Im s| <= 50
-    the remainder bound of this (N, 10) is below 1e-13 max(1, |zeta(s)|).
+    N = floor(0.6 |s|) + 8 (DomainError past 160).  On -1 <= Re s < 10,
+    |Im s| <= 50 the remainder bound of this (N, 10) is below 1e-13 max(1, |zeta(s)|).
     """
-    n = min(int(0.6 * abs(s)) + 8, len(_LOGS))
+    n = int(0.6 * abs(s)) + 8
+    if n > len(_LOGS):
+        raise DomainError(f"zeta's sum at s = {s!r} needs {n} terms, past its table of 160")
     acc = 0j
     minus_s, exp = -s, cmath.exp
     for ln_k in _LOGS[:n - 1]:
@@ -259,11 +261,11 @@ def zeta(z: complex) -> complex:
     left of -1.  Validated to >= 10 significant digits for Re z >= 0,
     |Im z| <= 50 (the region our contour integrals sweep); an
     AccuracyWarning is emitted when asked for points outside it, where left
-    of Re z = 10 the error grows with |Im z| (at Re z = 0.5, 1e-10 at
-    |Im z| = 400 and 0.3 at 1000).  Raises PoleError within
-    ``POLE_GUARD_RADIUS`` of z = 1, and DomainError where the functional
-    equation's value is beyond double range (Re z below about -260 near the
-    real axis) and where the sum overflows (|Im z| from about 1e19).
+    of Re z = 10 the error grows with |Im z|.  Raises PoleError within
+    ``POLE_GUARD_RADIUS`` of z = 1, and DomainError left of Re z = 10 from
+    |s| = 255 on, s being z, or 1 - z left of -1, where the Euler-Maclaurin
+    sum would need more terms than its table holds, and where the value is
+    beyond double range.
     """
     z = complex_("zeta requires a finite number", z)
     if modulus(z - 1.0) < POLE_GUARD_RADIUS:
@@ -282,6 +284,8 @@ def zeta(z: complex) -> complex:
         value = series(z)
         if cmath.isfinite(value):
             return value
+    except DomainError:
+        raise  # past the sum's table
     except FAILURES:
         pass
     raise DomainError(f"zeta at z = {z!r} is beyond double range or cannot be evaluated")

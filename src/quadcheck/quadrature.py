@@ -206,8 +206,9 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
     or the integrand or a sum raises, are the nodes walked again, through
     ``_eval``, to name the bad one; where none is bad on that walk, ``f``
     is impure and the IntegrandError names the rule's centre.  Where every
-    value is finite and only a sum or a modulus overflowed, the rule is
-    taken again on the values over 4 and its results multiplied by 4.
+    value is finite and only a sum or a modulus overflowed, the rule returns
+    ``(nan, inf, inf)``, and the run ends unconverged, as one whose exact
+    sums leave double range does.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -266,15 +267,7 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
             _name_bad_node(f, c, h)
             # an impure f: a value was not finite, and no node fails again
             raise IntegrandError(c, "f(x) was not a finite number at one of the rule's nodes")
-        # Only a weighted sum overflowed.  The Kronrod weights sum to 2, so
-        # the same rule on the values over 4, fed back in the order f is
-        # called, stays below DBL_MAX/2; f is not called again.
-        quarters = iter([0.25 * v for v in values])
-        q_value, q_err, q_abs = _gk15(lambda x, q=quarters: next(q), lo, hi)
-        if math.isfinite(4.0 * q_abs):
-            return 4.0 * q_value, 4.0 * q_err, 4.0 * q_abs
-        # the integral of |f| is beyond double range: no value, and the run
-        # ends unconverged
+        # only a weighted sum or a modulus overflowed: no value, and the run ends unconverged
         return complex(math.nan, math.nan), math.inf, math.inf
     resasc *= h
     resabs *= h

@@ -331,12 +331,12 @@ def test_master_rhs_cosine_transform_complex_a():
     assert abs(master_rhs(F, KernelParams(1 + 2j)) - expected) < 1e-15
 
 
-def test_master_rhs_past_double_range_in_pi_F_alone_is_rescaled():
-    # pi F(k0) overflows; a quarter of F(k0), then 4 times the quotient, is
-    # the same form scaled by powers of two, so no bit moves
+def test_master_rhs_past_double_range_in_pi_F_alone_is_a_domain_error():
+    # pi F(k0) overflows, though the closed form, about 1.178e308 (1+i),
+    # would not: the closed form is refused, not rescued
     F = TransformFunction(lambda k: complex(1.5e308, 1.5e308))
-    assert master_rhs(F, KernelParams(1.0)) == complex(1.1780972450961725e308,
-                                                       1.1780972450961725e308)
+    with pytest.raises(DomainError, match="must be a finite number"):
+        master_rhs(F, KernelParams(1.0))
     # wherever pi F(k0) / (2 a (1 + a^2)) is finite, its bits stand
     forms = [(TransformFunction(lambda k: cmath.exp(-k)), KernelParams(1.0))]
     for case in list_cases():
@@ -473,13 +473,34 @@ def test_sample_whose_modulus_overflows_is_skipped_by_the_symmetry_probe():
     assert not detect_schwarz_symmetry(lambda k: complex(1.5e308, 1.5e308))
 
 
-def test_closed_form_whose_modulus_overflows_gives_the_true_ratio():
-    # the false flag gets the real part right and misses the imaginary one:
-    # |lhs - rhs| is about 1.56e308 and |rhs| about 2.2e308, beyond double range
+def test_closed_form_whose_modulus_overflows_is_a_domain_error():
+    # the false flag gets the real part right and misses the imaginary one,
+    # and the left side converges; |rhs| is about 2.2e308, beyond double
+    # range, so the run is refused, not compared as |lhs - rhs| / inf = 0
     F = TransformFunction(lambda k: 1e307 * (1 + 1j), schwarz_symmetric=True)
-    report = verify_master(F, KernelParams(0.1))
-    assert not report.passed
-    assert abs(report.rel_diff - 2**-0.5) < 1e-12
+    with pytest.raises(DomainError, match="modulus is beyond double range"):
+        verify_master(F, KernelParams(0.1))
+
+
+def test_closed_form_with_finite_parts_and_an_infinite_modulus_is_a_domain_error():
+    # pi F(k0) / (2a(1 + a^2)) is about 1.555e308 (1+i): both parts are
+    # finite and its modulus is not
+    F = TransformFunction(lambda k: 1e307 * (1 + 1j))
+    with pytest.raises(DomainError, match="modulus is beyond double range"):
+        master_rhs(F, KernelParams(0.1))
+    # in range at a = 0.2, where 2a(1 + a^2) is twice as large
+    assert cmath.isfinite(master_rhs(F, KernelParams(0.2)))
+
+
+def test_scaled_closed_form_whose_modulus_overflows_is_a_domain_error():
+    # |rhs| is about 1.76e308, in range; 4/pi times it is not.  The false
+    # flag drops the imaginary part, so the left side converges, and a
+    # report would pass on |lhs - rhs| / inf = 0
+    F = TransformFunction(lambda k: 0.8e307 * (1 + 1j), schwarz_symmetric=True)
+    params = KernelParams(0.1)
+    assert kernel.modulus(master_rhs(F, params)) < math.inf
+    with pytest.raises(DomainError, match="modulus is beyond double range"):
+        kernel._verify("scaled", {}, F, params, None, 1e-8, scale=4.0 / math.pi)
 
 
 def test_roundoff_message_of_a_value_whose_modulus_overflows():
@@ -518,18 +539,17 @@ def test_report_pass_uses_or_of_relative_and_absolute():
     assert (rep2.abs_diff, rep2.rel_diff) == (1.0, 1.0 / REL_DIFF_FLOOR)
 
 
-def test_report_past_double_range_compares_the_quarters():
-    # |rhs| is beyond double range though its parts are finite: abs_diff is
-    # huge, and rel_diff is the ratio of the quarters of both sides, not
-    # abs_diff / inf = 0, so a relative miss of 1e-6 fails
-    rhs = complex(1.5e308, 1.5e308)
-    close = _report(complex(1.5e308 * (1 + 1e-10), 1.5e308), rhs)
-    far = _report(complex(1.5e308 * (1 + 1e-6), 1.5e308), rhs)
-    for rep, relative in ((close, 1e-10), (far, 1e-6)):
-        assert rep.abs_diff > 1e290
-        assert rep.rel_diff == pytest.approx(relative / math.sqrt(2.0), rel=1e-6)
-    assert close.passed
-    assert not far.passed
+def test_report_past_double_range_is_refused_at_the_closed_form():
+    # a closed form of 1.5e308 (1+i), whose modulus is beyond double range,
+    # never reaches a report, where rel_diff would divide by inf: it is
+    # refused at the closed form.  At a = 0.1, 2a(1 + a^2) = 0.202.
+    F = TransformFunction(lambda k: 1.5e308 * 0.202 / math.pi * (1 + 1j))
+    with pytest.raises(DomainError, match="modulus is beyond double range"):
+        master_rhs(F, KernelParams(0.1))
+    # rel_diff is one formula, abs_diff / max(|rhs|, REL_DIFF_FLOOR)
+    for lhs, rhs in ((1.5e8 * (1 + 1e-10) + 1.5e8j, 1.5e8 * (1 + 1j)), (1.0 + 0j, 1e-310 + 0j)):
+        rep = _report(lhs, rhs)
+        assert rep.rel_diff == rep.abs_diff / max(abs(rhs), REL_DIFF_FLOOR)
 
 
 #: The verdict of the default runs, bit for bit: (case, abs_diff.hex(),

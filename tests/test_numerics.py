@@ -203,6 +203,30 @@ def test_zeta_where_the_modulus_of_z_overflows():
             zeta(complex(-1.5e308, 1.5e308))
 
 
+#: Just inside the Euler-Maclaurin table, |s| < 255 with s = z, or 1 - z
+#: left of Re z = -1; and just past it.
+_ZETA_TABLE_INSIDE = (0.5 + 250j, 0.5 + 254.9j, 0.5 - 254.9j, 5 + 254.9j, 9.99 + 254.7j,
+                      -1 + 254.9j, -100 + 229j, -253.9 + 0j, -253 + 1j)
+_ZETA_TABLE_PAST = (0.5 + 255j, 0.5 + 1000j, 5 + 1e5j, 9.99 - 300j, -254.5 + 1j, -1.5 + 300j)
+
+
+def test_zeta_just_inside_its_table_against_mpmath():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        for s in _ZETA_TABLE_INSIDE:
+            ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+            assert abs(zeta(s) - ref) <= 1e-12 * abs(ref), s
+
+
+@pytest.mark.parametrize("s", _ZETA_TABLE_PAST)
+def test_zeta_past_its_table_is_a_domain_error(s):
+    # a capped sum returned 0.30 off at 0.5 + 1000i and 2.7e26 off at 5 + 1e5i
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        with pytest.raises(DomainError, match="past its table of 160"):
+            zeta(s)
+
+
 def test_zeta_far_left_in_double_range_against_mpmath():
     # gamma(1 - s) is about 1e375 here, but chi(s) and zeta(s) are in range
     s = -200 + 1j
@@ -363,7 +387,7 @@ def _dirichlet_with_a_log_per_term(s):
 
 def _euler_maclaurin_terms(s):
     """N of the Euler-Maclaurin sum at s."""
-    return min(int(0.6 * abs(s)) + 8, 160)
+    return int(0.6 * abs(s)) + 8
 
 
 def _euler_maclaurin_with_a_log_per_term(s):
@@ -388,8 +412,8 @@ def test_both_zeta_sums_read_the_log_table_bit_for_bit():
         s = complex(rng.uniform(10.0, 60.0), rng.uniform(-200.0, 200.0))
         assert _bits(_zeta_dirichlet(s)) == _bits(_dirichlet_with_a_log_per_term(s)), s
     strip = [complex(rng.uniform(0.0, 10.0), rng.uniform(-50.0, 50.0)) for _ in range(300)]
-    # from |s| of about 253.3 the sum stops at the table's last term, N = 160
-    strip += [-1.0 + 50j, 0.5 + 254j, 3.0 - 400j]
+    # from |s| of about 253.3 to 255 the sum ends at the table's last term, N = 160
+    strip += [-1.0 + 50j, 0.5 + 254j, 3.0 - 254.9j]
     assert _euler_maclaurin_terms(strip[-2]) == len(numerics._LOGS) == 160
     for s in strip:
         assert _bits(_zeta_euler_maclaurin(s)) == _bits(_euler_maclaurin_with_a_log_per_term(s)), s

@@ -210,29 +210,32 @@ def test_impure_integrand_ends_in_integrand_error_at_the_rule_centre(third_call)
     assert err.value.abscissa == 0.5
 
 
+def _ends_beyond_double_range(r, evaluations):
+    # the one outcome at the edge of double range: no value, an infinite
+    # estimate and no convergence, after the rule's own calls of f
+    assert cmath.isnan(r.value) and r.error_estimate == math.inf
+    assert not r.converged and r.evaluations == evaluations
+
+
 def test_overflowing_sum_of_finite_values_is_not_an_integrand_error():
     # every value is finite and only the rule's weighted sums overflow: the
-    # rule is taken again on the values over 4 and multiplied by 4
+    # run ends unconverged with an infinite estimate, not in an IntegrandError
     r = integrate_finite(lambda x: 1.5e308, 0.0, 1e-300, QuadratureOptions(max_subdivisions=1))
-    assert r.value == 1.5e8
-    assert r.converged
+    _ends_beyond_double_range(r, 15)
     r = integrate_finite(lambda x: 1.2e308, 0.0, 1.4)
-    assert r.value == 1.2e308 * 1.4
-    assert r.converged and r.evaluations == 15
+    _ends_beyond_double_range(r, 15)
 
 
 def test_complex_value_whose_modulus_overflows_is_not_an_integrand_error():
-    # both parts are finite, only abs() of the value overflows: the rule is
-    # taken again on the values over 4, as for an overflowing sum
+    # both parts are finite, only abs() of the value overflows: the run ends
+    # as for an overflowing sum, not in an IntegrandError or a bare OverflowError
     r = integrate_finite(lambda x: complex(1.5e308, 1.5e308), 0.0, 1e-300)
-    assert r.value == complex(1.5e8, 1.5e8)
-    assert r.converged and r.evaluations == 15
-    # an integral of |f| beyond double range ends unconverged, not in a bare OverflowError
+    _ends_beyond_double_range(r, 15)
     r = integrate_finite(lambda x: complex(1.7e308, 1.7e308), 0.0, 1.0)
-    assert not r.converged and not math.isfinite(r.error_estimate)
+    _ends_beyond_double_range(r, 15)
 
 
-def test_rule_retaken_on_overflow_does_not_call_the_integrand_again():
+def test_rule_that_overflows_does_not_call_the_integrand_again():
     calls = []
 
     def f(x):
@@ -253,24 +256,31 @@ def test_integral_of_finite_values_beyond_double_range_is_not_converged():
     (integrate_real_line, lambda x: 0.8e308 * (1 + 1j) * math.exp(-abs(x))),
 ])
 def test_integral_whose_modulus_overflows_ends_unconverged(integrate, f):
-    # both parts of the value are finite, only |value| is beyond double
-    # range: the tolerance rel_tol |value| would be infinite, and no run
-    # converges against it
-    r = integrate(f)
+    # both parts of every value are finite, and |f| next to 0 is beyond
+    # double range: the first window's five rules end the run unconverged,
+    # with two calls of f per folded node on the real line
+    calls = 2 if integrate is integrate_real_line else 1
+    _ends_beyond_double_range(integrate(f), 75 * calls)
+
+
+def test_integral_whose_modulus_alone_overflows_stops_at_the_first_exact_sum():
+    # every rule is in range, and so are both parts of the value, 1.44e308
+    # each; only |value| is beyond double range, so the tolerance rel_tol
+    # |value| would be infinite, and the run stops unconverged at once
+    r = integrate_half_line(lambda x: 0.6e308 * (1 + 1j) * math.exp(-x / 2.5))
     assert cmath.isfinite(r.value) and math.isfinite(r.error_estimate)
-    assert not r.converged
+    assert not r.converged and r.evaluations == 75
 
 
-def test_distance_from_the_mean_whose_modulus_overflows_is_retaken_over_4():
+def test_distance_from_the_mean_whose_modulus_overflows_ends_unconverged():
     # every value and the |f| sum are finite; only |f - mean| at the nodes
-    # next to 0 overflows, and the rule is taken again on the values over 4
+    # next to 0 overflows, and the run ends as for an overflowing sum
     def f(x):
         if x == 0.5:
             return -1.2e308 * (1 + 1j)
         return 1.2e308 * (1 + 1j) if x < 0.01 else 0j
 
-    r = integrate_finite(f, 0.0, 1.0)
-    assert cmath.isfinite(r.value) and math.isfinite(r.error_estimate)
+    _ends_beyond_double_range(integrate_finite(f, 0.0, 1.0), 15)
 
 
 @pytest.mark.parametrize("scale, converged", [(3.5, True), (3.8, True), (4.0, False)])
