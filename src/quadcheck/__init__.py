@@ -11,7 +11,7 @@ The expression language, ``quadcheck.expr``, is imported on first use of
 expression do not pay for it.
 """
 
-from .catalog import CaseDefinition, list_cases, run_case
+from .catalog import CaseDefinition, list_cases, run_case, seed_lhs, seed_rhs
 from .errors import (
     DivergenceError,
     DomainError,
@@ -34,8 +34,6 @@ from .kernel import (
     kernel_weight,
     master_lhs,
     master_rhs,
-    seed_lhs,
-    seed_rhs,
     verify_master,
     verify_seed,
 )

@@ -14,9 +14,11 @@ it raises one of ``FAILURES``.  At a quadrature node either becomes an
 form or in the expression language, a ``QuadcheckError`` passes through
 unchanged and anything in ``FAILURES`` becomes a ``DomainError``.
 
-The CLI maps argument, expression and domain errors (``ParameterError``,
-``UnknownCaseError``, ``ExpressionError``, ``DomainError``) to exit code 2,
-and numerical failures (``IntegrandError``, ``DivergenceError``,
+Every refusal of an input is a ``DomainError``: a value outside an
+operation's domain, a case parameter (``ParameterError``), an unknown case
+id (``UnknownCaseError``) and an expression that does not parse or
+evaluate (``ExpressionError``).  The CLI maps ``DomainError`` to exit code
+2, and numerical failures (``IntegrandError``, ``DivergenceError``,
 ``NonConvergenceError`` and its ``RoundoffError``, and any other
 ``QuadcheckError``) to exit code 3.
 """
@@ -84,7 +86,7 @@ class RoundoffError(NonConvergenceError):
     """
 
 
-class ExpressionError(QuadcheckError):
+class ExpressionError(DomainError):
     """Base class for expression-language failures."""
 
 
@@ -100,14 +102,14 @@ class EvaluationError(ExpressionError):
     """Evaluation failed, e.g. an unbound variable or division by zero."""
 
 
-class UnknownCaseError(QuadcheckError, KeyError):
+class UnknownCaseError(DomainError, KeyError):
     """No catalog case with the requested id."""
 
     def __str__(self) -> str:  # KeyError would repr-quote the message
         return self.args[0] if self.args else ""
 
 
-class ParameterError(QuadcheckError, ValueError):
+class ParameterError(DomainError):
     """A case parameter violates its domain constraint."""
 
 

@@ -1,18 +1,14 @@
-"""The cosh-quotient kernel and the central integral identities.
+"""The cosh-quotient kernel and the master identity.
 
 The kernel is ``cosh x / (1 + 2 a^2 cosh 2x + a^4)``, which factors as
-``cosh x / ((a^2 + e^{2x})(a^2 + e^{-2x}))``.  Three identities are exposed:
+``cosh x / ((a^2 + e^{2x})(a^2 + e^{-2x}))``.  The master identity: the
+full-line integral of ``F(x^2 + i pi x)`` against the kernel equals
+``pi F(pi^2/4 + ln^2 a) / (2 a (1 + a^2))`` for any admissible transform F.
+At a = 1 the kernel collapses to ``sech(x)/4``.  The seed identity and the
+worked cases are instances of it, rows of ``catalog``; ``verify_seed`` runs
+the seed's row.
 
-* the master identity: the full-line integral of ``F(x^2 + i pi x)``
-  against the kernel equals ``pi F(pi^2/4 + ln^2 a) / (2 a (1 + a^2))``
-  for any admissible transform F;
-* its a = 1 specialization, where the kernel collapses to ``sech(x)/4``;
-* the seed identity: the half-line integral of
-  ``exp(-t x^2) cos(t pi x)`` against the kernel equals
-  ``pi exp(-t (pi^2/4 + ln^2 a)) / (4 a (1 + a^2))``, which is half the
-  master identity for ``F(k) = exp(-t k)``.
-
-Every identity is taken on one contour, the line ``x = y - ic``, and c = 0
+The identity is taken on one contour, the line ``x = y - ic``, and c = 0
 is the real axis.  The kernel is even and ``k(-x) = conj k(x)`` for
 ``k(x) = x^2 + i pi x``, so the line folds onto y >= 0 as the half-line
 integral of ``F(k) K(x) + F(conj k) K(conj x)``, which is
@@ -20,9 +16,9 @@ integral of ``F(k) K(x) + F(conj k) K(conj x)``, which is
 the printed form.  One argument names the contour: a depth c, which
 vouches that F is analytic and decays down to it, or one pair (c, beta)
 that states F as ``c e^{i beta k} + conj(c) e^{-i beta k}``, whose tail may
-take steepest-descent rays.  The seed identity takes
-0.8, each catalog row its own, and a user's F 0.  One function builds
-every verification report from that integral and the scaled closed form.
+take steepest-descent rays.  Each catalog row takes its own, and a
+user's F the depth 0.  One function builds every verification report from
+that integral and the scaled closed form.
 """
 
 from __future__ import annotations
@@ -54,8 +50,6 @@ __all__ = [
     "REL_DIFF_FLOOR",
     "DEFAULT_TOLERANCE",
     "kernel_weight",
-    "seed_lhs",
-    "seed_rhs",
     "master_lhs",
     "master_rhs",
     "verify_master",
@@ -88,10 +82,10 @@ _cisfinite = cmath.isfinite
 _RAY_BETA = (0.05, 1.0 / math.pi)
 _RAY_LOG_A = 6.0
 
-#: The seed identity takes its left side on the line ``Im x = -c`` with c
-#: _LINE_SHIFT, and each catalog row at its own depth, _LINE_SHIFT unless the
-#: row sets another; c is at most _SHIFT_CAP of the way to the nearest kernel
-#: pole, which sits at ``Im x = |arg a| - pi/2`` for the root a with Re a > 0.
+#: Each catalog row takes its left side on the line ``Im x = -c`` at its own
+#: depth c, _LINE_SHIFT unless the row sets another; c is at most _SHIFT_CAP
+#: of the way to the nearest kernel pole, which sits at ``Im x = |arg a| - pi/2``
+#: for the root a with Re a > 0.
 _LINE_SHIFT = 0.8
 _SHIFT_CAP = 0.75
 
@@ -522,47 +516,14 @@ def verify_master(
     return _verify(name, {"a": params.a}, F, params, opts, tolerance)
 
 
-#: The seed identity's printed form is the half-line integral.
-_SEED_SCALE = 0.5
-
-
-def _seed(params: KernelParams, t: float) -> TransformFunction:
-    """The seed identity's transform exp(-t k), whose real part on the
-    contour is exp(-t x^2) cos(t pi x), once ``t``, the type of ``params``
-    and the seed domain (real a > 0) are checked."""
-    x = real("seed identity requires a finite t > 0", t, lo=0.0)
-    F = TransformFunction(lambda k: cmath.exp(-x * k), schwarz_symmetric=True, name="seed")
-    _operands(F, params)
-    if not params.is_real_positive:
-        raise DomainError("the seed integral is defined for real a > 0")
-    return F
-
-
-def seed_rhs(params: KernelParams, t: float) -> complex:
-    """Closed form of the seed identity: pi exp(-t(pi^2/4 + ln^2 a)) / (4a(1+a^2)),
-    for real a > 0 only."""
-    return _SEED_SCALE * master_rhs(_seed(params, t), params)
-
-
-def seed_lhs(
-    params: KernelParams, t: float, opts: QuadratureOptions | None = None
-) -> QuadratureResult:
-    """Half-line integral side of the seed identity (real a > 0 only),
-    taken on the line Im x = -0.8."""
-    return master_integral(_seed(params, t), params, opts, _SEED_SCALE, _LINE_SHIFT)
-
-
 def verify_seed(
     a: float,
     t: float,
     opts: QuadratureOptions | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
-    """Evaluate both sides of the seed identity and compare."""
-    params = KernelParams(a)
-    F = _seed(params, t)
-    record = {"a": params.a, "t": complex(t)}
-    return _verify(
-        "kernel", record, F, params, opts, tolerance, _SEED_SCALE, "seed-identity integral",
-        contour=_LINE_SHIFT,
-    )
+    """Evaluate both sides of the seed identity and compare: the catalog's
+    ``kernel`` row at (a, t)."""
+    from .catalog import run_case  # catalog imports this module
+
+    return run_case("kernel", {"a": a, "t": t}, opts, tolerance)

@@ -44,11 +44,11 @@ from quadcheck.catalog import _ZETA_FIRST_ZERO, CATALOG_ORDER, get_case
 from quadcheck.kernel import DEFAULT_TOLERANCE, _verify, master_integral
 
 
-def test_catalog_has_six_unique_cases():
+def test_catalog_has_seven_unique_cases():
     cases = list_cases()
-    assert len(cases) == 6
+    assert len(cases) == 7
     ids = [c.case_id for c in cases]
-    assert len(set(ids)) == 6
+    assert len(set(ids)) == 7
     assert tuple(ids) == CATALOG_ORDER
 
 
@@ -484,7 +484,7 @@ def test_a_at_plus_minus_i_is_a_domain_error(case_id, a):
 #: each half-line window cost this much.
 _EVALUATION_CEILING = {
     "rational": 225, "bessel": 465, "gaussian": 1320,
-    "cosine": 780, "gamma": 240, "zeta": 255,
+    "cosine": 780, "gamma": 240, "zeta": 255, "kernel": 150,
 }
 
 
@@ -570,7 +570,8 @@ _DEFAULT_RESULTS = {
     "cosine": ("-0x1.41014205c85b1p-4", "0x1.5a4f9ac12c291p-9", 255),
     "gamma": ("0x1.20dd750429b6cp+0", "0x0.0p+0", 120),
     "zeta": ("0x1.4d40c58349ac8p-4", "0x0.0p+0", 120),
-    # the seed identity at a = t = 1
+    # the seed identity's row at its defaults a = t = 1, and verify_seed there
+    "kernel": ("0x1.10d11b4c55b2cp-5", "0x0.0p+0", 150),
     "seed": ("0x1.10d11b4c55b2cp-5", "0x0.0p+0", 150),
     # 1/(k+2) at a = 0.7 without the Schwarz flag: the fold sums
     # F(k) + F(conj k), the branch no catalog case takes

@@ -81,9 +81,9 @@ def test_verify_all_json(tmp_path, capsys):
     rc = main(["verify-all", "--tol", "1e-8", "--json", str(out)])
     assert rc == 0
     records = json.loads(out.read_text())
-    assert len(records) == 6
+    assert len(records) == 7
     assert [r["case"] for r in records] == [
-        "rational", "bessel", "gaussian", "cosine", "gamma", "zeta",
+        "rational", "bessel", "gaussian", "cosine", "gamma", "zeta", "kernel",
     ]
     for rec in records:
         _validate_record(rec)
@@ -262,6 +262,7 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "rational", "--param", "a=1e300+1e-300i"],  # a^2 beyond double range
         ["kernel-check", "--a", "1"],                # missing --t
         ["kernel-check", "--a", "1+2i", "--t", "1"],  # complex a
+        ["verify", "kernel", "--param", "a=1+2i"],   # the same row, the same rule
         ["no-such-command"],
         [],
     ]
@@ -284,6 +285,22 @@ def test_kernel_check_single_point(capsys):
     _validate_record(rec)
     assert rec["case"] == "kernel"
     assert abs(rec["lhs"]["re"] - math.pi * math.exp(-math.pi**2 / 4) / 8) < 1e-12
+
+
+def test_a_parameter_given_twice_is_refused(capsys):
+    # the last value used to win without a word
+    assert main(["verify", "rational", "--param", "b=2", "--param", " b=5"]) == 2
+    err = capsys.readouterr().err
+    assert "'b'" in err and "more than once" in err
+
+
+@pytest.mark.parametrize("a, t", [("1", "1"), ("1.65", "1.1"), ("0.3", "2")])
+def test_kernel_check_is_the_kernel_case(capsys, a, t):
+    assert main(["kernel-check", "--a", a, "--t", t, "--format", "json"]) == 0
+    point = capsys.readouterr().out
+    assert main(["verify", "kernel", "--param", f"a={a}", "--param", f"t={t}",
+                 "--format", "json"]) == 0
+    assert capsys.readouterr().out == point
 
 
 def test_kernel_check_grid(capsys):

@@ -328,6 +328,13 @@ _OBJECTS = {
 }
 
 
+def test_every_refusal_is_a_domain_error():
+    # the CLI maps DomainError to exit code 2 with one clause
+    for error in (ParameterError, UnknownCaseError, ParseError, qc.EvaluationError, PoleError):
+        assert issubclass(error, DomainError), error
+    assert issubclass(UnknownCaseError, KeyError)
+
+
 @pytest.mark.parametrize("entry", list(_OBJECTS))
 def test_wrong_typed_object_argument_is_a_typed_refusal(entry):
     call, error = _OBJECTS[entry]
