@@ -25,7 +25,6 @@ from .kernel import (
     KernelParams,
     TransformFunction,
     VerificationReport,
-    _LINE_SHIFT,
     _verify,
     master_integral,
     master_rhs,
@@ -43,6 +42,9 @@ Rule = Callable[[str, complex], complex]  # (name, value) -> normalized value
 #: case's F inside the master identity's strip once a > gamma_1^2/2 (``_zeta``).
 _ZETA_FIRST_ZERO = 14.134725141734693
 
+#: The rows' default line depth.
+_LINE_SHIFT = 0.8
+
 
 class CaseDefinition(Frozen):
     """A runnable verification case.
@@ -54,16 +56,12 @@ class CaseDefinition(Frozen):
     transform F from checked parameters; the case's left side is ``scale``
     times the full-line master integral of F at kernel parameter
     ``kernel_a`` (the case's own ``a`` when None), and its right side is
-    ``scale`` times the master closed form.  ``contour`` is ``kernel.master_integral``'s: a float, the
-    depth c of the line ``x = y - ic`` capped below the kernel's poles and
-    0 where ``|ln|a|| > 6``, so the parameter rules must keep F analytic
-    and decaying in the strip ``-c <= Im x <= 0``; or, as for cosine, a
-    callable of the checked parameters that gives one pair ``(c, beta)``,
-    beta >= 0, with F(k) = ``c e^{i beta k} + conj(c) e^{-i beta k}``,
-    whose tail may take the rays.
-    The depth is a cost choice only: 0.8 by default, 1.0 for the rows whose
-    F the deeper line makes cheaper.  ``truncation`` is the y reached on
-    the line, and the contour parameter s on the rays.
+    ``scale`` times the master closed form.  ``contour`` is the argument
+    ``kernel._route`` reads: a depth c, so the parameter rules must keep F
+    analytic and decaying in the strip ``-c <= Im x <= 0``, or, as for
+    cosine, a callable of the checked parameters that gives one pair
+    ``(c, beta)``.  The depth is a cost choice only: _LINE_SHIFT by default,
+    1.0 for the rows whose F the deeper line makes cheaper.
     """
 
     case_id: str

@@ -13,12 +13,11 @@ is the real axis.  The kernel is even and ``k(-x) = conj k(x)`` for
 ``k(x) = x^2 + i pi x``, so the line folds onto y >= 0 as the half-line
 integral of ``F(k) K(x) + F(conj k) K(conj x)``, which is
 ``2 Re F(k) K(x)`` for Schwarz-symmetric F at real a^2, times the scale of
-the printed form.  One argument names the contour: a depth c, which
-vouches that F is analytic and decays down to it, or one pair (c, beta)
-that states F as ``c e^{i beta k} + conj(c) e^{-i beta k}``, whose tail may
-take steepest-descent rays.  Each catalog row takes its own, and a
-user's F the depth 0.  One function builds every verification report from
-that integral and the scaled closed form.
+the printed form.  ``_route`` decides the contour of a run, a depth or
+steepest-descent rays for a pair's tail, and states the rules.  Each
+catalog row names its own, and a user's F the depth 0.  One function
+builds every verification report from that integral and the scaled closed
+form.
 """
 
 from __future__ import annotations
@@ -69,24 +68,17 @@ _exp = math.exp
 _cexp = cmath.exp
 _cisfinite = cmath.isfinite
 
-#: A pair ``(c, beta)`` takes its tail on ``master_integral``'s rays when beta
-#: is in ``[lo, hi)`` of _RAY_BETA.  lo sits at the measured
-#: break-even for cos(beta k) at 11 values of a from 0.0025 to 300, complex
-#: ones too: at 0.05 the rays take 3240 evaluations against 3000 on the real
-#: axis (600, 240 and 195 against 480, 210 and 150 at a = 0.0025, 1 and 300),
-#: at 0.06 2625 against 3360, and at 0.1 2355 against 6420.  From 1/pi on, the
-#: real-axis integral diverges.  Any contour leaves the real axis only where
-#: ``|ln|a|| <= _RAY_LOG_A``, which keeps the kernel's poles, at
-#: ``Re x = +/- ln|a|``, 2 left of the rays, and a^2 far inside double range
-#: for the kernel at complex x.
+#: ``_route``'s bounds.  The ray band is [lo, hi) of _RAY_BETA.  lo sits at
+#: the measured break-even for cos(beta k) at 11 values of a from 0.0025 to
+#: 300, complex ones too: at 0.05 the rays take 3240 evaluations against 3000
+#: on the real axis (600, 240 and 195 against 480, 210 and 150 at a = 0.0025,
+#: 1 and 300), at 0.06 2625 against 3360, and at 0.1 2355 against 6420.  From
+#: 1/pi on, the real-axis integral diverges.  _RAY_LOG_A keeps the kernel's
+#: poles, at ``Re x = +/- ln|a|``, 2 left of the rays, and a^2 far inside
+#: double range for the kernel at complex x.  _SHIFT_CAP is the share of the
+#: way to the nearest kernel pole that a line may go.
 _RAY_BETA = (0.05, 1.0 / math.pi)
 _RAY_LOG_A = 6.0
-
-#: Each catalog row takes its left side on the line ``Im x = -c`` at its own
-#: depth c, _LINE_SHIFT unless the row sets another; c is at most _SHIFT_CAP
-#: of the way to the nearest kernel pole, which sits at ``Im x = |arg a| - pi/2``
-#: for the root a with Re a > 0.
-_LINE_SHIFT = 0.8
 _SHIFT_CAP = 0.75
 
 
@@ -96,7 +88,7 @@ class KernelParams(Frozen):
     The canonical domain is real a > 0.  Complex values are accepted but
     flagged experimental: the identities check out numerically at sample
     complex points, yet no validity region is established for them.
-    Purely imaginary a is accepted here, but ``master_integral`` refuses
+    Purely imaginary a is accepted here, but a master run refuses
     it: a kernel pole then lies on the real axis, at x = +/- ln|a|.  An a
     that is 0 or whose square is beyond double range raises DomainError.
     """
@@ -118,10 +110,6 @@ class KernelParams(Frozen):
     @property
     def is_real_positive(self) -> bool:
         return self.a.imag == 0.0 and self.a.real > 0.0
-
-    def log_a(self) -> complex:
-        """Principal log of a."""
-        return cmath.log(self.a)
 
 
 class TransformFunction(Frozen):
@@ -356,18 +344,49 @@ def _closed_form(value: complex) -> complex:
     raise DomainError(f"the closed form's modulus is beyond double range: {value!r}")
 
 
-def _contour(contour) -> tuple[float, tuple[complex, float] | None]:
-    """The depth and the pair ``contour`` names, or DomainError."""
+def _route(F: TransformFunction, params: KernelParams, contour) -> tuple[float, tuple | None]:
+    """The contour of a master run: the depth taken, 0.0 on the axis, and
+    the pair whose tail takes the rays, or None.
+
+    The value does not depend on where the contour runs inside the strip
+    where F and the kernel are analytic (Henrici, *Applied and
+    Computational Complex Analysis* I, 1974).  These rules, in order,
+    choose it from ``contour``, a and F's Schwarz flag:
+
+    1. ``contour`` is a finite depth c >= 0, the caller's word that F is
+       analytic and decays down to the line ``x = y - ic`` (0 and -0.0 are
+       the real axis), or one pair ``(c, beta)``, finite c and real
+       beta >= 0, stating F as ``c e^{i beta k} + conj(c) e^{-i beta k}``,
+       which never takes the line.  Else DomainError.
+    2. a = +/- i, and Re a = 0, which puts a kernel pole on the real axis,
+       raise DomainError.
+    3. Where ``|ln|a|| > _RAY_LOG_A`` (6) the run is on the axis.
+    4. A depth is capped at _SHIFT_CAP (3/4) of the way to the nearest
+       kernel pole, at ``Im x = |arg a| - pi/2`` for the root a with Re a > 0.
+    5. A pair takes its tail on the steepest-descent rays ``X +/- iy``
+       (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006) where F
+       has the Schwarz flag and beta is in _RAY_BETA, [0.05, 1/pi); else
+       the run is on the axis.
+    """
     what = "contour must be a finite depth >= 0 or one pair (c, real beta >= 0)"
+    depth, pair = math.nan, None  # nan: a tuple of another length is refused
     if not isinstance(contour, tuple):
         depth = real(what, contour)
-        if depth >= 0.0:  # -0.0 too: the axis
-            return depth, None
     elif len(contour) == 2:
-        c, beta = complex_(what, contour[0]), real(what, contour[1])
-        if beta >= 0.0:
-            return 0.0, (c, beta)
-    raise DomainError(f"{what}, got {contour!r}")
+        pair = complex_(what, contour[0]), real(what, contour[1])
+    if not (pair[1] if pair else depth) >= 0.0:
+        raise DomainError(f"{what}, got {contour!r}")
+    a = params.a
+    _norm_factor(a)
+    if a.real == 0:
+        raise DomainError(f"Re a = 0 puts a kernel pole on the real axis: a = {a!r}")
+    if abs(cmath.log(a).real) > _RAY_LOG_A or not (pair or depth):
+        return 0.0, None
+    if pair:
+        lo, hi = _RAY_BETA
+        return 0.0, (pair if F.schwarz_symmetric and lo <= pair[1] < hi else None)
+    arg_a = abs(cmath.phase(a if a.real > 0 else -a))
+    return min(depth, _SHIFT_CAP * (0.5 * math.pi - arg_a)), None
 
 
 def master_integral(
@@ -380,51 +399,32 @@ def master_integral(
     """``scale`` times the full-line master integral, folded onto [0, inf).
 
     The scale, a finite real, is applied inside the integrand, so the
-    function integrated is the scaled one.  A contour of neither form
-    below, a = +/- i and Re a = 0, which puts a kernel pole on the real
-    axis, raise DomainError before any quadrature, inadmissible F raise
-    DivergenceError, and convergence is left for the caller to check.
+    function integrated is the scaled one.  ``_route`` takes the contour
+    from ``contour`` and a, and raises DomainError for a malformed
+    contour and for a = +/- i or Re a = 0, before any quadrature;
+    inadmissible F raise DivergenceError, and convergence is left for the
+    caller to check.
 
-    The value does not depend on where the contour runs inside the strip
-    where F and the kernel are analytic (Henrici, *Applied and
-    Computational Complex Analysis* I, 1974), so ``contour`` and a alone
-    choose it.  A float is the depth c of the line ``x = y - ic``: 0, the
-    default, is the real axis, and a positive depth vouches that F is
-    analytic and decays down to it.  c is capped at 3/4 of the way to the
-    nearest kernel pole, at ``Im x = |arg a| - pi/2``, and is 0 where
-    ``|ln|a|| > 6``.  ``k(-y - ic)`` is ``conj k(y - ic)`` and the kernel
-    is even, so the half-line integrand in y is
+    ``k(-y - ic)`` is ``conj k(y - ic)`` and the kernel is even, so on the
+    line at depth c the half-line integrand in y is
     ``F(k) K(x) + F(conj k) K(conj x)`` for any F, and ``2 Re F(k) K(x)``
     for a Schwarz F at real a^2; truncation is the y reached.  On the line
     ``k = y^2 + c(pi - c) + iy(pi - 2c)`` the chirp and the hump of ``|F|``
-    that the axis sees shrink as c grows.
-
-    One pair ``(c, beta)``, finite c and real beta >= 0, states F as
-    ``c e^{i beta k} + conj(c) e^{-i beta k}`` and never takes the line:
-    where F has the Schwarz flag, beta is in [0.05, 1/pi) and
-    ``|ln|a|| <= 6`` (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
-    2006) s runs over [0, X] on the axis, X = 8 being an edge of every
-    window, then over the steepest-descent rays ``X +/- iy`` at
-    ``y = s - X``, where the pair stands for F, and truncation is the last
-    window's right edge in s; elsewhere the run is on the axis.
+    that the axis sees shrink as c grows.  On the rays s runs over [0, X]
+    on the axis, X = 8 being an edge of every window, then over the rays
+    ``X +/- iy`` at ``y = s - X``, where the pair stands for F, and
+    truncation is the last window's right edge in s.
     """
     _operands(F, params)
     scale = real("scale must be a finite number", scale)
-    depth, pair = _contour(contour)
-    _norm_factor(params.a)
-    if params.a.real == 0:
-        raise DomainError(f"Re a = 0 puts a kernel pole on the real axis: a = {params.a!r}")
+    depth, pair = _route(F, params, contour)
     fn = F.fn  # the quadrature's own check rejects non-finite values
     # looked up now, not at import: a wrapper put on the module still sees every node
     weight = kernel_weight
     schwarz = F.schwarz_symmetric
-    near = abs(params.log_a().real) <= _RAY_LOG_A
-    lo, hi = _RAY_BETA
-    ic = 0.0  # on the axis x stays a float, for kernel_weight's float branch
-    if near and depth:
-        arg_a = abs(cmath.phase(params.a if params.a.real > 0 else -params.a))
-        # y - ic is complex(y, -c) bit for bit when c > 0, with no call
-        ic = complex(0.0, min(depth, _SHIFT_CAP * (0.5 * math.pi - arg_a)))
+    # on the axis x stays a float, for kernel_weight's float branch; on the
+    # line y - ic is complex(y, -c) bit for bit, with no call
+    ic = complex(0.0, depth) if depth else 0.0
     if schwarz and isinstance(params._a2, float):  # real a^2: K(conj x) = conj K(x)
         w = 2.0 * scale
 
@@ -442,7 +442,7 @@ def master_integral(
             w = weight(params, x)  # on the axis x is conj x
             return scale * (g * w + h * (weight(params, x.conjugate()) if ic else w))
 
-    if near and schwarz and pair and lo <= pair[1] < hi:
+    if pair:
         head = f
         # F's term at X - iy, conj(c) e^{-i beta k}, conjugates c e^{i beta k} at X + iy
         c, i_beta = scale * pair[0], complex(0.0, pair[1])

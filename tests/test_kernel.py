@@ -9,6 +9,7 @@ import cmath
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -34,14 +35,14 @@ from quadcheck import (
     verify_seed,
 )
 from quadcheck import kernel
-from quadcheck.catalog import list_cases
+from quadcheck.catalog import _LINE_SHIFT, list_cases
 from quadcheck.cli import _SEED_GRID_A, _SEED_GRID_T
 from quadcheck.kernel import (
     _COMPLEX_TERMS,
     _COMPLEX_TERMS_CAP,
-    _LINE_SHIFT,
     REL_DIFF_FLOOR,
     VerificationReport,
+    _route,
     master_integral,
     require_converged,
 )
@@ -898,3 +899,51 @@ def test_an_unflagged_F_with_a_pair_takes_the_axis_bit_for_bit(a):
     kp = KernelParams(a)
     assert _bits(master_integral(F, kp, contour=(0.5, 0.2))) == _bits(
         master_integral(F, kp, contour=0.0))
+
+
+# --- _route: the one decision of a run's contour ----------------------------
+
+_FLAGGED = TransformFunction(lambda k: cmath.cos(0.1 * k), schwarz_symmetric=True)
+_UNFLAGGED = TransformFunction(lambda k: cmath.cos(0.1 * k))
+
+
+@pytest.mark.parametrize("F, a, contour, route", [
+    (_FLAGGED, 0.7, 0.8, (0.8, None)),
+    # the cap, 3/4 of the way to the pole at Im x = arg a - pi/2, about 0.34774
+    (_FLAGGED, 1 + 2j, 1.0, (0.75 * (0.5 * math.pi - cmath.phase(1 + 2j)), None)),
+    # the cap reads -a: at a = -0.7 the pole is as far as at 0.7
+    (_FLAGGED, -0.7, 0.8, (0.8, None)),
+    # |ln a| = 6.91 keeps the axis, 5.99 takes the line
+    (_FLAGGED, 1e-3, 0.8, (0.0, None)),
+    (_FLAGGED, 0.0025, 0.8, (0.8, None)),
+    (_FLAGGED, 1 + 2j, (0.5, 0.1), (0.0, (0.5, 0.1))),
+    # the ray band [0.05, 1/pi) is closed below and open above
+    (_FLAGGED, 1 + 2j, (0.5, 0.05), (0.0, (0.5, 0.05))),
+    (_FLAGGED, 1 + 2j, (0.5, 0.049), (0.0, None)),
+    (_FLAGGED, 1 + 2j, (0.5, 1.0 / math.pi), (0.0, None)),
+    # only a Schwarz F takes the rays
+    (_UNFLAGGED, 1 + 2j, (0.5, 0.1), (0.0, None)),
+    (_FLAGGED, 0.7, -0.0, (0.0, None)),
+], ids=["line", "capped", "negative-a", "far-a-axis", "near-a-line", "rays", "band-low-edge",
+        "below-band", "band-high-edge", "unflagged-pair", "negative-zero-axis"])
+def test_route_decides_the_contour(F, a, contour, route):
+    assert _route(F, KernelParams(a), contour) == route
+
+
+_CONTOUR_MESSAGE = "contour must be a finite depth >= 0 or one pair (c, real beta >= 0), got "
+
+
+@pytest.mark.parametrize("a, contour, message", [
+    (0.7, -0.1, _CONTOUR_MESSAGE + "-0.1"),
+    (0.7, math.nan, _CONTOUR_MESSAGE + "nan"),
+    (0.7, "0.8", _CONTOUR_MESSAGE + "'0.8'"),
+    (0.7, (0.5,), _CONTOUR_MESSAGE + "(0.5,)"),
+    (0.7, (0.5, 0.1, 1), _CONTOUR_MESSAGE + "(0.5, 0.1, 1)"),
+    (0.7, (0.5, -0.1), _CONTOUR_MESSAGE + "(0.5, -0.1)"),
+    (1j, 0.8, "a (1 + a^2) vanishes; identity undefined at a = +/- i"),
+    (2j, 0.8, "Re a = 0 puts a kernel pole on the real axis: a = 2j"),
+], ids=["negative", "nan", "text", "short-tuple", "long-tuple", "negative-beta", "a-is-i",
+        "imaginary-a"])
+def test_route_refuses_with_its_message(a, contour, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _route(_FLAGGED, KernelParams(a), contour)
