@@ -354,7 +354,7 @@ def seed_rhs(params: KernelParams, t: float) -> complex:
     """Closed form of the seed identity, pi exp(-t(pi^2/4 + ln^2 a)) / (4a(1+a^2)),
     for real a > 0 and t > 0: the ``kernel`` row's right side."""
     case, _, F, kp, _ = _seed_instance(params, t)
-    return case.scale * master_rhs(F, kp)
+    return master_rhs(F, kp, case.scale)
 
 
 def seed_lhs(

@@ -26,7 +26,10 @@ from typing import Iterator, Mapping, Union
 
 from . import numerics
 from ._frozen import Frozen
-from .errors import FAILURES, DomainError, EvaluationError, ParseError, QuadcheckError, complex_
+from .errors import (
+    FAILURES, DomainError, EvaluationError, ParameterError, ParseError, QuadcheckError, complex_,
+)
+from .kernel import TransformFunction, detect_schwarz_symmetry
 
 __all__ = [
     "ExprAst",
@@ -40,6 +43,7 @@ __all__ = [
     "evaluate",
     "to_string",
     "variables",
+    "transform",
     "FUNCTIONS",
     "CONSTANTS",
 ]
@@ -339,6 +343,21 @@ def variables(ast: ExprAst) -> set[str]:
     if isinstance(ast, Call):
         return variables(ast.arg)
     return set()
+
+
+def transform(source: str) -> TransformFunction:
+    """The F that ``custom`` verifies: ``source`` parsed, in the variable k alone.
+
+    F skips ``evaluate``'s checks: a node, a symmetry sample or the closed form checks its values.
+    """
+    ast = parse(source)
+    if extra := ", ".join(sorted(variables(ast) - {"k"})):
+        raise ParameterError(f"the transform may only use the variable 'k'; found: {extra}")
+
+    def fn(k: complex) -> complex:
+        return _evaluate(ast, {"k": k})
+
+    return TransformFunction(fn, detect_schwarz_symmetry(fn), source)
 
 
 # ``quadcheck`` re-exports parse, evaluate and to_string, but imports this

@@ -316,29 +316,26 @@ def _operands(F: TransformFunction, params: KernelParams) -> None:
         raise DomainError(f"params must be a KernelParams, got {params!r}")
 
 
-def master_rhs(F: TransformFunction, params: KernelParams) -> complex:
-    """Closed form of the master identity: pi F(pi^2/4 + ln^2 a) / (2a(1+a^2)).
+def master_rhs(F: TransformFunction, params: KernelParams, scale: float = 1.0) -> complex:
+    """``scale`` times the master closed form, pi F(pi^2/4 + ln^2 a) / (2a(1+a^2)).
 
-    Raises DomainError where F(pi^2/4 + ln^2 a) is undefined, or the closed
+    The scale is checked as ``master_integral`` checks it.  Raises
+    DomainError where F(pi^2/4 + ln^2 a) is undefined, or the scaled closed
     form or its modulus is not finite.  A QuadcheckError that F raises, such
     as a PoleError, passes through unchanged.  The left side depends on a^2
     only, so for Re a < 0 the closed form is taken at -a.
     """
     _operands(F, params)
+    scale = real("scale must be a finite number", scale)
     a = -params.a if params.a.real < 0 else params.a
     ln_a = cmath.log(a)
     k0 = math.pi * math.pi / 4.0 + ln_a * ln_a
     try:
-        value = math.pi * F(k0) / (2.0 * _norm_factor(a))
+        value = scale * (math.pi * F(k0) / (2.0 * _norm_factor(a)))
     except QuadcheckError:
         raise
     except FAILURES as exc:
         raise DomainError(f"the closed form fails: F({k0!r}) raised {exc!r}") from None
-    return _closed_form(value)
-
-
-def _closed_form(value: complex) -> complex:
-    """``value`` if finite, with a modulus in double range; else DomainError."""
     if modulus(complex_("the closed form must be a finite number", value)) < math.inf:
         return value
     raise DomainError(f"the closed form's modulus is beyond double range: {value!r}")
@@ -495,7 +492,7 @@ def _verify(
     tolerance = real("verification tolerance must be positive and finite", tolerance, lo=0.0)
     diagnostics = require_converged(master_integral(F, params, opts, scale, contour), what, opts)
     experimental = not (params.is_real_positive and F.schwarz_symmetric)
-    rhs = _closed_form(scale * master_rhs(F, params))  # a scale above 1 can leave range
+    rhs = master_rhs(F, params, scale)
     return VerificationReport(name, dict(record), rhs, tolerance, diagnostics, experimental, notes)
 
 

@@ -351,6 +351,22 @@ def test_verification_failure_exits_1(capsys):
     capsys.readouterr()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_number_that_is_not_finite_is_written_as_null(capsys):
+    # F(k0) is exactly 0 at a = 1, so rhs = 0; the pole at k = 1 lies in the
+    # band, so lhs is about 1e10, and lhs / REL_DIFF_FLOOR overflows
+    rc = main(["custom", "--F", "(k-2.4674011002723395)*1e10/(k-1)", "--a", "1",
+               "--format", "json"])
+    assert rc == 1
+    rec = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)[0]
+    assert rec["rhs"] == {"re": 0.0, "im": 0.0}
+    assert rec["rel_diff"] is None
+    assert rec["pass"] is False
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(

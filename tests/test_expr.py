@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadcheck import DomainError, EvaluationError, ParseError, PoleError
+from quadcheck import DomainError, EvaluationError, ParameterError, ParseError, PoleError
 from quadcheck.expr import (
     MAX_DEPTH,
     Binary,
@@ -19,6 +19,7 @@ from quadcheck.expr import (
     evaluate,
     parse,
     to_string,
+    transform,
     variables,
 )
 
@@ -272,3 +273,14 @@ def test_parser_never_raises_anything_but_parse_error(source):
         parse(source)
     except ParseError:
         pass
+
+
+def test_transform_is_the_parsed_F_in_k_with_its_schwarz_flag():
+    F = transform("1/(k+2)")
+    assert (F.name, F.schwarz_symmetric) == ("1/(k+2)", True)
+    assert F(1 + 1j) == evaluate(parse("1/(k+2)"), {"k": 1 + 1j})
+    assert transform("1/(k+2+i)").schwarz_symmetric is False
+    with pytest.raises(ParameterError, match="only use the variable 'k'; found: q, z$"):
+        transform("z*k + q")
+    with pytest.raises(ParseError):
+        transform("2k")

@@ -504,6 +504,26 @@ def test_scaled_closed_form_whose_modulus_overflows_is_a_domain_error():
         kernel._verify("scaled", {}, F, params, None, 1e-8, scale=4.0 / math.pi)
 
 
+def test_master_rhs_takes_the_scale_that_master_integral_takes():
+    F = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
+    params = KernelParams(0.7)
+    for scale in (0.5, 4.0 / math.pi, -3.0):
+        assert master_rhs(F, params, scale) == scale * master_rhs(F, params)
+    for scale in (math.nan, math.inf, "2", 1j):
+        with pytest.raises(DomainError, match="scale must be a finite number"):
+            master_rhs(F, params, scale)
+
+
+def test_closed_form_beyond_range_unscaled_and_in_range_scaled_is_accepted():
+    # the range is checked once, on the scaled value: |rhs| is about
+    # 2.1e308 at scale 1 and half that at scale 1/2
+    F = TransformFunction(lambda k: 1.5e308 * 0.202 / math.pi * (1 + 1j))
+    params = KernelParams(0.1)
+    with pytest.raises(DomainError, match="modulus is beyond double range"):
+        master_rhs(F, params)
+    assert kernel.modulus(master_rhs(F, params, 0.5)) < math.inf
+
+
 def test_roundoff_message_of_a_value_whose_modulus_overflows():
     result = QuadratureResult(
         complex(1.5e308, 1.5e308), 1e300, 15, 0.0, False, 1e308, roundoff_limited=True
