@@ -231,11 +231,11 @@ _CASES = {
                 "a": (1.0 + 2.0j, _nonzero),
             },
             notes=(
-                "Transform cos(alpha k).  At 0.05 <= |alpha| < 1/pi and |ln|a|| <= 6 "
-                "the tail past 8 is on the rays 8 +/- iy, and truncation is the "
-                "contour parameter 8 + y.  For alpha*pi > 1 the integrand grows like "
-                "exp((alpha*pi-1)x) and the run ends with a divergence error "
-                "instead of a number."
+                "Transform cos(alpha k).  At 0.05 <= |alpha| < 1/pi the tail past X is "
+                "on the rays X +/- iy, X = 8 or, from |ln|a|| = 4 on, |ln|a|| + 8, and "
+                "truncation is the contour parameter X + y; a ray run with |alpha| pi "
+                "ln(1/|a|) > 52 ln 2 is refused.  For alpha*pi > 1 the integrand grows like "
+                "exp((alpha*pi-1)x) and the run ends with a divergence error instead of a number."
             ),
             transform=_cosine,
             # cos(alpha k) = 0.5 e^{i |alpha| k} + 0.5 e^{-i |alpha| k}; the

@@ -14,10 +14,10 @@ is the real axis.  The kernel is even and ``k(-x) = conj k(x)`` for
 integral of ``F(k) K(x) + F(conj k) K(conj x)``, which is
 ``2 Re F(k) K(x)`` for Schwarz-symmetric F at real a^2, times the scale of
 the printed form.  ``_route`` decides the contour of a run, a depth or
-steepest-descent rays for a pair's tail, and states the rules.  Each
-catalog row names its own, and a user's F the depth 0.  One function
-builds every verification report from that integral and the scaled closed
-form.
+steepest-descent rays for a pair's tail, and the kernel's peak, where the
+sweep opens; it states the rules.  Each catalog row names its own, and a
+user's F the depth 0.  One function builds every verification report from
+that integral and the scaled closed form.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .errors import (
     real,
 )
 from .quadrature import (
-    _FIRST_WINDOW_EDGES, QuadratureOptions, QuadratureResult, _target, integrate_half_line,
-    options,
+    QuadratureOptions, QuadratureResult, _first_window, _target, integrate_half_line, options,
 )
 
 __all__ = [
@@ -73,13 +72,14 @@ _cisfinite = cmath.isfinite
 #: 300, complex ones too: at 0.05 the rays take 3240 evaluations against 3000
 #: on the real axis (600, 240 and 195 against 480, 210 and 150 at a = 0.0025,
 #: 1 and 300), at 0.06 2625 against 3360, and at 0.1 2355 against 6420.  From
-#: 1/pi on, the real-axis integral diverges.  _RAY_LOG_A keeps the kernel's
-#: poles, at ``Re x = +/- ln|a|``, 2 left of the rays, and a^2 far inside
-#: double range for the kernel at complex x.  _SHIFT_CAP is the share of the
-#: way to the nearest kernel pole that a line may go.
+#: 1/pi on, the real-axis integral diverges.  _RAY_CANCEL is the most that the
+#: rays' axis head may cancel, e^{beta pi ln(1/|a|)}: 52 bits, a double's
+#: precision.  _SHIFT_CAP is the share of the way to the nearest kernel pole
+#: that a line may go.  _LOG_A_MAX, ln(2^1024)/4, keeps a^4 and a^-4 in range.
 _RAY_BETA = (0.05, 1.0 / math.pi)
-_RAY_LOG_A = 6.0
+_RAY_CANCEL = 52.0 * math.log(2.0)
 _SHIFT_CAP = 0.75
+_LOG_A_MAX = 256.0 * math.log(2.0)
 
 
 class KernelParams(Frozen):
@@ -90,7 +90,7 @@ class KernelParams(Frozen):
     complex points, yet no validity region is established for them.
     Purely imaginary a is accepted here, but a master run refuses
     it: a kernel pole then lies on the real axis, at x = +/- ln|a|.  An a
-    that is 0 or whose square is beyond double range raises DomainError.
+    that is 0, or with |a| outside [8.64e-78, 1.16e77] (|ln|a|| > 177.45), raises DomainError.
     """
 
     a: complex
@@ -100,11 +100,11 @@ class KernelParams(Frozen):
         object.__setattr__(self, "a", a)
         if a == 0:
             raise DomainError("kernel parameter a must be nonzero")
+        if abs(cmath.log(a).real) > _LOG_A_MAX:  # ln|a| without forming |a|, which can overflow
+            raise DomainError(f"kernel parameter a must have |ln|a|| <= 177.45, got a = {a!r}")
         # a^2 for kernel_weight, not a field: a float when it is real (real
         # or purely imaginary a), so the kernel at real x runs in float arithmetic
         a2 = a * a
-        if not cmath.isfinite(a2):
-            raise DomainError(f"kernel parameter a^2 is beyond double range at a = {a!r}")
         object.__setattr__(self, "_a2", a2.real if a2.imag == 0.0 else a2)
 
     @property
@@ -210,9 +210,6 @@ class VerificationReport(Frozen):
 #: ``i pi``: ``k = x^2 + i pi x`` is taken as ``x (x + i pi)``, whose one complex
 #: product rounds to the bits of ``complex(x * x, pi * x)``, with no call.
 _I_PI = complex(0.0, math.pi)
-
-#: The rays ``X +/- iy`` leave the real axis at ``X``, an edge of every window.
-_RAY_START = _FIRST_WINDOW_EDGES[-1]
 
 # The node table.  kernel_weight's a-free terms at complex x, ``h = (u + u^3)/2``
 # and ``u^2``, depend on x alone.  Complex x are the nodes of the line and the
@@ -341,9 +338,9 @@ def master_rhs(F: TransformFunction, params: KernelParams, scale: float = 1.0) -
     raise DomainError(f"the closed form's modulus is beyond double range: {value!r}")
 
 
-def _route(F: TransformFunction, params: KernelParams, contour) -> tuple[float, tuple | None]:
-    """The contour of a master run: the depth taken, 0.0 on the axis, and
-    the pair whose tail takes the rays, or None.
+def _route(F: TransformFunction, params: KernelParams, contour) -> tuple:
+    """The contour of a master run: the depth taken, 0.0 on the axis, the
+    pair whose tail takes the rays, or None, and the kernel's peak L = |ln|a||.
 
     The value does not depend on where the contour runs inside the strip
     where F and the kernel are analytic (Henrici, *Applied and
@@ -357,13 +354,14 @@ def _route(F: TransformFunction, params: KernelParams, contour) -> tuple[float, 
        which never takes the line.  Else DomainError.
     2. a = +/- i, and Re a = 0, which puts a kernel pole on the real axis,
        raise DomainError.
-    3. Where ``|ln|a|| > _RAY_LOG_A`` (6) the run is on the axis.
-    4. A depth is capped at _SHIFT_CAP (3/4) of the way to the nearest
+    3. A depth is capped at _SHIFT_CAP (3/4) of the way to the nearest
        kernel pole, at ``Im x = |arg a| - pi/2`` for the root a with Re a > 0.
-    5. A pair takes its tail on the steepest-descent rays ``X +/- iy``
+    4. A pair takes its tail on the steepest-descent rays ``X +/- iy``
        (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006) where F
        has the Schwarz flag and beta is in _RAY_BETA, [0.05, 1/pi); else
-       the run is on the axis.
+       the run is on the axis.  X, the first window's end (8, or L + 8 from
+       L = 4 on), keeps the kernel's poles at ``Re x = +/- L`` 4 or more to
+       its left.  A head that cancels past _RAY_CANCEL raises DomainError.
     """
     what = "contour must be a finite depth >= 0 or one pair (c, real beta >= 0)"
     depth, pair = math.nan, None  # nan: a tuple of another length is refused
@@ -377,13 +375,17 @@ def _route(F: TransformFunction, params: KernelParams, contour) -> tuple[float, 
     _norm_factor(a)
     if a.real == 0:
         raise DomainError(f"Re a = 0 puts a kernel pole on the real axis: a = {a!r}")
-    if abs(cmath.log(a).real) > _RAY_LOG_A or not (pair or depth):
-        return 0.0, None
+    ln_a = cmath.log(a).real
     if pair:
         lo, hi = _RAY_BETA
-        return 0.0, (pair if F.schwarz_symmetric and lo <= pair[1] < hi else None)
-    arg_a = abs(cmath.phase(a if a.real > 0 else -a))
-    return min(depth, _SHIFT_CAP * (0.5 * math.pi - arg_a)), None
+        if not (F.schwarz_symmetric and lo <= pair[1] < hi):
+            pair = None
+        elif -pair[1] * math.pi * ln_a > _RAY_CANCEL:
+            raise DomainError(f"the rays' head cancels past double precision at {contour!r}, "
+                              f"a = {a!r}: beta pi ln(1/|a|) > 52 ln 2")
+        return 0.0, pair, abs(ln_a)
+    arg_a = math.atan2(abs(a.imag), abs(a.real))  # cmath.phase raises at subnormal arg a
+    return min(depth, _SHIFT_CAP * (0.5 * math.pi - arg_a)) or 0.0, None, abs(ln_a)  # -0.0: 0.0
 
 
 def master_integral(
@@ -408,13 +410,13 @@ def master_integral(
     for a Schwarz F at real a^2; truncation is the y reached.  On the line
     ``k = y^2 + c(pi - c) + iy(pi - 2c)`` the chirp and the hump of ``|F|``
     that the axis sees shrink as c grows.  On the rays s runs over [0, X]
-    on the axis, X = 8 being an edge of every window, then over the rays
+    on the axis, X being the first window's right edge, then over the rays
     ``X +/- iy`` at ``y = s - X``, where the pair stands for F, and
     truncation is the last window's right edge in s.
     """
     _operands(F, params)
     scale = real("scale must be a finite number", scale)
-    depth, pair = _route(F, params, contour)
+    depth, pair, peak = _route(F, params, contour)
     fn = F.fn  # the quadrature's own check rejects non-finite values
     # looked up now, not at import: a wrapper put on the module still sees every node
     weight = kernel_weight
@@ -443,18 +445,19 @@ def master_integral(
         head = f
         # F's term at X - iy, conj(c) e^{-i beta k}, conjugates c e^{i beta k} at X + iy
         c, i_beta = scale * pair[0], complex(0.0, pair[1])
+        start = _first_window(peak)[-1]
 
         def f(s: float) -> complex:
-            if s < _RAY_START:
+            if s < start:
                 return head(s)
-            x = complex(_RAY_START, s - _RAY_START)
+            x = complex(start, s - start)
             k, k_neg = x * (x + _I_PI), x * (x - _I_PI)
             t = c * (_cexp(i_beta * k) + _cexp(i_beta * k_neg))
             return 1j * (
                 t * weight(params, x) - t.conjugate() * weight(params, x.conjugate())
             )
 
-    return integrate_half_line(f, opts)
+    return integrate_half_line(f, opts, peak)
 
 
 def master_lhs(

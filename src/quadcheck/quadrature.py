@@ -4,12 +4,12 @@ One driver serves every domain: a single partition of Gauss-Kronrod 7/15
 segments under one global tolerance ``max(abs_tol, rel_tol * |value|)``,
 always bisecting the segment with the largest error estimate, as QUADPACK's
 ``qag`` does.  A finite interval is the partition of [lo, hi].  The
-half-line starts as the window [0, 8], already partitioned at 0.5, 1, 2
-and 4, and grows by one window of ratio 1.5 (up to 120) each time the
-partition meets the tolerance, until the newest window's contribution is
-negligible; that contribution is charged to the error as the truncation
-tail.  This is cheap and honest for integrands that decay like exp(-|x|)
-or faster.  The full line is folded onto the half-line.
+half-line starts as a window of several rules, [0, 8] or one around a peak
+the caller names, and grows by one window of ratio 1.5 (up to 112 past the
+first) each time the partition meets the tolerance, until the newest window
+contributes next to nothing; that contribution is charged to the error as
+the truncation tail.  This is cheap and honest for integrands that decay like
+exp(-|x|) or faster past the first window.  The full line is folded in two.
 
 Each segment's error is floored at a few ulps of its integral of |f|, so
 the partition's error can never fall below ``2 eps * integral of |f|``,
@@ -92,12 +92,11 @@ _TAIL_FRACTION = 0.25  # newest window's contribution must fall below this times
 # times below the last exact sum: where large errors cancel, its rounding
 # drift would otherwise keep it above the tolerance the exact sum meets.
 _RESUM_DROP = 16.0
-# Half-line windows: [0, 8] first, opened as the geometric partition below
-# rather than one rule that bisection would throw away with the three after
-# it; then each window ends 1.5 times further out, up to 120.
-_FIRST_WINDOW_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+# Half-line windows: the first opened as several rules (_first_window) rather
+# than one rule that bisection would throw away with the ones after it; then
+# each window ends 1.5 times further out, up to 112 past the first.
 _WINDOW_GROWTH = 1.5
-_MAX_TRUNCATION = 120.0
+_TAIL_REACH = 112.0
 
 
 class QuadratureOptions(Frozen):
@@ -172,6 +171,13 @@ class QuadratureResult(Frozen):
     def rounding_floor(self) -> float:
         """Lower bound of ``error_estimate``: a few ulps of ``l1_norm``."""
         return _FLOOR * self.l1_norm
+
+
+def _first_window(peak: float) -> tuple[float, ...]:
+    """The first window's edges: [0, 8] for a peak below 4, else eight rules to peak + 8."""
+    if peak < 4.0:
+        return (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+    return (0.0, 0.5 * peak, peak - 1, peak, peak + 0.5, peak + 1, peak + 2, peak + 4, peak + 8)
 
 
 def _target(opts: QuadratureOptions, value: complex) -> float:
@@ -271,7 +277,7 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         return complex(math.nan, math.nan), math.inf, math.inf
     resasc *= h
     resabs *= h
-    if resasc != 0.0 and err != 0.0:
+    if resasc != 0.0:
         # the power is taken only below 1: above it, it can overflow
         ratio = 200.0 * err / resasc
         err = resasc * ratio**1.5 if ratio < 1.0 else resasc
@@ -323,9 +329,9 @@ def _partition(
     rule between each pair of neighbouring ``edges``.  With ``windowed``,
     they span the first window, the partition is refined to
     (1 - _TAIL_FRACTION) of the tolerance, and each time it gets there one
-    more geometric window is appended, until the newest window contributes
-    at most ``_TAIL_FRACTION`` of the tolerance; that contribution is added
-    to the error as the truncation tail.
+    more geometric window, up to _TAIL_REACH past the first, is appended,
+    until the newest window contributes at most ``_TAIL_FRACTION`` of the
+    tolerance; that contribution is added to the error as the truncation tail.
 
     A segment whose error sits at its rounding floor is settled: its rule
     resolves f, so its |f| integral stays put under further bisection.
@@ -345,7 +351,7 @@ def _partition(
         push(segments, (-e, a, b, v, l1, settled))
         return v, e, settled
 
-    lo, hi = edges[0], edges[-1]
+    lo, hi, cap = edges[0], edges[-1], edges[-1] + _TAIL_REACH
     value = error = settled_l1 = 0.0
     for a, b in zip(edges, edges[1:]):
         v, e, settled = rule(a, b)
@@ -389,10 +395,10 @@ def _partition(
                         f"(last three: {contributions[-3]:.3e}, {contributions[-2]:.3e}, "
                         f"{contributions[-1]:.3e}); integrand looks inadmissible"
                     )
-                if hi >= _MAX_TRUNCATION:
+                if hi >= cap:
                     finished = True
                     break
-                window, hi = hi, min(hi * _WINDOW_GROWTH, _MAX_TRUNCATION)
+                window, hi = hi, min(hi * _WINDOW_GROWTH, cap)
                 v, e, settled = rule(window, hi)
                 value += v
                 error += e
@@ -457,24 +463,27 @@ def integrate_finite(
 
 
 def integrate_half_line(
-    f: Integrand, opts: QuadratureOptions | None = None
+    f: Integrand, opts: QuadratureOptions | None = None, peak: float = 0.0
 ) -> QuadratureResult:
     """Integrate ``f`` over [0, infinity) by geometric window growth.
 
     The integrator assumes that ``f`` decays like ``exp(-x)`` or faster from
-    its first window, [0, 8], on; that window opens as five rules, on the
-    edges 0, 0.5, 1, 2, 4 and 8.  A window is trusted once its rules meet
-    the tolerance, and the sweep stops once the newest window contributes
-    next to nothing.  A narrow feature that the rules of a window step
-    over, or one beyond the stopping window, is lost without warning; see
-    ``integrate_real_line`` for examples.  A feature that rises late is
-    refused instead: ``integrate_half_line(lambda x: math.exp(-((x - 13) /
-    0.2) ** 2))`` raises DivergenceError, where the true value is 0.354,
-    because the contributions of the windows [0, 8], [8, 12] and [12, 18]
-    grow along the bump's rising flank, and three growing contributions
-    read as a growing integrand.
+    its first window on: [0, 8], opened as five rules on the edges 0, 0.5,
+    1, 2, 4 and 8, or, where the caller's ``peak`` of f is 4 or more, eight
+    rules on 0, peak/2, peak - 1, peak, peak + 0.5, peak + 1, peak + 2,
+    peak + 4 and peak + 8, as QUADPACK's ``qagp`` takes break points.  A
+    ``peak`` that is not a finite real >= 0 raises DomainError.  A window
+    is trusted once its rules meet the tolerance, and the sweep stops once
+    the newest window contributes next to nothing.  A narrow feature that
+    the rules of a window step over, or one beyond the stopping window, is
+    lost without warning, and one that rises late is refused; see
+    ``integrate_real_line`` for examples.  With ``peak=13`` the bump at 13
+    there comes back right.
     """
-    return _partition(f, _FIRST_WINDOW_EDGES, options(opts), windowed=True)
+    what = "peak must be a finite real >= 0"
+    if (peak := real(what, peak)) < 0.0:
+        raise DomainError(f"{what}, got {peak!r}")
+    return _partition(f, _first_window(peak), options(opts), windowed=True)
 
 
 def integrate_real_line(
@@ -506,7 +515,7 @@ def integrate_real_line(
         return f(x) + f(-x)
 
     try:
-        result = _partition(folded, _FIRST_WINDOW_EDGES, options(opts), windowed=True)
+        result = _partition(folded, _first_window(0.0), options(opts), windowed=True)
     except IntegrandError as exc:
         _eval(f, exc.abscissa)
         _eval(f, -exc.abscissa)

@@ -7,7 +7,7 @@ import math
 import platform
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcheck import (
@@ -522,7 +522,7 @@ def test_tiny_variation_integral_does_not_overflow(case_id, params):
 
 
 def test_closed_form_beyond_double_range_is_a_domain_error():
-    # a^2 = 1e600 is beyond double range, which KernelParams refuses before
+    # a^4 = 1e1200 is beyond double range, which KernelParams refuses before
     # any quadrature or closed form (tests/test_inputs.py overflows the
     # closed form itself at a finite a^2)
     with pytest.raises(DomainError):
@@ -537,12 +537,17 @@ _VALUE = st.one_of(
 )
 
 
+_NAMES = sorted({name for case in list_cases() for name in case.params})
+
+
 @pytest.mark.parametrize("case_id", CATALOG_ORDER)
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_any_parameter_map_ends_in_a_report_or_a_typed_error(case_id, data):
-    names = tuple(get_case(case_id).params)
-    params = data.draw(st.dictionaries(st.sampled_from(names), _VALUE))
+@given(drawn=st.dictionaries(st.sampled_from(_NAMES), _VALUE))
+# the argument of a underflows to a subnormal, where cmath.phase raised OverflowError
+@example(drawn={"a": 2 + 5e-324j})
+def test_any_parameter_map_ends_in_a_report_or_a_typed_error(case_id, drawn):
+    names = get_case(case_id).params
+    params = {name: value for name, value in drawn.items() if name in names}
     opts = QuadratureOptions(max_subdivisions=200)
     try:
         result = run_case(case_id, params, opts)
@@ -602,8 +607,9 @@ def test_default_results_keep_every_bit(name):
     assert rep.passed
 
 
-# The cosine case takes its tail on the rays 8 +/- iy only for
-# 0.05 <= |alpha| < 1/pi and |ln|a|| <= 6; elsewhere it keeps the real axis.
+# The cosine case takes its tail on the rays X +/- iy only for
+# 0.05 <= |alpha| < 1/pi; elsewhere it keeps the real axis.  X is 8 below
+# |ln|a|| = 4 and |ln|a|| + 8 from there on.
 
 def test_cosine_below_the_ray_range_keeps_its_real_axis_bits():
     rep = run_case("cosine", {"alpha": 0.049, "a": 1 + 2j})
@@ -614,12 +620,18 @@ def test_cosine_below_the_ray_range_keeps_its_real_axis_bits():
     assert rep.diagnostics.evaluations == 315
 
 
-def test_cosine_with_a_kernel_pole_near_the_ray_does_not_rotate():
-    # ln 3000 = 8.0: the kernel's poles would sit on the ray 8 +/- iy
+def test_cosine_far_out_in_a_starts_its_rays_8_past_the_kernel_poles(monkeypatch):
+    # ln 3000 = 8.0: the kernel's poles would sit on the rays 8 +/- iy, so
+    # the rays start at ln 3000 + 8
+    calls = []
+    weight = kernel.kernel_weight
+    monkeypatch.setattr(kernel, "kernel_weight", lambda kp, x: calls.append(x) or weight(kp, x))
     rep = run_case("cosine", {"alpha": 0.15, "a": 3000.0})
-    F = TransformFunction(lambda k: cmath.cos(0.15 * k), schwarz_symmetric=True)
-    assert rep.diagnostics == master_integral(F, KernelParams(3000.0), scale=0.5)
-    assert rep.diagnostics.truncation_used > 8.0
+    monkeypatch.undo()
+    assert rep.passed and rep.diagnostics.error_estimate >= rep.abs_diff
+    assert rep.diagnostics.evaluations == 180
+    assert {x.real for x in calls if isinstance(x, complex)} == {math.log(3000.0) + 8.0}
+    assert max(x for x in calls if isinstance(x, float)) < math.log(3000.0) + 8.0
     # |a| beyond double range: the rule takes ln|a| without forming |a|
     with pytest.raises(QuadcheckError):
         run_case("cosine", {"alpha": 0.15, "a": 1.5e308 + 1.5e308j})
@@ -715,13 +727,13 @@ def test_complex_a_takes_a_capped_shift_and_passes(case_id, a):
     assert run_case(case_id, {"a": a}).passed
 
 
-def test_far_out_in_ln_a_the_rows_keep_the_real_axis():
+def test_far_out_in_ln_a_the_rows_take_their_line():
     F = TransformFunction(lambda k: 1.0 / (k + 2.0), schwarz_symmetric=True)
-    for a in (1000.0, 1e-3):
-        axis = master_integral(F, KernelParams(a), scale=0.5)
-        assert run_case("rational", {"a": a}).diagnostics == axis
-    # past |ln|a|| = 6 the kernel at complex x leaves double range; here a^2
-    # does too, which KernelParams refuses before any quadrature
+    for a in (1000.0, 1e-3, 1e77, 1e-77):
+        line = master_integral(F, KernelParams(a), scale=0.5, contour=0.8)
+        assert run_case("rational", {"a": a}).diagnostics == line
+    # past |ln|a|| = ln(DBL_MAX)/4 the kernel's denominator leaves double
+    # range, which KernelParams refuses before any quadrature
     with pytest.raises(DomainError):
         run_case("rational", {"a": 1e300 + 1e-300j})
 
@@ -810,28 +822,52 @@ def test_runs_near_the_rounding_limit_still_converge(case_id, params, evaluation
     assert not rep.diagnostics.roundoff_limited
 
 
-# --- open defects at far-out a, pinned so that a fix flips them -------------
+# --- far out in a: the sweep opens its first window at the kernel's peak ------
 
-@pytest.mark.xfail(strict=True, raises=DivergenceError,
-                   reason="the kernel's own peak at x = |ln a| trips the divergence test")
 def test_rational_at_small_a_passes():
-    # the last three window contributions are 26.3, 599 and 3.4e3: the
-    # kernel peaks at x = |ln a|, 13.8 here, which rises across [0, 8],
-    # [8, 12] and [12, 18]; bessel, and a = 1e-8 to 1e-20, fail the same way
-    assert run_case("rational", {"a": 1e-6}).passed
+    # the kernel peaks at x = |ln a|, 13.8 here; a sweep that opened on [0, 8]
+    # read its rise across [0, 8], [8, 12] and [12, 18] as divergence
+    rep = run_case("rational", {"a": 1e-6})
+    assert rep.passed and rep.rel_diff < 1e-15
+    assert rep.diagnostics.evaluations == 345
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the estimate, 6.0e-22, is below the true error, 3.4e-21")
 def test_rational_at_large_a_estimates_its_error():
-    # the whole integral lies below abs_tol, so the sweep stops after 90
-    # evaluations, at truncation 12, before the kernel's peak at x = ln a
+    # the whole integral lies below abs_tol; a sweep that opened on [0, 8]
+    # stopped at 12, before the kernel's peak at x = ln a, with an estimate
+    # of 6.0e-22 against a true error of 3.4e-21
     rep = run_case("rational", {"a": 1e6})
     assert rep.diagnostics.error_estimate >= rep.abs_diff
+    assert rep.diagnostics.evaluations == 135
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="passes with rel_diff 0.27 on the absolute branch")
 def test_rational_at_large_a_passes_only_when_it_agrees():
+    # a sweep that opened on [0, 8] passed here with rel_diff 0.27
     rep = run_case("rational", {"a": 1e5})
     assert not rep.passed or rep.rel_diff < 1e-6
+
+
+_FAR_ROWS = [
+    ("rational", {}), ("bessel", {}), ("gaussian", {}), ("cosine", {"alpha": 0.1}),
+    ("cosine", {"alpha": 0.3}), ("kernel", {}),
+]
+
+
+#: a = 10^{+/-k}, and e^{+/-L} around the first window's switch at L = 4
+_FAR_A = [10.0 ** (sign * k) for k in (3, 4, 6, 8, 12, 20, 30, 50, 76) for sign in (1, -1)] + [
+    math.exp(sign * L) for L in (3.9, 3.999, 4.0, 4.1, 5.0, 6.0, 6.5, 7.9, 8.0, 10.0)
+    for sign in (1, -1)
+]
+
+
+@pytest.mark.parametrize("case_id, params", _FAR_ROWS, ids=str)
+@pytest.mark.parametrize("a", _FAR_A, ids=lambda a: f"{a:.4g}")
+def test_far_out_in_a_no_run_passes_unless_it_agrees(case_id, params, a):
+    try:
+        rep = run_case(case_id, {**params, "a": a})
+    except QuadcheckError:
+        return
+    assert rep.passed
+    assert rep.diagnostics.error_estimate >= rep.abs_diff
+    # a closed form below abs_tol passes on the absolute branch (ROADMAP item 2)
+    assert rep.rel_diff <= 1e-6 or abs(rep.rhs) < 1e-12

@@ -208,6 +208,29 @@ def test_a_at_plus_minus_i_exits_2(capsys):
         assert "a = +/- i" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "rational", "--param", "a=2+5e-324i"],
+    ["verify", "rational", "--param", "a=-2+5e-324i"],
+    ["verify", "bessel", "--param", "a=2-5e-324i"],
+    ["verify", "gaussian", "--param", "a=2+5e-324i"],
+])
+def test_a_whose_argument_underflows_gives_a_report(capsys, argv):
+    # arg a is a subnormal, where cmath.phase raised a bare OverflowError
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rational", "--param", "a=1e-6"],
+    ["custom", "--F", "1/(k+2)", "--a", "1e-6"],
+    ["verify", "bessel", "--param", "a=1e8"],
+])
+def test_far_out_in_a_the_sweep_finds_the_kernel_peak(capsys, argv):
+    # the first window opens at the kernel's peak, |ln|a||
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
 def test_roundoff_limited_run_exits_3(capsys):
     # custom keeps the real axis: the integral of |f| is about 2.4e4 and the
     # integral 4.8e-3, so rounding alone keeps the error above the tolerance
@@ -259,7 +282,8 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "zeta", "--param", "n=7"],
         ["verify", "zeta", "--param", "a=150"],      # a zeta zero in the strip
         ["verify", "rational", "--param", "a=0.5i"],  # a kernel pole on the real axis
-        ["verify", "rational", "--param", "a=1e300+1e-300i"],  # a^2 beyond double range
+        ["verify", "rational", "--param", "a=1e300+1e-300i"],  # a^4 beyond double range
+        ["verify", "rational", "--param", "a=1e100"],  # and at real a, where it passed
         ["kernel-check", "--a", "1"],                # missing --t
         ["kernel-check", "--a", "1+2i", "--t", "1"],  # complex a
         ["verify", "kernel", "--param", "a=1+2i"],   # the same row, the same rule

@@ -105,6 +105,7 @@ _ENTRY_POINTS = {
     "integrate_finite hi": lambda v: qc.integrate_finite(_decay, 0.0, v),
     "integrate_finite opts": lambda v: qc.integrate_finite(_decay, 0.0, 1.0, v),
     "integrate_half_line opts": lambda v: qc.integrate_half_line(_decay, v),
+    "integrate_half_line peak": lambda v: qc.integrate_half_line(_decay, peak=v),
     "integrate_real_line opts": lambda v: qc.integrate_real_line(_decay, v),
     "gamma z": qc.gamma,
     "reciprocal_gamma z": qc.reciprocal_gamma,

@@ -80,16 +80,19 @@ def test_kernel_params_validation():
     assert not KernelParams(1 + 2j).is_real_positive
 
 
-@pytest.mark.parametrize("a", [complex(1.5e308, 1.5e308), 1e300 + 1e-300j, 1e300, -1e300])
-def test_kernel_params_refuse_a_whose_square_leaves_double_range(a):
+@pytest.mark.parametrize("a", [complex(1.5e308, 1.5e308), 1e300 + 1e-300j, 1e300, -1e300,
+                               1.2e77, 8.6e-78, 1e-100j, 5e-324])
+def test_kernel_params_refuse_a_whose_fourth_power_leaves_double_range(a):
     # the fault is the parameter, so it is named before any quadrature
-    with pytest.raises(DomainError, match="a\\^2 is beyond double range"):
+    message = "kernel parameter a must have |ln|a|| <= 177.45, got a = "
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
         KernelParams(a)
 
 
-def test_kernel_params_accept_a_whose_square_is_in_double_range():
-    assert KernelParams(1.3e154)._a2 == 1.3e154 * 1.3e154
-    assert KernelParams(1e-300)._a2 == 0.0  # a^2 underflows, and stays finite
+def test_kernel_params_accept_a_whose_fourth_power_is_in_double_range():
+    assert KernelParams(1.15e77)._a2 == 1.15e77 * 1.15e77
+    assert KernelParams(8.7e-78)._a2 == 8.7e-78 * 8.7e-78
+    assert KernelParams(-1.15e77 + 1j)._a2 == (-1.15e77 + 1j) ** 2
 
 
 def test_kernel_weight_at_origin():
@@ -761,13 +764,13 @@ def _spy_nodes(monkeypatch):
     """Record each node the next master_integral evaluates, with its value."""
     seen = []
 
-    def spy(f, opts=None):
+    def spy(f, opts=None, peak=0.0):
         def record(x):
             value = f(x)
             seen.append((x, value))
             return value
 
-        return integrate_half_line(record, opts)
+        return integrate_half_line(record, opts, peak)
 
     monkeypatch.setattr(kernel, "integrate_half_line", spy)
     return seen
@@ -839,9 +842,10 @@ def test_kernel_weight_at_float_x_leaves_the_table_untouched():
 
 def _opening_nodes():
     """The nodes of the half-line's opening partition, as the rule computes them."""
-    from quadcheck.quadrature import _FIRST_WINDOW_EDGES, _XGK
+    from quadcheck.quadrature import _XGK, _first_window
+    edges = _first_window(0.0)
     nodes = []
-    for lo, hi in zip(_FIRST_WINDOW_EDGES, _FIRST_WINDOW_EDGES[1:]):
+    for lo, hi in zip(edges, edges[1:]):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes += [c] + [c - h * x for x in _XGK[:7]] + [c + h * x for x in _XGK[:7]]
     return nodes
@@ -927,27 +931,42 @@ _FLAGGED = TransformFunction(lambda k: cmath.cos(0.1 * k), schwarz_symmetric=Tru
 _UNFLAGGED = TransformFunction(lambda k: cmath.cos(0.1 * k))
 
 
+_L_07 = -math.log(0.7)  # the kernel's peak |ln|a|| at a = 0.7 and -0.7
+_L_12I = 0.8047189562170503  # and at a = 1 + 2i: ln sqrt 5
+
+
 @pytest.mark.parametrize("F, a, contour, route", [
-    (_FLAGGED, 0.7, 0.8, (0.8, None)),
+    (_FLAGGED, 0.7, 0.8, (0.8, None, _L_07)),
     # the cap, 3/4 of the way to the pole at Im x = arg a - pi/2, about 0.34774
-    (_FLAGGED, 1 + 2j, 1.0, (0.75 * (0.5 * math.pi - cmath.phase(1 + 2j)), None)),
+    (_FLAGGED, 1 + 2j, 1.0, (0.75 * (0.5 * math.pi - cmath.phase(1 + 2j)), None, _L_12I)),
     # the cap reads -a: at a = -0.7 the pole is as far as at 0.7
-    (_FLAGGED, -0.7, 0.8, (0.8, None)),
-    # |ln a| = 6.91 keeps the axis, 5.99 takes the line
-    (_FLAGGED, 1e-3, 0.8, (0.0, None)),
-    (_FLAGGED, 0.0025, 0.8, (0.8, None)),
-    (_FLAGGED, 1 + 2j, (0.5, 0.1), (0.0, (0.5, 0.1))),
+    (_FLAGGED, -0.7, 0.8, (0.8, None, _L_07)),
+    # every a takes the same rules: far out in a only the peak moves
+    (_FLAGGED, 1e-3, 0.8, (0.8, None, -math.log(1e-3))),
+    (_FLAGGED, 1e77, 0.8, (0.8, None, math.log(1e77))),
+    (_FLAGGED, 1 + 2j, (0.5, 0.1), (0.0, (0.5, 0.1), _L_12I)),
     # the ray band [0.05, 1/pi) is closed below and open above
-    (_FLAGGED, 1 + 2j, (0.5, 0.05), (0.0, (0.5, 0.05))),
-    (_FLAGGED, 1 + 2j, (0.5, 0.049), (0.0, None)),
-    (_FLAGGED, 1 + 2j, (0.5, 1.0 / math.pi), (0.0, None)),
+    (_FLAGGED, 1 + 2j, (0.5, 0.05), (0.0, (0.5, 0.05), _L_12I)),
+    (_FLAGGED, 1 + 2j, (0.5, 0.049), (0.0, None, _L_12I)),
+    (_FLAGGED, 1 + 2j, (0.5, 1.0 / math.pi), (0.0, None, _L_12I)),
     # only a Schwarz F takes the rays
-    (_UNFLAGGED, 1 + 2j, (0.5, 0.1), (0.0, None)),
-    (_FLAGGED, 0.7, -0.0, (0.0, None)),
-], ids=["line", "capped", "negative-a", "far-a-axis", "near-a-line", "rays", "band-low-edge",
-        "below-band", "band-high-edge", "unflagged-pair", "negative-zero-axis"])
+    (_UNFLAGGED, 1 + 2j, (0.5, 0.1), (0.0, None, _L_12I)),
+    (_FLAGGED, 0.7, -0.0, (0.0, None, _L_07)),
+    # the argument of a underflows: cmath.phase would raise OverflowError
+    (_FLAGGED, 2 + 5e-324j, 0.8, (0.8, None, math.log(2.0))),
+    (_FLAGGED, -2 - 5e-324j, 0.8, (0.8, None, math.log(2.0))),
+    # the ray bound: at beta = 0.3, beta pi ln(1/|a|) reaches 52 ln 2 at a = 2.46e-17
+    (_FLAGGED, 1e-16, (0.5, 0.3), (0.0, (0.5, 0.3), -math.log(1e-16))),
+    (_FLAGGED, 1e-65, (0.5, 0.049), (0.0, None, -math.log(1e-65))),
+    (_FLAGGED, 1e65, (0.5, 0.3), (0.0, (0.5, 0.3), math.log(1e65))),
+], ids=["line", "capped", "negative-a", "small-a-line", "large-a-line", "rays",
+        "band-low-edge", "below-band", "band-high-edge", "unflagged-pair", "negative-zero-axis",
+        "subnormal-arg", "subnormal-arg-negative", "rays-within-bound", "axis-past-bound",
+        "large-a-rays"])
 def test_route_decides_the_contour(F, a, contour, route):
-    assert _route(F, KernelParams(a), contour) == route
+    got = _route(F, KernelParams(a), contour)
+    assert got == route
+    assert math.copysign(1.0, got[0]) == 1.0  # -0.0 comes back as the axis, 0.0
 
 
 _CONTOUR_MESSAGE = "contour must be a finite depth >= 0 or one pair (c, real beta >= 0), got "
@@ -962,8 +981,10 @@ _CONTOUR_MESSAGE = "contour must be a finite depth >= 0 or one pair (c, real bet
     (0.7, (0.5, -0.1), _CONTOUR_MESSAGE + "(0.5, -0.1)"),
     (1j, 0.8, "a (1 + a^2) vanishes; identity undefined at a = +/- i"),
     (2j, 0.8, "Re a = 0 puts a kernel pole on the real axis: a = 2j"),
+    (1e-39, (0.5, 0.3), "the rays' head cancels past double precision at (0.5, 0.3), "
+                        "a = (1e-39+0j): beta pi ln(1/|a|) > 52 ln 2"),
 ], ids=["negative", "nan", "text", "short-tuple", "long-tuple", "negative-beta", "a-is-i",
-        "imaginary-a"])
+        "imaginary-a", "ray-cancellation"])
 def test_route_refuses_with_its_message(a, contour, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         _route(_FLAGGED, KernelParams(a), contour)

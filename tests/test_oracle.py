@@ -10,7 +10,9 @@ import math
 import mpmath as mp
 import pytest
 
-from quadcheck import KernelParams, TransformFunction, run_case, verify_master, verify_seed
+from quadcheck import (
+    KernelParams, RoundoffError, TransformFunction, run_case, verify_master, verify_seed,
+)
 from quadcheck.catalog import get_case
 from quadcheck.kernel import master_integral
 
@@ -211,6 +213,22 @@ def test_rotated_cosine_runs_meet_their_error_estimates(a):
         rep = run_case("cosine", {"alpha": alpha, "a": a})
         miss = abs(rep.lhs - _cosine_closed_form(alpha, a))
         assert miss <= rep.diagnostics.error_estimate + 1e-14, (alpha, rep.lhs)
+
+
+@pytest.mark.parametrize("a", [math.exp(-10), 1e-12, math.exp(10), 1e12])
+def test_rotated_cosine_far_out_in_a_meets_its_estimate_or_stops_on_roundoff(a):
+    # from |ln|a|| = 4 on the rays start at |ln|a|| + 8; at small a their
+    # axis head cancels by up to e^{|alpha| pi |ln a|}, and a run that
+    # rounding limits says so
+    for i in range(12):
+        alpha = 0.1 + (1 / math.pi - 0.1) * (i + 0.5) / 12
+        try:
+            rep = run_case("cosine", {"alpha": alpha, "a": a})
+        except RoundoffError:
+            assert a < 1.0
+            continue
+        miss = abs(rep.lhs - _cosine_closed_form(alpha, a))
+        assert miss <= rep.diagnostics.error_estimate, (alpha, rep.lhs)
 
 
 def test_first_zeta_zero_ordinate_matches_mpmath():

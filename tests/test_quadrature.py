@@ -504,6 +504,60 @@ def test_bumps_in_the_first_windows_are_found_or_not_claimed(centre, width):
     assert not r.converged or abs(r.value - exact) <= r.error_estimate
 
 
+def test_the_first_window_never_feeds_the_tail_stop():
+    # [0, 8] holds next to nothing of a bump at 10; were its contribution
+    # read as the newest window's, the sweep would stop there, converged
+    # on 1.1e-21 after 75 evaluations
+    r = integrate_half_line(lambda x: math.exp(-(((x - 10.0) / 0.3) ** 2)))
+    assert r.converged and abs(r.value - 0.3 * math.sqrt(math.pi)) <= r.error_estimate
+    assert r.evaluations == 315 and r.truncation_used == 18.0
+
+
+def test_a_named_peak_opens_the_first_window_around_it():
+    def bump(x):
+        return math.exp(-(((x - 13.0) / 0.2) ** 2))
+
+    with pytest.raises(DivergenceError):
+        integrate_half_line(bump)
+    # the first window is [0, 21], opened at 6.5, 12, 13, 13.5, 14, 15 and 17
+    r = integrate_half_line(bump, peak=13.0)
+    assert r.converged and abs(r.value - 0.2 * math.sqrt(math.pi)) <= r.error_estimate
+    assert r.evaluations == 285 and r.truncation_used == 31.5
+
+
+def test_a_peak_below_4_keeps_the_window_0_to_8_bit_for_bit():
+    def f(x):
+        return math.exp(-x) * math.cos(5.0 * x)
+
+    assert integrate_half_line(f, peak=3.99) == integrate_half_line(f)
+
+
+def test_the_sweep_ends_112_past_the_first_window():
+    # peak 50: the first window ends at 58, the cap at 170
+    r = integrate_half_line(lambda x: math.exp(-abs(x - 50.0) / 3.5), peak=50.0)
+    exact = 3.5 * (2.0 - math.exp(-50.0 / 3.5))
+    assert r.converged and abs(r.value - exact) <= r.error_estimate
+    assert r.truncation_used == 170.0 and r.evaluations == 255
+
+
+def test_a_peak_of_any_real_type_opens_the_same_window():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    def bump(x):
+        return math.exp(-(((x - 13.0) / 0.2) ** 2))
+
+    expected = integrate_half_line(bump, peak=13.0)
+    for peak in (13, Decimal(13), Fraction(13)):
+        assert integrate_half_line(bump, peak=peak) == expected
+
+
+@pytest.mark.parametrize("peak", [-1.0, -1e-300, math.nan, math.inf, 1j, "13", None])
+def test_a_peak_that_is_not_a_finite_real_at_least_0_is_refused(peak):
+    with pytest.raises(DomainError, match="^peak must be a finite real >= 0, got "):
+        integrate_half_line(math.exp, peak=peak)
+
+
 def test_budget_stop_before_the_last_window_is_not_converged():
     # five bisections meet the tolerance on the first window, but the
     # windows beyond it were never looked at
