@@ -19,7 +19,7 @@ from collections.abc import Callable, Mapping
 
 from . import numerics
 from ._frozen import Frozen
-from .errors import DomainError, ParameterError, UnknownCaseError, complex_
+from .errors import DomainError, ParameterError, PoleError, UnknownCaseError, complex_
 from .kernel import (
     DEFAULT_TOLERANCE,
     KernelParams,
@@ -166,7 +166,6 @@ def _zeta(p: Params) -> Transform:
     pi2 = math.pi * math.pi
     two_pi = 2.0 * math.pi
     four_a = 4.0 * a
-    guard = numerics.POLE_GUARD_RADIUS
     # looked up now, not at import: a wrapper put on numerics.zeta still sees every call
     zeta, exp = numerics.zeta, cmath.exp
 
@@ -175,12 +174,12 @@ def _zeta(p: Params) -> Transform:
         num = exp(u * ln_x)
         if not n:
             return num / two_pi
-        s = four_a * u
-        if abs(s - 1.0) < guard:
+        try:
+            return num / (two_pi * zeta(four_a * u) ** n)
+        except PoleError:
             # the closed form at a = 1: the zeta factor in the denominator
             # diverges, so F is 0 there; the contour never comes this close
             return 0j
-        return num / (two_pi * zeta(s) ** n)
 
     return F
 

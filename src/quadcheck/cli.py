@@ -5,7 +5,10 @@ Commands:
 * ``verify-all``      run every built-in case with its default parameters
 * ``verify CASE``     run one built-in case, optionally with ``--param``
 * ``custom --F EXPR`` verify the master identity for a user-supplied F(k)
-* ``kernel-check``    run the seed identity's case ``kernel`` on a point or a 5x5 grid
+* ``kernel-check``    run the seed identity's case ``kernel`` on a 5x5 grid
+
+Every option is taken by its full name only: a shortened flag is a usage
+error, never a silent ``--tol`` or ``--abs-tol``.
 
 Exit codes: 0 all verifications passed, 1 some comparison failed its
 tolerance, 2 usage, expression or domain errors (an F that fails at the
@@ -31,7 +34,7 @@ __all__ = ["main", "main_entry", "parse_complex_literal"]
 _USAGE_EXIT = 2
 _NUMERIC_EXIT = 3
 
-#: default 5x5 grid for kernel-check: a in [0.3, 3], t in [0.2, 2]
+#: kernel-check's 5x5 grid: a in [0.3, 3], t in [0.2, 2]
 _SEED_GRID_A = (0.3, 0.975, 1.65, 2.325, 3.0)
 _SEED_GRID_T = (0.2, 0.65, 1.1, 1.55, 2.0)
 
@@ -39,8 +42,6 @@ _SEED_GRID_T = (0.2, 0.65, 1.1, 1.55, 2.0)
 def parse_complex_literal(text: str) -> complex:
     """Parse "RE", "RE+IMi" or "IMi" (e.g. "0.7", "1+2i", "-3i")."""
     s = text.strip()
-    if not s or any(c.isspace() for c in s):
-        raise ParameterError(f"bad complex literal {text!r}")
     try:
         if s.endswith("i"):
             return complex(s[:-1] + "j")
@@ -137,13 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadcheck",
         description="Numerically verify kernel integral identities.",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p_all = commands.add_parser("verify-all", help="run all built-in cases")
-    _add_common(p_all)
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # options by their full names only: a prefix such as --t would
+        # otherwise be read as --tol
+        return commands.add_parser(name, help=help, allow_abbrev=False)
 
-    p_verify = commands.add_parser("verify", help="run one built-in case")
+    _add_common(command("verify-all", "run all built-in cases"))
+
+    p_verify = command("verify", "run one built-in case")
     p_verify.add_argument("case", help=f"one of: {', '.join(CATALOG_ORDER)}")
     p_verify.add_argument(
         "--param",
@@ -154,23 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_verify)
 
-    p_custom = commands.add_parser(
-        "custom", help="verify the master identity for a custom transform"
-    )
+    p_custom = command("custom", "verify the master identity for a custom transform")
     p_custom.add_argument("--F", required=True, metavar="EXPR",
                           help="transform F(k), e.g. \"1/(k+2)\"")
     p_custom.add_argument("--a", default="1", metavar="VALUE",
                           help="kernel parameter a (complex literal)")
     _add_common(p_custom)
 
-    p_kernel = commands.add_parser(
-        "kernel-check", help="verify the seed identity"
-    )
-    p_kernel.add_argument("--a", default=None, metavar="VALUE",
-                          help="kernel parameter (default: 5x5 grid)")
-    p_kernel.add_argument("--t", default=None, metavar="VALUE",
-                          help="decay parameter (default: 5x5 grid)")
-    _add_common(p_kernel)
+    _add_common(command("kernel-check", "verify the seed identity on a 5x5 (a, t) grid"))
 
     return parser
 
@@ -205,13 +202,8 @@ def _run_custom(ns) -> list[VerificationReport]:
 
 def _run_kernel_check(ns) -> list[VerificationReport]:
     opts = _quad_options(ns)
-    if (ns.a is None) != (ns.t is None):
-        raise ParameterError("kernel-check needs both --a and --t, or neither")
-    if ns.a is not None:
-        points = [(parse_complex_literal(ns.a), parse_complex_literal(ns.t))]
-    else:
-        points = [(a, t) for a in _SEED_GRID_A for t in _SEED_GRID_T]
-    return [run_case("kernel", {"a": a, "t": t}, opts, ns.tol) for a, t in points]
+    return [run_case("kernel", {"a": a, "t": t}, opts, ns.tol)
+            for a in _SEED_GRID_A for t in _SEED_GRID_T]
 
 
 _HANDLERS = {

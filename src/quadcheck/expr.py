@@ -28,6 +28,7 @@ from . import numerics
 from ._frozen import Frozen
 from .errors import (
     FAILURES, DomainError, EvaluationError, ParameterError, ParseError, QuadcheckError, complex_,
+    real,
 )
 from .kernel import TransformFunction, detect_schwarz_symmetry
 
@@ -49,12 +50,21 @@ __all__ = [
 ]
 
 
+# A node checks its own fields once, when it is built, so that evaluating
+# a tree, parsed or built by hand, never meets text or an unknown name.
+
 class Number(Frozen):
     value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", real("a Number holds a finite real", self.value))
 
 
 class Constant(Frozen):
     name: str  # pi | e | i
+
+    def __post_init__(self):
+        _known("constant", self.name, CONSTANTS)
 
 
 class Variable(Frozen):
@@ -74,6 +84,14 @@ class Binary(Frozen):
 class Call(Frozen):
     func: str
     arg: "ExprAst"
+
+    def __post_init__(self):
+        _known("function", self.func, FUNCTIONS)
+
+
+def _known(kind: str, name, table: Mapping) -> None:
+    if not (isinstance(name, str) and name in table):
+        raise EvaluationError(f"unknown {kind} {name!r}")
 
 
 ExprAst = Union[Number, Constant, Variable, Negate, Binary, Call]

@@ -175,6 +175,11 @@ class QuadratureResult(Frozen):
 
 def _first_window(peak: float) -> tuple[float, ...]:
     """The first window's edges: [0, 8] for a peak below 4, else eight rules to peak + 8."""
+    # Fixed edges below 4 keep the line's nodes where they are whatever a is,
+    # so kernel_weight's node table serves every run.  The second formula at
+    # every peak, with edges below 0.5 dropped, took 234 900 evaluations on
+    # catalog seeds 1-2 against 243 360, but on seed 1 the table missed
+    # 66 829 times a round against 1 140, and warm rounds ran slower.
     if peak < 4.0:
         return (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
     return (0.0, 0.5 * peak, peak - 1, peak, peak + 0.5, peak + 1, peak + 2, peak + 4, peak + 8)
@@ -281,8 +286,7 @@ def _gk15(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
         # the power is taken only below 1: above it, it can overflow
         ratio = 200.0 * err / resasc
         err = resasc * ratio**1.5 if ratio < 1.0 else resasc
-    if resabs > 0.0:
-        err = max(err, _FLOOR * resabs)
+    err = max(err, _FLOOR * resabs)
     return resk * h, err, resabs
 
 
@@ -515,7 +519,7 @@ def integrate_real_line(
         return f(x) + f(-x)
 
     try:
-        result = _partition(folded, _first_window(0.0), options(opts), windowed=True)
+        result = integrate_half_line(folded, opts)
     except IntegrandError as exc:
         _eval(f, exc.abscissa)
         _eval(f, -exc.abscissa)

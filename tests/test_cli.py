@@ -234,7 +234,7 @@ def test_far_out_in_a_the_sweep_finds_the_kernel_peak(capsys, argv):
 def test_roundoff_limited_run_exits_3(capsys):
     # custom keeps the real axis: the integral of |f| is about 2.4e4 and the
     # integral 4.8e-3, so rounding alone keeps the error above the tolerance
-    # (the gaussian case takes the same F on the line Im x = -0.8 and passes)
+    # (the gaussian case takes the same F on its line, at depth 1.0, and passes)
     assert main(["custom", "--F", "exp(-0.45*k^2)", "--a", "0.3"]) == 3
     assert "roundoff" in capsys.readouterr().err
 
@@ -242,8 +242,8 @@ def test_roundoff_limited_run_exits_3(capsys):
 def test_zeta_accuracy_warning_is_printed_once_per_run():
     # the zeta case's F at a = 90, on the real axis, calls zeta outside its
     # validated region many times over; Python's default filter shows a
-    # constant message once (the zeta case itself takes the line
-    # Im x = -0.8, where no admissible input leaves the region)
+    # constant message once (the zeta case itself takes its line, at depth
+    # 1.0, where no admissible input leaves the region)
     import os
     import subprocess
     import sys
@@ -284,9 +284,7 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "rational", "--param", "a=0.5i"],  # a kernel pole on the real axis
         ["verify", "rational", "--param", "a=1e300+1e-300i"],  # a^4 beyond double range
         ["verify", "rational", "--param", "a=1e100"],  # and at real a, where it passed
-        ["kernel-check", "--a", "1"],                # missing --t
-        ["kernel-check", "--a", "1+2i", "--t", "1"],  # complex a
-        ["verify", "kernel", "--param", "a=1+2i"],   # the same row, the same rule
+        ["verify", "kernel", "--param", "a=1+2i"],   # complex a: the row's rule
         ["no-such-command"],
         [],
     ]
@@ -302,8 +300,22 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
-def test_kernel_check_single_point(capsys):
-    rc = main(["kernel-check", "--a", "1", "--t", "1", "--format", "json"])
+@pytest.mark.parametrize("argv", [
+    ["custom", "--F", "1/(k-1)", "--a", "0.7", "--t", "2"],  # --t: a prefix of --tol
+    ["verify", "kernel", "--a", "2", "--t", "0.5"],  # of --abs-tol and --tol
+    ["verify", "rational", "--abs", "0.5"],          # of --abs-tol
+    ["verify-all", "--max", "5"],                    # of --max-subdivisions
+    ["kernel-check", "--a", "1", "--t", "1"],        # kernel-check runs its grid only
+], ids=" ".join)
+def test_a_shortened_or_unknown_option_is_a_usage_error(capsys, argv):
+    # a prefix of an option is not that option: read as one, it could turn
+    # a failing check into a pass
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_kernel_case_at_one_point(capsys):
+    rc = main(["verify", "kernel", "--param", "a=1", "--param", "t=1", "--format", "json"])
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)[0]
     _validate_record(rec)
@@ -318,13 +330,15 @@ def test_a_parameter_given_twice_is_refused(capsys):
     assert "'b'" in err and "more than once" in err
 
 
-@pytest.mark.parametrize("a, t", [("1", "1"), ("1.65", "1.1"), ("0.3", "2")])
-def test_kernel_check_is_the_kernel_case(capsys, a, t):
-    assert main(["kernel-check", "--a", a, "--t", t, "--format", "json"]) == 0
-    point = capsys.readouterr().out
+@pytest.mark.parametrize("index", [0, 12, 4])
+def test_kernel_check_is_the_kernel_case(capsys, index):
+    # each record of the grid is verify kernel's record at its point
+    assert main(["kernel-check", "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)[index]
+    a, t = (repr(record["params"][name]["re"]) for name in ("a", "t"))
     assert main(["verify", "kernel", "--param", f"a={a}", "--param", f"t={t}",
                  "--format", "json"]) == 0
-    assert capsys.readouterr().out == point
+    assert capsys.readouterr().out == json.dumps([record], indent=2) + "\n"
 
 
 def test_kernel_check_grid(capsys):
@@ -427,7 +441,7 @@ def test_meaningless_tolerance_exits_2(capsys, tol):
         ["verify", "rational"],
         ["verify-all"],
         ["custom", "--F", "1/(k+2)"],
-        ["kernel-check", "--a", "1", "--t", "1"],
+        ["kernel-check"],
     ):
         assert main([*argv, "--tol", tol]) == 2, argv
         assert "tolerance" in capsys.readouterr().err
@@ -446,8 +460,8 @@ def test_non_finite_quadrature_tolerance_exits_2(capsys, flag, value):
 _CLI_VALUES = ["nan", "inf", "-inf", "1e400", "-1e400"]
 
 _CLI_CELLS = [
-    *(["kernel-check", f"--a={v}", "--t=1"] for v in [*_CLI_VALUES, "1+2i", "x"]),
-    *(["kernel-check", "--a=1", f"--t={v}"] for v in [*_CLI_VALUES, "1+2i", "x"]),
+    *(["verify", "kernel", "--param", f"{name}={v}"]
+      for name in ("a", "t") for v in [*_CLI_VALUES, "1+2i", "x"]),
     *(["verify", "rational", "--param", f"a={v}"] for v in [*_CLI_VALUES, "x"]),
     *(["verify", "rational", "--param", f"b={v}"] for v in [*_CLI_VALUES, "1+2i", "x"]),
     *(["custom", "--F", "1/(k+2)", f"--a={v}"] for v in [*_CLI_VALUES, "x"]),

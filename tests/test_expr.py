@@ -146,6 +146,27 @@ def test_division_by_zero():
         evaluate(parse("1/k"), {"k": 0.0})
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Call("nope", Variable("k")), EvaluationError),
+    (lambda: Call(["exp"], Variable("k")), EvaluationError),
+    (lambda: Constant("tau"), EvaluationError),
+    (lambda: Number("1"), DomainError),
+    (lambda: Number(math.nan), DomainError),
+    (lambda: Number(None), DomainError),
+])
+def test_hand_built_node_with_a_bad_field_is_refused_when_built(build, error):
+    # every failure is typed, and text is no number: each node checks its
+    # fields once, when it is built, never at evaluation
+    with pytest.raises(error):
+        build()
+
+
+def test_hand_built_tree_evaluates_as_its_parse():
+    tree = Binary("+", Call("exp", Negate(Variable("k"))), Binary("*", Number(2), Constant("pi")))
+    assert tree == parse("exp(-k)+2*pi")
+    assert evaluate(tree, {"k": 1j}) == evaluate(parse("exp(-k)+2*pi"), {"k": 1j})
+
+
 def test_domain_errors_propagate():
     with pytest.raises(DomainError):
         evaluate(parse("log(0)"), {})

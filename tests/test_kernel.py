@@ -472,6 +472,18 @@ def test_detect_schwarz_symmetry():
     assert not detect_schwarz_symmetry(broken)
 
 
+def test_symmetry_probe_sees_an_asymmetry_of_2e_10():
+    # F(conj k) - conj F(k) = 2e-10i at every sample, above the probe's
+    # relative tolerance of 1e-12
+    assert not detect_schwarz_symmetry(lambda k: k + 1e-10j)
+
+
+def test_symmetry_probe_reaches_past_its_first_eight_samples():
+    # F is asymmetric only where Re k > 2.9: samples 8 and 21 get there,
+    # none of samples 0 to 7 does
+    assert not detect_schwarz_symmetry(lambda k: 1.0 / (k + 2.0) + (1e-3j if k.real > 2.9 else 0))
+
+
 def test_sample_whose_modulus_overflows_is_skipped_by_the_symmetry_probe():
     # both parts of F are finite and |F| is not: no sample is usable
     assert not detect_schwarz_symmetry(lambda k: complex(1.5e308, 1.5e308))
