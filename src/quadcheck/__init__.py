@@ -11,7 +11,7 @@ The expression language, ``quadcheck.expr``, is imported on first use of
 expression do not pay for it.
 """
 
-from .catalog import CaseDefinition, list_cases, run_case, seed_lhs, seed_rhs
+from .catalog import CaseDefinition, list_cases, run_case
 from .errors import (
     DivergenceError,
     DomainError,
@@ -105,8 +105,6 @@ __all__ = [
     "master_lhs",
     "master_rhs",
     "parse",
-    "seed_lhs",
-    "seed_rhs",
     "reciprocal_gamma",
     "run_case",
     "to_string",

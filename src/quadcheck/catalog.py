@@ -5,11 +5,12 @@ transform F, the kernel parameter, and the scale of the printed form
 against the full-line master integral (1/2 for half-line forms, 1 for the
 full-line one, 4/pi for the sech specializations written in x = y/pi, as
 gamma and the zeta contour are).  The seventh, ``kernel``, is the seed
-identity, F(k) = exp(-t k) at scale 1/2; ``seed_lhs``, ``seed_rhs``,
-``verify_seed`` and the ``kernel-check`` command run it.  Both sides come
-from the one folded half-line path in ``kernel``.  Each case's parameters
-are data too: a default and a rule per name, which ``_instance`` applies
-in one place."""
+identity, F(k) = exp(-t k) at scale 1/2; ``verify_seed`` and the
+``kernel-check`` command run it through ``run_case``, and a report's
+``diagnostics`` and ``rhs`` are its two sides.  Both sides come from the
+one folded half-line path in ``kernel``.  Each case's parameters are data
+too: a default and a rule per name, which ``run_case`` applies in one
+place."""
 
 from __future__ import annotations
 
@@ -19,20 +20,17 @@ from collections.abc import Callable, Mapping
 
 from . import numerics
 from ._frozen import Frozen
-from .errors import DomainError, ParameterError, PoleError, UnknownCaseError, complex_
+from .errors import ParameterError, PoleError, UnknownCaseError, complex_
 from .kernel import (
     DEFAULT_TOLERANCE,
     KernelParams,
     TransformFunction,
     VerificationReport,
     _verify,
-    master_integral,
-    master_rhs,
 )
-from .quadrature import QuadratureOptions, QuadratureResult
+from .quadrature import QuadratureOptions
 
-__all__ = ["CaseDefinition", "list_cases", "get_case", "run_case", "seed_lhs", "seed_rhs",
-           "CATALOG_ORDER"]
+__all__ = ["CaseDefinition", "list_cases", "get_case", "run_case", "CATALOG_ORDER"]
 
 Params = Mapping[str, complex]
 Transform = Callable[[complex], complex]
@@ -301,9 +299,13 @@ def get_case(case_id: str) -> CaseDefinition:
         raise UnknownCaseError(f"unknown case {case_id!r}; known cases: {known}") from None
 
 
-def _instance(case_id: str, params: Mapping[str, complex] | None) -> tuple:
-    """A built-in case at checked parameters: the tuple of the case, the
-    parameters, F, the KernelParams and the contour.
+def run_case(
+    case_id: str,
+    params: Mapping[str, complex] | None = None,
+    opts: QuadratureOptions | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> VerificationReport:
+    """Evaluate both sides of a built-in case and compare.
 
     The one place parameters are checked: ``params`` must be a mapping or
     None, unknown names raise ParameterError, missing ones take the case
@@ -327,39 +329,5 @@ def _instance(case_id: str, params: Mapping[str, complex] | None) -> tuple:
     F = TransformFunction(case.transform(clean), schwarz_symmetric=True, name=case_id)
     kp = KernelParams(clean["a"] if case.kernel_a is None else case.kernel_a)
     contour = case.contour(clean) if callable(case.contour) else case.contour
-    return case, clean, F, kp, contour
-
-
-def run_case(
-    case_id: str,
-    params: Mapping[str, complex] | None = None,
-    opts: QuadratureOptions | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """Evaluate both sides of a built-in case and compare."""
-    case, clean, F, kp, contour = _instance(case_id, params)
     return _verify(case_id, clean, F, kp, opts, tolerance, case.scale, f"case {case_id!r}",
                    case.notes, contour)
-
-
-def _seed_instance(params: KernelParams, t: float) -> tuple:
-    """The ``kernel`` row at the a of ``params`` and at ``t``."""
-    if not isinstance(params, KernelParams):
-        raise DomainError(f"params must be a KernelParams, got {params!r}")
-    return _instance("kernel", {"a": params.a, "t": t})
-
-
-def seed_rhs(params: KernelParams, t: float) -> complex:
-    """Closed form of the seed identity, pi exp(-t(pi^2/4 + ln^2 a)) / (4a(1+a^2)),
-    for real a > 0 and t > 0: the ``kernel`` row's right side."""
-    case, _, F, kp, _ = _seed_instance(params, t)
-    return master_rhs(F, kp, case.scale)
-
-
-def seed_lhs(
-    params: KernelParams, t: float, opts: QuadratureOptions | None = None
-) -> QuadratureResult:
-    """Half-line integral side of the seed identity, for real a > 0 and t > 0:
-    the ``kernel`` row's left side, on the line Im x = -0.8."""
-    case, _, F, kp, contour = _seed_instance(params, t)
-    return master_integral(F, kp, opts, case.scale, contour)

@@ -101,13 +101,8 @@ def _print_table(reports: Sequence[VerificationReport], stream) -> None:
 
 
 def _emit(reports: Sequence[VerificationReport], ns) -> None:
-    records = [report_record(r) for r in reports]
-    if ns.json_path:
-        with open(ns.json_path, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
     if ns.format == "json":
-        json.dump(records, sys.stdout, indent=2)
+        json.dump([report_record(r) for r in reports], sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         _print_table(reports, sys.stdout)
@@ -120,8 +115,6 @@ def _quad_options(ns) -> QuadratureOptions:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                      help="verification tolerance (default 1e-8)")
-    sub.add_argument("--json", dest="json_path", metavar="PATH",
-                     help="also write the JSON report array to PATH")
     sub.add_argument("--format", choices=("table", "json"), default="table",
                      help="stdout format (default table)")
     defaults = QuadratureOptions()
@@ -232,7 +225,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         _emit(reports, ns)
-    except OSError as exc:
+    except OSError as exc:  # stdout is gone, as when its reader has exited
         print(f"quadcheck: cannot write report: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     return 0 if all(r.passed for r in reports) else 1

@@ -312,10 +312,10 @@ def _contribution(segments: list, left: float) -> float:
     return modulus(_totals([s for s in segments if s[1] >= left])[0])
 
 
-def _l1_sum(segments: list, field: int) -> float:
-    """Exact sum of a non-negative field of the segments; inf past double range."""
+def _l1_sum(segments: list) -> float:
+    """Exact sum of the segments' |f| integrals; inf past double range."""
     try:
-        return math.fsum([s[field] for s in segments])
+        return math.fsum([s[4] for s in segments])
     except OverflowError:
         return math.inf
 
@@ -329,9 +329,9 @@ def _partition(
     segment is bisected first and ties break the same way on every run.
     A running total gates the stop test and is re-summed exactly whenever
     it falls ``_RESUM_DROP``-fold below the last exact sum; every stop
-    decision is taken on the exact totals.  The partition opens with one
-    rule between each pair of neighbouring ``edges``.  With ``windowed``,
-    they span the first window, the partition is refined to
+    decision is taken on the exact value and error.  The partition opens
+    with one rule between each pair of neighbouring ``edges``.  With
+    ``windowed``, they span the first window, the partition is refined to
     (1 - _TAIL_FRACTION) of the tolerance, and each time it gets there one
     more geometric window, up to _TAIL_REACH past the first, is appended,
     until the newest window contributes at most ``_TAIL_FRACTION`` of the
@@ -342,7 +342,9 @@ def _partition(
     The settled segments' floors are therefore a lower bound of the error
     of every refinement.  When an exact sum misses the target and that
     bound alone exceeds it, no bisection can help, and the run stops as
-    roundoff limited.  Unsettled segments do not count: a coarse rule's
+    roundoff limited.  The bound is kept as a running sum and never
+    re-summed: it only adds and drops non-negative floors, so its rounding
+    moves it by ulps.  Unsettled segments do not count: a coarse rule's
     |f| integral can be off by more than the margin a run near the limit
     has to spare.
     """
@@ -408,7 +410,6 @@ def _partition(
                 error += e
                 settled_l1 += settled
                 continue
-            settled_l1 = _l1_sum(segments, 5)
             if floor * settled_l1 > fraction * target:
                 roundoff_limited = True
                 break
@@ -443,7 +444,7 @@ def _partition(
         15 * (len(segments) + subdivisions),
         hi if windowed else 0.0,
         converged,
-        _l1_sum(segments, 4),
+        _l1_sum(segments),
         roundoff_limited,
         subdivisions,
     )

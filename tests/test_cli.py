@@ -76,11 +76,10 @@ def test_complex_literal_never_raises_anything_else(text):
 # commands and exit codes
 # ---------------------------------------------------------------------------
 
-def test_verify_all_json(tmp_path, capsys):
-    out = tmp_path / "out.json"
-    rc = main(["verify-all", "--tol", "1e-8", "--json", str(out)])
+def test_verify_all_json(capsys):
+    rc = main(["verify-all", "--tol", "1e-8", "--format", "json"])
     assert rc == 0
-    records = json.loads(out.read_text())
+    records = json.loads(capsys.readouterr().out)
     assert len(records) == 7
     assert [r["case"] for r in records] == [
         "rational", "bessel", "gaussian", "cosine", "gamma", "zeta", "kernel",
@@ -89,15 +88,34 @@ def test_verify_all_json(tmp_path, capsys):
         _validate_record(rec)
         assert rec["pass"] is True
     assert records[3]["experimental"] is True  # cosine default has complex a
-    capsys.readouterr()
 
 
-def test_verify_all_is_deterministic(tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    assert main(["verify-all", "--json", str(out1), "--format", "json"]) == 0
-    assert main(["verify-all", "--json", str(out2), "--format", "json"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_report_file_option_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the JSON report goes to stdout only: --format json > PATH
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify-all", "--json", "out.json"]) == 2
+    assert "unrecognized arguments: --json out.json" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_closed_stdout_exits_2(capsys, monkeypatch, fmt):
+    # as in `quadcheck verify rational | true`: a message, never a traceback
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["verify", "rational", "--format", fmt]) == 2
+    assert "cannot write report: [Errno 32] Broken pipe" in capsys.readouterr().err
+
+
+def test_verify_all_is_deterministic(capsys):
+    assert main(["verify-all", "--format", "json"]) == 0
+    first = capsys.readouterr().out
+    assert main(["verify-all", "--format", "json"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_custom_rational(capsys):
@@ -361,6 +379,14 @@ def test_table_output_carries_notes(capsys):
     assert "case" in out and "rel_diff" in out
 
 
+def test_table_prints_complex_values_and_the_experimental_flag(capsys):
+    # 9 significant digits a part, the imaginary part signed and marked i
+    assert main(["custom", "--F", "1/(k+2+i)", "--a", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row.split()[2:4] == ["0.167417856-0.0374754477i"] * 2
+    assert row.endswith("yes (experimental)")
+
+
 def test_quadrature_overrides_are_honored(capsys):
     rc = main([
         "verify", "rational",
@@ -419,19 +445,11 @@ def test_a_number_that_is_not_finite_is_written_as_null(capsys):
         max_size=5,
     )
 )
-def test_exit_code_contract_over_malformed_argv(tmp_path_factory, argv):
+def test_exit_code_contract_over_malformed_argv(argv):
     # whatever the input, the CLI returns one of the documented codes and
-    # never escapes with a traceback; run in a scratch directory since a
-    # well-formed sample may legitimately write a --json report file
-    import os
-
-    scratch = tmp_path_factory.mktemp("cli-fuzz")
-    old = os.getcwd()
-    os.chdir(scratch)
-    try:
-        rc = main(argv)
-    finally:
-        os.chdir(old)
+    # never escapes with a traceback; no command takes "--json" any more,
+    # and it stays among the tokens
+    rc = main(argv)
     assert rc in (0, 1, 2, 3), argv
 
 

@@ -3,9 +3,12 @@
 ``bench/run.py`` prints a digest of every operation's id, status, lhs bits
 and evaluation count.  A change that keeps every result bit for bit keeps
 the digest; one that moves a single evaluation count or a last bit of an
-lhs does not.  Here the catalog, custom and deep workloads run through the
-benchmark's own ``generate`` and ``Executor``, in this interpreter, and
-their digests are compared with the committed ones.
+lhs does not.  Here the catalog, custom, deep and cli workloads run through
+the benchmark's own ``generate`` and ``Executor``, in this interpreter, and
+their digests are compared with the committed ones.  The cli workload's
+commands run through ``quadcheck.cli.main`` here, not in a child process,
+and give the digest of the child-process runs: it pins each command's exit
+code and, in its JSON records, each case, lhs bit and evaluation count.
 
 Each digest holds for one operation list.  Where a workload's list no
 longer hashes to the value committed beside its digest, the benchmark
@@ -27,6 +30,7 @@ import workloads  # noqa: E402
 #: workload -> (hash of its operation list at seed 1, result digest)
 _COMMITTED = {
     "catalog": ("fe9232a54a525975", "c1fbd04c716e0098"),
+    "cli": ("41094706d49fd0ec", "e388b25ecf956a4b"),
     "custom": ("1417823945ddd159", "ac5e42b9b7798f8e"),
     "deep": ("1793f4f35c1a4a03", "c92d16f0fc730fb8"),
 }

@@ -84,20 +84,21 @@ def _decay(x):
 _ENTRY_POINTS = {
     "run_case params a": lambda v: qc.run_case("rational", {"a": v}),
     "run_case params b": lambda v: qc.run_case("rational", {"b": v}),
+    "run_case params t": lambda v: qc.run_case("kernel", {"t": v}),
     "run_case opts": lambda v: qc.run_case("rational", opts=v),
     "run_case tolerance": lambda v: qc.run_case("rational", tolerance=v),
     "verify_seed a": lambda v: qc.verify_seed(v, 1.0),
     "verify_seed t": lambda v: qc.verify_seed(1.0, v),
     "verify_seed opts": lambda v: qc.verify_seed(1.0, 1.0, opts=v),
     "verify_seed tolerance": lambda v: qc.verify_seed(1.0, 1.0, tolerance=v),
-    "seed_lhs t": lambda v: qc.seed_lhs(_A, v),
-    "seed_lhs opts": lambda v: qc.seed_lhs(_A, 1.0, v),
-    "seed_rhs t": lambda v: qc.seed_rhs(_A, v),
     "KernelParams a": qc.KernelParams,
     "TransformFunction fn": qc.TransformFunction,
     "verify_master opts": lambda v: qc.verify_master(_F, _A, opts=v),
     "verify_master tolerance": lambda v: qc.verify_master(_F, _A, tolerance=v),
     "master_lhs opts": lambda v: qc.master_lhs(_F, _A, v),
+    "master_lhs params": lambda v: qc.master_lhs(_F, v),
+    "master_rhs params": lambda v: qc.master_rhs(_F, v),
+    "master_rhs scale": lambda v: qc.master_rhs(_F, _A, v),
     "QuadratureOptions abs_tol": lambda v: qc.QuadratureOptions(abs_tol=v),
     "QuadratureOptions rel_tol": lambda v: qc.QuadratureOptions(rel_tol=v),
     "QuadratureOptions max_subdivisions": lambda v: qc.QuadratureOptions(max_subdivisions=v),
@@ -269,9 +270,7 @@ _OBJECTS = {
     "verify_master F": (lambda: qc.verify_master(0.7, _A), DomainError),
     "master_lhs F": (lambda: qc.master_lhs("x", _A), DomainError),
     "master_rhs params": (lambda: qc.master_rhs(_F, None), DomainError),
-    "seed_lhs params": (lambda: qc.seed_lhs("x", 1.0), DomainError),
-    "seed_rhs params": (lambda: qc.seed_rhs(0.7, 1.0), DomainError),
-    "seed_rhs params a<0": (lambda: qc.seed_rhs(qc.KernelParams(-0.7), 1.0), DomainError),
+    "verify_seed a<0": (lambda: qc.verify_seed(-0.7, 1.0), ParameterError),
     "schwarz flag text": (
         lambda: qc.TransformFunction(_decay, schwarz_symmetric="no"), DomainError
     ),

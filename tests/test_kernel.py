@@ -29,8 +29,6 @@ from quadcheck import (
     master_lhs,
     master_rhs,
     run_case,
-    seed_lhs,
-    seed_rhs,
     verify_master,
     verify_seed,
 )
@@ -240,41 +238,40 @@ def test_kernel_inversion_covariance():
 
 def test_seed_rhs_values():
     # pi exp(-pi^2/4)/8, computed at 40 digits
-    assert abs(seed_rhs(KernelParams(1.0), 1.0) - 0.033302834812891962106) < 1e-16
+    assert abs(verify_seed(1.0, 1.0).rhs - 0.033302834812891962106) < 1e-16
     # a = e makes ln a = 1
-    assert abs(seed_rhs(KernelParams(math.e), 1.0) - 0.0010745067213364733351) < 1e-16
-    assert abs(seed_rhs(KernelParams(0.7), 2.0) - 0.0041990293686598214479) < 1e-16
+    assert abs(verify_seed(math.e, 1.0).rhs - 0.0010745067213364733351) < 1e-16
+    assert abs(verify_seed(0.7, 2.0).rhs - 0.0041990293686598214479) < 1e-16
 
 
 def test_seed_rhs_inversion_ratio():
     # RHS(1/a) = a^4 RHS(a) for real a, so RHS(2,t)/RHS(0.5,t) = 1/16
     for t in (0.3, 1.0, 1.7):
-        ratio = seed_rhs(KernelParams(2.0), t) / seed_rhs(KernelParams(0.5), t)
+        ratio = verify_seed(2.0, t).rhs / verify_seed(0.5, t).rhs
         assert abs(ratio - 1.0 / 16.0) < 1e-14
 
 
 def test_seed_rhs_rejects_bad_arguments():
     with pytest.raises(DomainError):
-        seed_rhs(KernelParams(1.0), 0.0)
+        verify_seed(1.0, 0.0)
     with pytest.raises(DomainError):
-        seed_rhs(KernelParams(1.0), -1.0)
+        verify_seed(1.0, -1.0)
     with pytest.raises(DomainError):
-        seed_rhs(KernelParams(1j), 1.0)  # a(1+a^2) = 0
+        verify_seed(1j, 1.0)  # a(1+a^2) = 0
 
 
 def test_seed_lhs_matches_rhs():
     for a, t in ((1.0, 1.0), (0.7, 2.0), (3.0, 0.5)):
-        lhs = seed_lhs(KernelParams(a), t)
-        assert lhs.converged
-        rhs = seed_rhs(KernelParams(a), t)
-        assert abs(lhs.value - rhs) <= 1e-9 * abs(rhs), (a, t)
+        rep = run_case("kernel", {"a": a, "t": t})
+        assert rep.diagnostics.converged
+        assert abs(rep.lhs - rep.rhs) <= 1e-9 * abs(rep.rhs), (a, t)
 
 
 def test_seed_lhs_requires_real_positive_a():
     with pytest.raises(DomainError):
-        seed_lhs(KernelParams(1 + 2j), 1.0)
+        verify_seed(1 + 2j, 1.0)
     with pytest.raises(DomainError):
-        seed_lhs(KernelParams(1.0), -2.0)
+        verify_seed(1.0, -2.0)
 
 
 @pytest.mark.parametrize("a,t", [
@@ -289,7 +286,7 @@ def test_seed_lhs_matches_the_direct_seed_integrand(a, t):
 
     oracle = integrate_half_line(f)
     assert oracle.converged
-    lhs = seed_lhs(kp, t)
+    lhs = verify_seed(a, t).diagnostics
     combined = lhs.error_estimate + oracle.error_estimate + 1e-14
     assert abs(lhs.value - oracle.value) <= combined
 

@@ -644,16 +644,61 @@ def test_worst_segment_at_floating_point_resolution_stops_the_run():
     assert r.error_estimate == pytest.approx(0.0368, abs=5e-5)
 
 
-@pytest.mark.xfail(strict=True, reason="the mirrored run spends its whole budget, "
-                   "and its estimate is 8e6 times below the true error")
-def test_singularity_at_the_right_edge_stops_as_its_mirror_does():
-    # the same singularity at the right edge of [0, 1]: today the run makes
-    # all 2000 bisections and 60015 evaluations, and returns 9.7435 with an
-    # estimate of 3.1e-8 where the true error is 0.257
-    r = integrate_finite(lambda x: abs(1.0 - x) ** -0.9 if x != 1.0 else 0.0, 0.0, 1.0)
+_ONE_PLUS_ULP = 1.0 + 2.0**-52
+
+
+@pytest.mark.xfail(strict=True, reason="the stop at floating-point resolution fires only "
+                   "where the singular point is a power of two: these runs spend their whole "
+                   "budget, and their estimates fall 1e6 to 8e6 times below the true error")
+@pytest.mark.parametrize("c, lo, hi, exact", [
+    # the mirror of the pin above: 9.7435 with an estimate of 3.1e-8
+    (1.0, 0.0, 1.0, 10.0),
+    # at the left edge, where the singular point is not a power of two:
+    # 9.70531 with an estimate of 3.6e-8, and 9.76187 with 3.3e-8
+    (3.0, 3.0, 4.0, 10.0),
+    (_ONE_PLUS_ULP, _ONE_PLUS_ULP, _ONE_PLUS_ULP + 1.0, 10.0),
+    # inside the interval: 18.10068 for 18.51529, with an estimate of 3.3e-7
+    (0.3, 0.0, 1.0, 10.0 * (0.3**0.1 + 0.7**0.1)),
+], ids=["right-edge-1", "left-edge-3", "left-edge-1+ulp", "interior-0.3"])
+def test_singularity_at_the_right_edge_stops_as_its_mirror_does(c, lo, hi, exact):
+    # |x - c|^-0.9 with f(c) = 0: today each run makes all 2000 bisections
+    # and 60015 evaluations, and ends unconverged with an estimate far below
+    # its true error
+    r = integrate_finite(lambda x: abs(x - c) ** -0.9 if x != c else 0.0, lo, hi)
     assert not r.converged
     assert r.subdivisions < 2000
-    assert r.error_estimate >= abs(10.0 - r.value) / 10.0
+    assert r.error_estimate >= abs(exact - r.value) / 10.0
+
+
+def test_a_worst_segment_whose_midpoint_rounds_up_stops_the_run():
+    # the stop above from the other side: the midpoint of the one-ulp
+    # segment [1 - 2^-53, 1] rounds up onto 1, so every node of its rule is
+    # 1 and the rule sits at its rounding floor.  With a height at 1 that
+    # makes this floor twice the error of a step on [1, 2], the segment is
+    # the worst while the two errors together miss the tolerance; the run
+    # stops on it at once, where bisecting it would give itself back
+    from quadcheck.quadrature import _FLOOR, _gk15, _partition
+
+    lo = 1.0 - 2.0**-53
+    assert 0.5 * (lo + 1.0) == 1.0
+
+    def step(x):
+        return 1.0 if x >= 1.3 else 0.0
+
+    _, step_error, step_l1 = _gk15(step, 1.0, 2.0)
+    assert step_error > _FLOOR * step_l1  # unsettled
+    height = 2.0 * step_error / (_FLOOR * (1.0 - lo))
+
+    def f(x):
+        return height if x == 1.0 else step(x)
+
+    _, error, l1 = _gk15(f, lo, 1.0)
+    assert error == _FLOOR * l1 > step_error  # settled, and the worst
+    opts = QuadratureOptions(abs_tol=1.25 * error, rel_tol=1e-300)
+    r = _partition(f, (lo, 1.0, 2.0), opts, windowed=False)
+    assert r.subdivisions == 0 and r.evaluations == 30
+    assert not r.converged and not r.roundoff_limited
+    assert r.error_estimate == error + step_error
 
 
 def test_positional_construction_defaults_the_roundoff_diagnostics():
