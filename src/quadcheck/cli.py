@@ -19,6 +19,7 @@ detection, or an integrand that fails at a quadrature node.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -82,30 +83,31 @@ def report_record(report: VerificationReport) -> dict:
     }
 
 
-def _print_table(reports: Sequence[VerificationReport], stream) -> None:
+def _table(reports: Sequence[VerificationReport]) -> str:
     header = f"{'case':<22} {'params':<28} {'lhs':<26} {'rhs':<26} {'rel_diff':<10} pass"
-    print(header, file=stream)
-    print("-" * len(header), file=stream)
+    lines = [header, "-" * len(header)]
     for r in reports:
         params = ", ".join(f"{k}={_format_complex(v)}" for k, v in r.params.items())
         flag = "yes" if r.passed else "NO"
         if r.experimental:
             flag += " (experimental)"
-        print(
+        lines.append(
             f"{r.case_name:<22} {params:<28} {_format_complex(r.lhs):<26} "
-            f"{_format_complex(r.rhs):<26} {r.rel_diff:<10.2e} {flag}",
-            file=stream,
+            f"{_format_complex(r.rhs):<26} {r.rel_diff:<10.2e} {flag}"
         )
         if r.notes:
-            print(f"    note: {r.notes}", file=stream)
+            lines.append(f"    note: {r.notes}")
+    return "\n".join(lines) + "\n"
 
 
 def _emit(reports: Sequence[VerificationReport], ns) -> None:
+    # one write per report: stdout may be unbuffered, and json.dump would
+    # write chunk by chunk (2353 writes for kernel-check's records)
     if ns.format == "json":
-        json.dump([report_record(r) for r in reports], sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        text = json.dumps([report_record(r) for r in reports], indent=2) + "\n"
     else:
-        _print_table(reports, sys.stdout)
+        text = _table(reports)
+    sys.stdout.write(text)
 
 
 def _quad_options(ns) -> QuadratureOptions:
@@ -232,7 +234,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    """The process entry point: ``quadcheck`` and ``python -m quadcheck.cli``."""
+    code = main()
+    # Frozen objects sit in the permanent generation, which the interpreter's
+    # shutdown collections skip, and the OS reclaims their memory when the
+    # process ends.  Freezing the 12 000 objects alive after the import took
+    # 5.6-6.0 ms off each command's wall time (medians of 21 runs, 2-CPU KVM
+    # guest, Python 3.11).  main() never touches the collector: tests and the
+    # benchmark call it in process.
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -388,8 +388,11 @@ def _partition(
             if error <= fraction * target:
                 if not windowed:
                     break
-                # the first window feeds the divergence test, never the tail stop
-                contributions.append(_contribution(segments, window))
+                # the first window feeds the divergence test, never the tail stop;
+                # it spans every segment, so its contribution is |value|, just summed
+                contributions.append(
+                    modulus(value) if window == lo else _contribution(segments, window)
+                )
                 if len(contributions) >= 2 and contributions[-1] <= _TAIL_FRACTION * target:
                     finished = True
                     break

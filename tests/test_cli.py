@@ -1,7 +1,9 @@
 """Command line front end: exit codes, JSON schema, determinism."""
 
+import gc
 import json
 import math
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,29 @@ def test_report_file_option_is_a_usage_error(tmp_path, monkeypatch, capsys):
 class _ClosedPipe:
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
+
+
+class _CountingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-check", "--format", "json"],
+    ["verify-all"],
+])
+def test_a_report_is_written_in_one_call(monkeypatch, argv):
+    # stdout may be unbuffered: json.dump alone made 2353 writes for
+    # kernel-check's records
+    stdout = _CountingStdout()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(argv) == 0
+    assert len(stdout.writes) == 1
+    assert stdout.writes[0].endswith("\n")
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -263,7 +288,6 @@ def test_zeta_accuracy_warning_is_printed_once_per_run():
     # constant message once (the zeta case itself takes its line, at depth
     # 1.0, where no admissible input leaves the region)
     import os
-    import subprocess
     import sys
 
     import quadcheck
@@ -500,8 +524,9 @@ def test_hostile_cli_value_exits_2(capsys, argv):
 
 
 _FOOTPRINT_PROBE = """
-import sys
+import gc, sys
 import quadcheck.cli
+assert gc.get_freeze_count() == 0, "import froze objects"
 heavy = ("dataclasses", "inspect", "quadcheck.expr")
 print(",".join(m for m in heavy if m in sys.modules))
 assert not sys.modules["quadcheck.kernel"]._COMPLEX_TERMS, "import tabulated nodes"
@@ -522,14 +547,13 @@ else:
 """
 
 
-def _run_probe(code: str) -> str:
-    """Run ``code`` in a fresh interpreter on this package; return its stdout.
+def _run_probe(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this package; it must exit 0.
 
     A fresh interpreter because these tests' own imports would hide what
     the package loads.
     """
     import os
-    import subprocess
     import sys
 
     import quadcheck
@@ -540,11 +564,11 @@ def _run_probe(code: str) -> str:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout
+    return proc
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_expr():
-    assert _run_probe(_FOOTPRINT_PROBE).strip() == ""
+    assert _run_probe(_FOOTPRINT_PROBE).stdout.strip() == ""
 
 
 def test_custom_command_loads_expr():
@@ -560,3 +584,27 @@ def test_custom_command_loads_expr():
         "for name in ('parse', 'evaluate', 'to_string'):\n"
         "    assert vars(quadcheck)[name] is getattr(quadcheck.expr, name)\n"
     )
+
+
+def test_the_process_entry_point_freezes_before_it_exits(capsys):
+    # the shutdown collections skip the frozen objects; stdout and the exit
+    # code are main's
+    proc = _run_probe(
+        "import atexit, gc, sys\n"
+        "import quadcheck.cli\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+        "sys.argv = ['quadcheck', 'verify', 'rational', '--format', 'json']\n"
+        "quadcheck.cli.main_entry()\n"
+    )
+    frozen = int(proc.stderr.rsplit("frozen ", 1)[1])
+    assert frozen > 0
+    assert main(["verify", "rational", "--format", "json"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert main(["verify", "rational"]) == 0
+    assert main(["verify", "rational", "--param", "a=nan"]) == 2
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
