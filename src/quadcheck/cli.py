@@ -22,6 +22,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -51,11 +52,11 @@ def parse_complex_literal(text: str) -> complex:
         raise ParameterError(f"bad complex literal {text!r}") from None
 
 
-def _format_complex(z: complex, digits: int = 9) -> str:
+def _format_complex(z: complex) -> str:
     if z.imag == 0.0:
-        return f"{z.real:.{digits}g}"
+        return f"{z.real:.9g}"
     sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.{digits}g}{sign}{abs(z.imag):.{digits}g}i"
+    return f"{z.real:.9g}{sign}{abs(z.imag):.9g}i"
 
 
 def _number(x: float) -> float | None:
@@ -100,18 +101,17 @@ def _table(reports: Sequence[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(reports: Sequence[VerificationReport], ns) -> None:
+def _emit(reports: Sequence[VerificationReport], fmt: str) -> None:
     # one write per report: stdout may be unbuffered, and json.dump would
-    # write chunk by chunk (2353 writes for kernel-check's records)
-    if ns.format == "json":
+    # write chunk by chunk (2353 writes for kernel-check's records).  The
+    # flush makes a buffered stdout fail here, inside main's error boundary,
+    # and not in the interpreter's flush at shutdown
+    if fmt == "json":
         text = json.dumps([report_record(r) for r in reports], indent=2) + "\n"
     else:
         text = _table(reports)
     sys.stdout.write(text)
-
-
-def _quad_options(ns) -> QuadratureOptions:
-    return QuadratureOptions(ns.abs_tol, ns.rel_tol, ns.max_subdivisions)
+    sys.stdout.flush()
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -167,66 +167,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_verify_all(ns) -> list[VerificationReport]:
-    opts = _quad_options(ns)
-    return [run_case(cid, None, opts, ns.tol) for cid in CATALOG_ORDER]
+def _reports(ns) -> list[VerificationReport]:
+    """Run the command ``ns`` names.  ``custom`` verifies its transform;
+    every other command is a list of (case, params) runs."""
+    opts = QuadratureOptions(ns.abs_tol, ns.rel_tol, ns.max_subdivisions)
+    if ns.command == "custom":
+        from . import expr  # only this command parses expressions
 
-
-def _run_verify(ns) -> list[VerificationReport]:
-    opts = _quad_options(ns)
-    params = {}
-    for item in ns.param:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise ParameterError(f"--param expects NAME=VALUE, got {item!r}")
-        name = name.strip()
-        if name in params:
-            raise ParameterError(f"--param {name!r} is given more than once")
-        params[name] = parse_complex_literal(value)
-    return [run_case(ns.case, params, opts, ns.tol)]
-
-
-def _run_custom(ns) -> list[VerificationReport]:
-    from . import expr  # only this command parses expressions
-
-    opts = _quad_options(ns)
-    F = expr.transform(ns.F)
-    params = KernelParams(parse_complex_literal(ns.a))
-    return [verify_master(F, params, opts, ns.tol)]
-
-
-def _run_kernel_check(ns) -> list[VerificationReport]:
-    opts = _quad_options(ns)
-    return [run_case("kernel", {"a": a, "t": t}, opts, ns.tol)
-            for a in _SEED_GRID_A for t in _SEED_GRID_T]
-
-
-_HANDLERS = {
-    "verify-all": _run_verify_all,
-    "verify": _run_verify,
-    "custom": _run_custom,
-    "kernel-check": _run_kernel_check,
-}
+        F = expr.transform(ns.F)
+        return [verify_master(F, KernelParams(parse_complex_literal(ns.a)), opts, ns.tol)]
+    if ns.command == "verify-all":
+        runs = [(case, None) for case in CATALOG_ORDER]
+    elif ns.command == "kernel-check":
+        runs = [("kernel", {"a": a, "t": t}) for a in _SEED_GRID_A for t in _SEED_GRID_T]
+    else:
+        params = {}
+        for item in ns.param:
+            name, sep, value = item.partition("=")
+            if not sep or not name:
+                raise ParameterError(f"--param expects NAME=VALUE, got {item!r}")
+            name = name.strip()
+            if name in params:
+                raise ParameterError(f"--param {name!r} is given more than once")
+            params[name] = parse_complex_literal(value)
+        runs = [(ns.case, params)]
+    return [run_case(case, params, opts, ns.tol) for case, params in runs]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else int(code)
-
-    try:
-        reports = _HANDLERS[ns.command](ns)
+        reports = _reports(ns)
+        _emit(reports, ns.format)
+    except SystemExit as exc:  # argparse's usage error, or --help
+        return 0 if exc.code in (0, None) else int(exc.code)
     except DomainError as exc:  # a refused input: parameters, case ids, expressions
         print(f"quadcheck: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except QuadcheckError as exc:
         print(f"quadcheck: numerical failure: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
-
-    try:
-        _emit(reports, ns)
     except OSError as exc:  # stdout is gone, as when its reader has exited
         print(f"quadcheck: cannot write report: {exc}", file=sys.stderr)
         return _USAGE_EXIT
@@ -236,6 +216,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 def main_entry() -> None:
     """The process entry point: ``quadcheck`` and ``python -m quadcheck.cli``."""
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # The bytes stdout could not take (a report main has exited 2 on,
+        # or --help's text, which argparse drops silently) stay in its
+        # buffer, and the interpreter's flush at shutdown would fail on them
+        # again and exit 120.  The null device takes them.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     # Frozen objects sit in the permanent generation, which the interpreter's
     # shutdown collections skip, and the OS reclaims their memory when the
     # process ends.  Freezing the 12 000 objects alive after the import took

@@ -51,7 +51,8 @@ __all__ = [
 
 
 # A node checks its own fields once, when it is built, so that evaluating
-# a tree, parsed or built by hand, never meets text or an unknown name.
+# a tree, parsed or built by hand, never meets text or an unknown name, and
+# parse reads the tree's rendering back as the same tree.
 
 class Number(Frozen):
     value: float
@@ -70,6 +71,13 @@ class Constant(Frozen):
 class Variable(Frozen):
     name: str
 
+    def __post_init__(self):
+        name = self.name
+        if not (isinstance(name, str) and _IDENT.fullmatch(name)) or name in CONSTANTS:
+            raise EvaluationError(
+                f"bad variable name {name!r}: an identifier that names no constant"
+            )
+
 
 class Negate(Frozen):
     operand: "ExprAst"
@@ -79,6 +87,9 @@ class Binary(Frozen):
     op: str  # + - * / ^
     left: "ExprAst"
     right: "ExprAst"
+
+    def __post_init__(self):
+        _known("operator", self.op, _PREC)
 
 
 class Call(Frozen):
@@ -119,6 +130,7 @@ CONSTANTS = {
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_PREC = 25
 _RIGHT_ASSOC = {"^"}
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 # One token after any whitespace.  Each group is named after its token kind
 # and the first alternative that matches wins, so a "." that starts no number
@@ -126,7 +138,7 @@ _RIGHT_ASSOC = {"^"}
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{_IDENT.pattern})"
     rf"|(?P<op>[{re.escape(''.join(_PREC))}])"
     r"|(?P<lparen>\()|(?P<rparen>\))|(?P<end>\Z)"
     r"|(?P<malformed>\.)|(?P<unexpected>.))",
@@ -309,9 +321,7 @@ def _evaluate(ast: ExprAst, bindings: Mapping[str, complex]) -> complex:
             if right == 0:
                 raise EvaluationError("division by zero")
             return left / right
-        if ast.op == "^":
-            return numerics.cpow(left, right)
-        raise EvaluationError(f"unknown operator {ast.op!r}")
+        return numerics.cpow(left, right)  # ^
     if isinstance(ast, Variable):
         try:
             return bindings[ast.name]

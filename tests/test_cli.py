@@ -113,6 +113,9 @@ class _CountingStdout:
         self.writes.append(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("argv", [
     ["kernel-check", "--format", "json"],
@@ -134,6 +137,36 @@ def test_a_closed_stdout_exits_2(capsys, monkeypatch, fmt):
     monkeypatch.setattr("sys.stdout", _ClosedPipe())
     assert main(["verify", "rational", "--format", fmt]) == 2
     assert "cannot write report: [Errno 32] Broken pipe" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+def test_a_report_that_cannot_be_written_exits_2_on_buffered_stdout(sink):
+    # buffered, the report fits in stdout's buffer and its write succeeds;
+    # the failure comes at the flush, which must not be the interpreter's
+    # own at shutdown (exit 120, "Exception ignored in: <stdout>")
+    import os
+    import sys
+
+    import quadcheck
+
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(quadcheck.__file__)))
+    if sink == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open(sink, os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadcheck.cli", "verify", "rational"],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2, proc.stderr
+    assert "quadcheck: cannot write report: " in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_verify_all_is_deterministic(capsys):
@@ -206,10 +239,10 @@ def test_transform_whose_modulus_overflows_is_a_typed_failure(capsys, F, a, code
 
 def test_an_error_that_is_not_a_quadcheck_error_is_not_caught(monkeypatch):
     # every library failure is typed; anything else is a bug, not an exit code
-    def broken(ns):
+    def broken(*args):
         raise ZeroDivisionError("a bug")
 
-    monkeypatch.setitem(cli._HANDLERS, "verify-all", broken)
+    monkeypatch.setattr(cli, "run_case", broken)
     with pytest.raises(ZeroDivisionError):
         main(["verify-all"])
 

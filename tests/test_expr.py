@@ -153,12 +153,25 @@ def test_division_by_zero():
     (lambda: Number("1"), DomainError),
     (lambda: Number(math.nan), DomainError),
     (lambda: Number(None), DomainError),
+    # rendered as 'pi', which parses as the constant
+    (lambda: Variable("pi"), EvaluationError),
+    (lambda: Variable(123), EvaluationError),
+    (lambda: Variable("2k"), EvaluationError),
+    # rendered as '(1.0%2.0)', which does not parse
+    (lambda: Binary("%", Number(1.0), Number(2.0)), EvaluationError),
+    (lambda: Binary(["+"], Number(1.0), Number(2.0)), EvaluationError),
 ])
 def test_hand_built_node_with_a_bad_field_is_refused_when_built(build, error):
     # every failure is typed, and text is no number: each node checks its
     # fields once, when it is built, never at evaluation
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("call", [lambda: evaluate(1.0, {}), lambda: to_string(Negate("k"))])
+def test_a_tree_that_holds_no_node_is_an_evaluation_error(call):
+    with pytest.raises(EvaluationError, match="unknown AST node"):
+        call()
 
 
 def test_hand_built_tree_evaluates_as_its_parse():
@@ -245,10 +258,45 @@ def _extend(children):
 
 _asts = st.recursive(_leaves, _extend, max_leaves=25)
 
+# Trees as nested tuples, with names and operators good and bad: each is
+# built by _build, where a bad field raises
+_names = st.one_of(
+    st.sampled_from(["k", "b", "q_1", "exp", "pi", "e", "i", "_k", "2k", "k k"]),
+    st.text(max_size=3),
+    st.integers(),
+)
+_ops = st.one_of(st.sampled_from("+-*/^"), st.sampled_from(["%", "**", "", " +"]), st.text(max_size=2))
+_specs = st.recursive(
+    st.one_of(_numbers, _constants, st.tuples(st.just(Variable), _names)),
+    lambda children: st.one_of(
+        st.tuples(st.just(Negate), children),
+        st.tuples(st.just(Binary), _ops, children, children),
+        st.tuples(st.just(Call), st.sampled_from(sorted(FUNCTIONS)), children),
+    ),
+    max_leaves=10,
+)
+
+
+def _build(spec):
+    if not isinstance(spec, tuple):
+        return spec
+    node, *fields = spec
+    return node(*(_build(field) for field in fields))
+
 
 @settings(max_examples=200, deadline=None)
 @given(_asts)
 def test_roundtrip_parse_of_canonical_rendering(ast):
+    assert parse(to_string(ast)) == ast
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs)
+def test_a_hand_built_tree_is_refused_or_round_trips(spec):
+    try:
+        ast = _build(spec)
+    except EvaluationError:
+        return
     assert parse(to_string(ast)) == ast
 
 

@@ -144,6 +144,15 @@ def test_overflowing_integrand_reports_abscissa():
         integrate_finite(f, 0.0, 40.0)
 
 
+def test_real_line_integrand_whose_folded_sum_overflows_fails_at_its_node():
+    # f(x) and f(-x) are finite, and only their sum, the folded value, is
+    # not: the error names the first node the rules evaluate, the centre of
+    # the first window [0, 0.5]
+    with pytest.raises(IntegrandError) as err:
+        integrate_real_line(lambda x: 1e308)
+    assert err.value.abscissa == 0.25
+
+
 def _reference_gk15(f, lo, hi):
     # reference rule: every value is made complex and checked for
     # finiteness by _eval before it enters the sums

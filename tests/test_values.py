@@ -10,6 +10,7 @@ import pytest
 from quadcheck import (
     CaseDefinition,
     DomainError,
+    EvaluationError,
     KernelParams,
     QuadratureOptions,
     QuadratureResult,
@@ -18,7 +19,7 @@ from quadcheck import (
     integrate_half_line,
     integrate_real_line,
 )
-from quadcheck._frozen import replace
+from quadcheck._frozen import Frozen, replace
 from quadcheck.catalog import get_case
 from quadcheck.expr import Binary, Call, Constant, Negate, Number, Variable, _Token
 
@@ -133,10 +134,22 @@ def test_bad_arguments_raise_type_error(cls, args, other):
 
 
 def test_nodes_of_different_classes_never_compare_equal():
-    assert Variable("e") != Constant("e")
-    assert Constant("pi") != Variable("pi")
+    # a Variable may not take a constant's name, so the two never share
+    # their one field; equality still tests the class, as between any two
+    # classes with the same fields
+    with pytest.raises(EvaluationError, match="bad variable name 'e'"):
+        Variable("e")
+
+    class Name(Frozen):
+        name: str
+
+    class Other(Frozen):
+        name: str
+
+    assert Name("e") != Other("e") and Other("pi") != Name("pi")
+    assert Constant("pi") != Name("pi")
     assert Number(1.0) != 1.0
-    assert len({Variable("e"), Constant("e")}) == 2
+    assert len({Name("e"), Other("e")}) == 2
 
 
 def test_defaults():
