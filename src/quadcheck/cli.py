@@ -101,17 +101,29 @@ def _table(reports: Sequence[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(reports: Sequence[VerificationReport], fmt: str) -> None:
-    # one write per report: stdout may be unbuffered, and json.dump would
+def _write(text: str, file=None) -> None:
+    # one write per text: stdout may be unbuffered, and json.dump would
     # write chunk by chunk (2353 writes for kernel-check's records).  The
     # flush makes a buffered stdout fail here, inside main's error boundary,
     # and not in the interpreter's flush at shutdown
+    file = file or sys.stdout
+    file.write(text)
+    file.flush()
+
+
+def _emit(reports: Sequence[VerificationReport], fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps([report_record(r) for r in reports], indent=2) + "\n"
+        _write(json.dumps([report_record(r) for r in reports], indent=2) + "\n")
     else:
-        text = _table(reports)
-    sys.stdout.write(text)
-    sys.stdout.flush()
+        _write(_table(reports))
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own drops an OSError from its write, so --help into a
+        # stdout that cannot take it exited 0; this one exits 2, as a
+        # report does
+        _write(self.format_help(), file)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -130,7 +142,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadcheck",
         description="Numerically verify kernel integral identities.",
         allow_abbrev=False,
@@ -219,10 +231,10 @@ def main_entry() -> None:
     try:
         sys.stdout.flush()
     except OSError:
-        # The bytes stdout could not take (a report main has exited 2 on,
-        # or --help's text, which argparse drops silently) stay in its
-        # buffer, and the interpreter's flush at shutdown would fail on them
-        # again and exit 120.  The null device takes them.
+        # The bytes stdout could not take (a report or a help text main
+        # has exited 2 on) stay in its buffer, and the interpreter's flush
+        # at shutdown would fail on them again and exit 120.  The null
+        # device takes them.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -58,7 +58,11 @@ class Number(Frozen):
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", real("a Number holds a finite real", self.value))
+        value = real("a Number holds a finite real", self.value)
+        if math.copysign(1.0, value) < 0:
+            # rendered as '-1.0' or '-0.0', which parses as a Negate
+            raise EvaluationError(f"a Number holds no sign, got {value!r}: negate it instead")
+        object.__setattr__(self, "value", value)
 
 
 class Constant(Frozen):

@@ -3,12 +3,16 @@
 import gc
 import json
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadcheck
 from quadcheck import ParameterError, cli
 from quadcheck.cli import main, parse_complex_literal
 
@@ -41,6 +45,19 @@ def _validate_record(rec):
     assert isinstance(rec["evaluations"], int)
     assert isinstance(rec["truncation"], float)
     assert isinstance(rec["experimental"], bool)
+
+
+def _python(args, stdout=subprocess.PIPE, text=True, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter on this package, with ``env``
+    set in its environment (None unsets a name)."""
+    child_env = dict(os.environ, PYTHONPATH=str(Path(quadcheck.__file__).resolve().parents[1]))
+    for name, value in env.items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    return subprocess.run([sys.executable, *args], env=child_env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=text, timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +161,30 @@ def test_a_report_that_cannot_be_written_exits_2_on_buffered_stdout(sink):
     # buffered, the report fits in stdout's buffer and its write succeeds;
     # the failure comes at the flush, which must not be the interpreter's
     # own at shutdown (exit 120, "Exception ignored in: <stdout>")
-    import os
-    import sys
-
-    import quadcheck
-
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(quadcheck.__file__)))
     if sink == "closed pipe":
         read_end, stdout = os.pipe()
         os.close(read_end)
     else:
         stdout = os.open(sink, os.O_WRONLY)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadcheck.cli", "verify", "rational"],
-            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
-        )
+        proc = _python(["-m", "quadcheck.cli", "verify", "rational"], stdout=stdout,
+                       PYTHONUNBUFFERED=None)
     finally:
         os.close(stdout)
+    _assert_cannot_write(proc)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=" ".join)
+def test_help_that_stdout_cannot_take_exits_2(argv, unbuffered):
+    # argparse's own print_help drops the OSError of its write: exit 0,
+    # and nothing written
+    with open("/dev/full", "w") as full:
+        proc = _python(["-m", "quadcheck.cli", *argv], stdout=full, PYTHONUNBUFFERED=unbuffered)
+    _assert_cannot_write(proc)
+
+
+def _assert_cannot_write(proc):
     assert proc.returncode == 2, proc.stderr
     assert "quadcheck: cannot write report: " in proc.stderr
     assert "Exception ignored" not in proc.stderr
@@ -320,19 +341,9 @@ def test_zeta_accuracy_warning_is_printed_once_per_run():
     # validated region many times over; Python's default filter shows a
     # constant message once (the zeta case itself takes its line, at depth
     # 1.0, where no admissible input leaves the region)
-    import os
-    import sys
-
-    import quadcheck
-
-    env = dict(os.environ)
-    env.pop("PYTHONWARNINGS", None)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quadcheck.__file__)))
-    env["PYTHONPATH"] = src
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadcheck.cli", "custom",
-         "--F", "0.5^(k/pi^2)/(2*pi*zeta(360*k/pi^2))", "--a", "1"],
-        env=env, capture_output=True, text=True, timeout=120,
+    proc = _python(
+        ["-m", "quadcheck.cli", "custom", "--F", "0.5^(k/pi^2)/(2*pi*zeta(360*k/pi^2))", "--a", "1"],
+        PYTHONWARNINGS=None,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stderr.count("AccuracyWarning") == 1, proc.stderr[:2000]
@@ -488,6 +499,79 @@ def test_a_number_that_is_not_finite_is_written_as_null(capsys):
     assert rec["pass"] is False
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("verify-all", 0),
+    ("kernel-check", 0),
+    # the one command that also runs detect_schwarz_symmetry
+    ("custom --F 1/(k+2) --a 0.7", 0),
+    # a record with a null rel_diff, as above
+    ("custom --F (k-2.4674011002723395)*1e10/(k-1) --a 1", 1),
+])
+def test_default_json_is_the_same_bytes_in_every_process(argv, code):
+    # hash order, which varies from process to process, never reaches the
+    # report; and the report is strict JSON
+    first, second = (
+        _python(["-m", "quadcheck.cli", *argv.split(), "--format", "json"], text=False,
+                PYTHONHASHSEED=seed)
+        for seed in ("0", "1")
+    )
+    assert first.returncode == second.returncode == code, first.stderr
+    assert first.stdout == second.stdout
+    json.loads(first.stdout, parse_constant=_refuse_constant)
+
+
+# Runs whose argv no other test here takes whole: the exit code, and a
+# text stderr holds (a passing run writes nothing there)
+@pytest.mark.parametrize("argv, code, text", [
+    ("kernel-check", 0, ""),
+    # the seed identity is the catalog's kernel case
+    ("verify kernel --param a=1.65 --param t=1.1", 0, ""),
+    ("verify zeta --param a=1", 0, ""),
+    # alpha*pi < 1 verifies on the steepest-descent rays; at a = 0.0025
+    # head and rays cancel; a = 1+2i by default, and Re a > 0 > Im a
+    ("verify cosine --param alpha=0.3 --param a=1", 0, ""),
+    ("verify cosine --param alpha=0.3 --param a=0.0025", 0, ""),
+    ("verify cosine --param alpha=0.3", 0, ""),
+    ("verify cosine --param alpha=-0.25 --param a=3-1i", 0, ""),
+    # |alpha| = 0.05 is the ray band's inclusive lower edge; below it the
+    # pair keeps the axis
+    ("verify cosine --param alpha=0.05 --param a=1", 0, ""),
+    ("verify cosine --param alpha=0.049", 0, ""),
+    ("verify rational --param a=-0.7", 0, ""),
+    # n = 0 puts no zeta zero in F, so every a > 0 is kept
+    ("verify zeta --param n=0 --param a=1000", 0, ""),
+    # on its line the gaussian converges past the real axis's rounding
+    # limit; at a = 1+2i the line's depth is capped at pi/2 - arg a
+    ("verify gaussian --param b=0.45", 0, ""),
+    ("verify gaussian --param b=2", 0, ""),
+    ("verify gaussian --param b=0.45 --param a=1+2i", 0, ""),
+    # an F without the Schwarz symmetry, at real and at complex a
+    ("custom --F 1/(k+2)+i*exp(-k) --a 0.7", 0, ""),
+    ("custom --F 1/(k+2)+i*exp(-k) --a 1+0.5i", 0, ""),
+    ("verify rational --param a=2+5e-324i", 0, ""),
+    ("verify cosine --param alpha=0.35 --param a=1", 3, "not decreasing"),
+    ("custom --F exp(-0.45*k^2) --a 0.3", 3, "limited by roundoff"),
+    ("custom --F zeta(5+10000*i)/(k+2) --a 1", 3, "past its table"),
+    ("verify zeta --param n=5", 2, "must be an integer in 0..4"),
+    ("custom --F 1/(k+2) --a nan", 2, "must be finite"),
+    ("verify rational --tol 1e400", 2, "tolerance must be positive and finite"),
+    ("verify rational --param b=2 --param b=5", 2, "more than once"),
+])
+@pytest.mark.filterwarnings("ignore:zeta is evaluated outside")  # the zeta table row
+def test_command_line_run(capsys, argv, code, text):
+    assert main(argv.split()) == code
+    err = capsys.readouterr().err
+    assert text in err if text else err == ""
+
+
+def test_the_installed_script_is_main_entry():
+    # the one fact CI's smoke of the installed quadcheck relies on
+    tomllib = pytest.importorskip("tomllib", reason="Python 3.10 has no tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"quadcheck": "quadcheck.cli:main_entry"}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(
@@ -586,22 +670,24 @@ def _run_probe(code: str) -> subprocess.CompletedProcess:
     A fresh interpreter because these tests' own imports would hide what
     the package loads.
     """
-    import os
-    import sys
-
-    import quadcheck
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(quadcheck.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _python(["-c", code])
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_expr():
     assert _run_probe(_FOOTPRINT_PROBE).stdout.strip() == ""
+
+
+def test_library_import_leaves_out_the_command_line_json_and_expr():
+    # the import the catalog benchmark times; only main_entry freezes
+    _run_probe(
+        "import gc, sys\n"
+        "import quadcheck\n"
+        "heavy = {'argparse', 'json', 'quadcheck.cli', 'quadcheck.expr'} & set(sys.modules)\n"
+        "assert not heavy, sorted(heavy)\n"
+        "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+    )
 
 
 def test_custom_command_loads_expr():

@@ -153,6 +153,9 @@ def test_division_by_zero():
     (lambda: Number("1"), DomainError),
     (lambda: Number(math.nan), DomainError),
     (lambda: Number(None), DomainError),
+    # rendered as '-1.0' and '-0.0', which parse as Negate(Number(...))
+    (lambda: Number(-1.0), EvaluationError),
+    (lambda: Number(-0.0), EvaluationError),
     # rendered as 'pi', which parses as the constant
     (lambda: Variable("pi"), EvaluationError),
     (lambda: Variable(123), EvaluationError),
@@ -240,9 +243,8 @@ def test_purity():
 # property tests
 # ---------------------------------------------------------------------------
 
-_numbers = st.floats(
-    min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
-).map(lambda x: Number(abs(x)))
+_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_numbers = _floats.map(lambda x: Number(abs(x)))
 _variables = st.sampled_from(["k", "b", "w"]).map(Variable)
 _constants = st.sampled_from(["pi", "e", "i"]).map(Constant)
 _leaves = st.one_of(_numbers, _variables, _constants)
@@ -267,7 +269,7 @@ _names = st.one_of(
 )
 _ops = st.one_of(st.sampled_from("+-*/^"), st.sampled_from(["%", "**", "", " +"]), st.text(max_size=2))
 _specs = st.recursive(
-    st.one_of(_numbers, _constants, st.tuples(st.just(Variable), _names)),
+    st.one_of(st.tuples(st.just(Number), _floats), _constants, st.tuples(st.just(Variable), _names)),
     lambda children: st.one_of(
         st.tuples(st.just(Negate), children),
         st.tuples(st.just(Binary), _ops, children, children),
@@ -297,6 +299,18 @@ def test_a_hand_built_tree_is_refused_or_round_trips(spec):
         ast = _build(spec)
     except EvaluationError:
         return
+    assert parse(to_string(ast)) == ast
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_a_number_round_trips_or_is_refused_for_its_sign(x):
+    if math.copysign(1.0, x) < 0:
+        with pytest.raises(EvaluationError, match="holds no sign"):
+            Number(x)
+        ast = Negate(Number(-x))
+    else:
+        ast = Number(x)
     assert parse(to_string(ast)) == ast
 
 
