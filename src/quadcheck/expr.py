@@ -22,7 +22,7 @@ import cmath
 import math
 import re
 import sys
-from typing import Iterator, Mapping, Union
+from collections.abc import Iterator, Mapping
 
 from . import numerics
 from ._frozen import Frozen
@@ -109,7 +109,7 @@ def _known(kind: str, name, table: Mapping) -> None:
         raise EvaluationError(f"unknown {kind} {name!r}")
 
 
-ExprAst = Union[Number, Constant, Variable, Negate, Binary, Call]
+ExprAst = Number | Constant | Variable | Negate | Binary | Call
 
 FUNCTIONS = {
     "exp": cmath.exp,

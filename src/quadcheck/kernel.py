@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from ._frozen import Frozen
 from .errors import (

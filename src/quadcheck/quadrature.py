@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from ._frozen import Frozen, replace
 from .errors import (

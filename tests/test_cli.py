@@ -177,8 +177,8 @@ def test_a_report_that_cannot_be_written_exits_2_on_buffered_stdout(sink):
 @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=" ".join)
 def test_help_that_stdout_cannot_take_exits_2(argv, unbuffered):
-    # argparse's own print_help drops the OSError of its write: exit 0,
-    # and nothing written
+    # help goes through the report's writer, so a write that fails exits 2
+    # as a report does, never 0 with nothing written
     with open("/dev/full", "w") as full:
         proc = _python(["-m", "quadcheck.cli", *argv], stdout=full, PYTHONUNBUFFERED=unbuffered)
     _assert_cannot_write(proc)
@@ -386,6 +386,55 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
+def test_help_lists_every_command_and_option_of_the_table(capsys):
+    assert main(["--help"]) == 0
+    top = capsys.readouterr().out
+    assert top.startswith("usage: quadcheck COMMAND")
+    for command, (_, options) in cli._COMMANDS.items():
+        assert f"  {command} " in top
+        assert main([command, "-h"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: quadcheck {command}")
+        assert all(f"  {name} " in text for name in options)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "quadcheck: error: the following arguments are required: command"),
+    (["nosuch"], "quadcheck: error: argument command: invalid choice: 'nosuch' "
+                 "(choose from 'verify-all', 'verify', 'custom', 'kernel-check')"),
+    (["verify"], "quadcheck verify: error: the following arguments are required: case"),
+    (["custom", "--a", "1"], "quadcheck custom: error: the following arguments are required: --F"),
+    (["verify-all", "--tol"], "quadcheck verify-all: error: argument --tol: expected one argument"),
+    (["verify-all", "--tol", "x"],
+     "quadcheck verify-all: error: argument --tol: invalid float value: 'x'"),
+    (["kernel-check", "--max-subdivisions=2.5"],
+     "quadcheck kernel-check: error: argument --max-subdivisions: invalid int value: '2.5'"),
+    (["verify", "zeta", "--format", "xml"], "quadcheck verify: error: argument --format: "
+                                            "invalid choice: 'xml' (choose from 'table', 'json')"),
+    # a bad value is refused as it is read, before an unknown token
+    (["verify-all", "--bogus", "--tol", "x"],
+     "quadcheck verify-all: error: argument --tol: invalid float value: 'x'"),
+    (["verify", "rational", "bessel", "--json"],
+     "quadcheck verify: error: unrecognized arguments: bessel --json"),
+], ids=lambda v: (" ".join(v) or "no-command") if isinstance(v, list) else None)
+def test_a_usage_error_gives_usage_then_the_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: quadcheck ")
+    assert error == message
+    assert captured.out == ""
+
+
+def test_the_last_value_of_an_option_wins_and_param_repeats(capsys):
+    argv = ["verify", "rational", "--format", "table", "--tol", "1e-30", "--param", "a=0.5",
+            "--format=json", "--tol=1e-8", "--param=b=3"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)[0]
+    assert record["pass"] is True
+    assert {name: value["re"] for name, value in record["params"].items()} == {"a": 0.5, "b": 3.0}
+
+
 @pytest.mark.parametrize("argv", [
     ["custom", "--F", "1/(k-1)", "--a", "0.7", "--t", "2"],  # --t: a prefix of --tol
     ["verify", "kernel", "--a", "2", "--t", "0.5"],  # of --abs-tol and --tol
@@ -499,6 +548,36 @@ def test_a_number_that_is_not_finite_is_written_as_null(capsys):
     assert rec["pass"] is False
 
 
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "\u00a0", "\u2028", "\U0001f600"]),
+))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_the_record_writer_is_json_dumps_with_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_a_transform_with_a_tab_and_a_no_break_space_reaches_the_case_key(capsys):
+    # expr's token pattern skips any white space; the text is kept whole
+    F = "1/(k\t+\u00a02)"
+    assert main(["custom", "--F", F, "--a", "0.7", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"case": "master[1/(k\\t+\\u00a02)]"' in out
+    records = json.loads(out)
+    assert records[0]["case"] == f"master[{F}]"
+    assert out == json.dumps(records, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("argv, code", [
     ("verify-all", 0),
     ("kernel-check", 0),
@@ -556,6 +635,14 @@ def test_default_json_is_the_same_bytes_in_every_process(argv, code):
     ("custom --F 1/(k+2) --a nan", 2, "must be finite"),
     ("verify rational --tol 1e400", 2, "tolerance must be positive and finite"),
     ("verify rational --param b=2 --param b=5", 2, "more than once"),
+    # the token after an option is its value, even where it begins with "-"
+    ("custom --F -exp(-k) --a 0.7", 0, ""),
+    ("custom --F=-exp(-k) --a=0.7", 0, ""),
+    ("custom --F 1/(k+2) --a -1-0.5i", 0, ""),
+    ("custom --F 1/(k+2) --a=-1-0.5i", 0, ""),
+    ("custom --F 1/(k+2) --a -3i", 2, "Re a = 0 puts a kernel pole"),
+    ("custom --F 1/(k+2) --a=-3i", 2, "Re a = 0 puts a kernel pole"),
+    ("verify rational --param -3i", 2, "expects NAME=VALUE, got '-3i'"),
 ])
 @pytest.mark.filterwarnings("ignore:zeta is evaluated outside")  # the zeta table row
 def test_command_line_run(capsys, argv, code, text):
@@ -636,7 +723,7 @@ _CLI_CELLS = [
 @pytest.mark.parametrize("argv", _CLI_CELLS, ids=" ".join)
 def test_hostile_cli_value_exits_2(capsys, argv):
     assert main(argv) == 2
-    # reported as the library's refusal or as argparse's usage error
+    # reported as the library's refusal or as a usage error of the option table
     assert capsys.readouterr().err.startswith(("quadcheck: ", "usage: "))
 
 
@@ -644,7 +731,7 @@ _FOOTPRINT_PROBE = """
 import gc, sys
 import quadcheck.cli
 assert gc.get_freeze_count() == 0, "import froze objects"
-heavy = ("dataclasses", "inspect", "quadcheck.expr")
+heavy = ("argparse", "dataclasses", "gettext", "inspect", "json", "locale", "quadcheck.expr")
 print(",".join(m for m in heavy if m in sys.modules))
 assert not sys.modules["quadcheck.kernel"]._COMPLEX_TERMS, "import tabulated nodes"
 import quadcheck
@@ -677,6 +764,15 @@ def _run_probe(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_expr():
     assert _run_probe(_FOOTPRINT_PROBE).stdout.strip() == ""
+
+
+def test_no_import_path_loads_typing():
+    # without site, whose .pth files may import typing themselves (certifi's
+    # does), the package's own imports show; expr is the custom command's
+    proc = _python(["-S", "-c", "import sys, quadcheck.cli, quadcheck.expr\n"
+                                "print('typing' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 def test_library_import_leaves_out_the_command_line_json_and_expr():
