@@ -48,8 +48,8 @@ _QUADRATURE = QuadratureOptions()
 #: name without dashes is positional.  A default of None makes the option
 #: required; a default of () makes it repeat, each value appended.
 _COMMON = {
-    "--tol": (float, DEFAULT_TOLERANCE, "verification tolerance (default 1e-8)"),
-    "--format": (("table", "json"), "table", "stdout format, table or json (default table)"),
+    "--tol": (float, DEFAULT_TOLERANCE, "verification tolerance"),
+    "--format": (("table", "json"), "table", "stdout format, table or json"),
     "--abs-tol": (float, _QUADRATURE.abs_tol, "quadrature absolute tolerance"),
     "--rel-tol": (float, _QUADRATURE.rel_tol, "quadrature relative tolerance"),
     "--max-subdivisions": (int, _QUADRATURE.max_subdivisions, "adaptive bisection budget"),
@@ -66,7 +66,7 @@ _COMMANDS = {
     }),
     "custom": ("verify the master identity for a custom transform", {
         "--F": (str, None, 'the transform F(k), an expression such as "1/(k+2)"'),
-        "--a": (str, "1", "kernel parameter a, a complex literal (default 1)"),
+        "--a": (str, "1", "kernel parameter a, a complex literal"),
         **_COMMON,
     }),
     "kernel-check": ("verify the seed identity on a 5x5 (a, t) grid", _COMMON),
@@ -79,6 +79,8 @@ def parse_complex_literal(text: str) -> complex:
     """Parse "RE", "RE+IMi" or "IMi" (e.g. "0.7", "1+2i", "-3i")."""
     s = text.strip()
     try:
+        if "_" in s:  # float() takes "1_0" as 10; a literal has no digit separator
+            raise ValueError
         if s.endswith("i"):
             return complex(s[:-1] + "j")
         return complex(float(s))
@@ -213,7 +215,8 @@ def _help(command: str) -> str:
     for any other."""
     if command:
         about, options = _COMMANDS[command]
-        rows = {name: spec[2] for name, spec in options.items()}
+        rows = {name: text if default in (None, ()) else f"{text} (default {default})"
+                for name, (_, default, text) in options.items()}
     else:
         about = "Numerically verify kernel integral identities."
         rows = {name: spec[0] for name, spec in _COMMANDS.items()}

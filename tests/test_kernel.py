@@ -34,7 +34,6 @@ from quadcheck import (
 )
 from quadcheck import kernel
 from quadcheck.catalog import _LINE_SHIFT, list_cases
-from quadcheck.cli import _SEED_GRID_A, _SEED_GRID_T
 from quadcheck.kernel import (
     _COMPLEX_TERMS,
     _COMPLEX_TERMS_CAP,
@@ -46,18 +45,13 @@ from quadcheck.kernel import (
 )
 
 
+# the values tests/test_inputs.py's corpus lacks, or refused there by a
+# wider class
 @pytest.mark.parametrize("call, error", [
     (lambda: run_case("rational", {"a": "x"}), ParameterError),
     (lambda: run_case("rational", {"a": None}), ParameterError),
-    (lambda: KernelParams("x"), DomainError),
-    (lambda: verify_seed("x", 1.0), DomainError),
-    (lambda: verify_seed(1.0, "x"), DomainError),
     (lambda: verify_seed(1.0, 1j), DomainError),
-    (lambda: verify_seed(1.0, math.inf), DomainError),
-    (lambda: verify_seed(1.0, 10**400), DomainError),
-    (lambda: verify_seed(10**400, 1.0), DomainError),
-], ids=["case-str", "case-none", "kernel-str", "seed-a-str", "seed-t-str", "seed-t-complex",
-        "seed-t-inf", "seed-t-huge", "seed-a-huge"])
+], ids=["case-str", "case-none", "seed-t-complex"])
 def test_non_numeric_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
@@ -68,11 +62,7 @@ def _direct_kernel(a: complex, x: float) -> complex:
     return math.cosh(x) / (1.0 + 2.0 * a * a * math.cosh(2.0 * x) + a**4)
 
 
-def test_kernel_params_validation():
-    with pytest.raises(DomainError):
-        KernelParams(0.0)
-    with pytest.raises(DomainError):
-        KernelParams(complex(math.inf, 0))
+def test_kernel_params_is_real_positive():
     assert KernelParams(0.7).is_real_positive
     assert not KernelParams(-1.0).is_real_positive
     assert not KernelParams(1 + 2j).is_real_positive
@@ -291,15 +281,6 @@ def test_seed_lhs_matches_the_direct_seed_integrand(a, t):
     assert abs(lhs.value - oracle.value) <= combined
 
 
-def test_seed_grid_evaluation_count():
-    # the 5x5 grid of kernel-check, on the line Im x = -0.8; each point's
-    # cost is deterministic
-    total = sum(
-        verify_seed(a, t).diagnostics.evaluations for a in _SEED_GRID_A for t in _SEED_GRID_T
-    )
-    assert total == 3645
-
-
 def test_verify_seed_report():
     rep = verify_seed(1.0, 1.0, tolerance=1e-9)
     assert rep.passed
@@ -449,6 +430,15 @@ def test_false_schwarz_flag_fails_the_verification():
     assert right.experimental
 
 
+def test_master_lhs_inversion_covariance():
+    # K_{1/a} = a^4 K_a, so the integral side moves with it
+    F = TransformFunction(lambda k: 1.0 / (k + 1.0), schwarz_symmetric=True)
+    for a in (0.3, 0.7, 1.0, 2.0, 5.0):
+        lhs_inv = master_lhs(F, KernelParams(1.0 / a)).value
+        lhs = master_lhs(F, KernelParams(a)).value
+        assert abs(lhs_inv - a**4 * lhs) < 1e-8 * abs(lhs_inv), a
+
+
 def test_master_rhs_inversion_covariance():
     F = TransformFunction(lambda k: 1.0 / (k + 3.0), schwarz_symmetric=True)
     for a in (0.3, 0.8, 2.5):
@@ -583,59 +573,6 @@ def test_report_past_double_range_is_refused_at_the_closed_form():
     for lhs, rhs in ((1.5e8 * (1 + 1e-10) + 1.5e8j, 1.5e8 * (1 + 1j)), (1.0 + 0j, 1e-310 + 0j)):
         rep = _report(lhs, rhs)
         assert rep.rel_diff == rep.abs_diff / max(abs(rhs), REL_DIFF_FLOOR)
-
-
-#: The verdict of the default runs, bit for bit: (case, abs_diff.hex(),
-#: rel_diff.hex(), passed) for each catalog row at its defaults ...
-_DEFAULT_VERDICTS = [
-    ("rational", "0x0.0p+0", "0x0.0p+0", True),
-    ("bessel", "0x0.0p+0", "0x0.0p+0", True),
-    ("gaussian", "0x1.e000000000000p-55", "0x1.37821375069b3p-49", True),
-    ("cosine", "0x1.04760c95db310p-56", "0x1.9f3282d7d261ep-53", True),
-    ("gamma", "0x0.0p+0", "0x0.0p+0", True),
-    ("zeta", "0x1.0000000000000p-56", "0x1.894f8eba5764ap-53", True),
-    ("kernel", "0x1.0000000000000p-56", "0x1.e070885f90562p-52", True),
-]
-
-#: ... and (a, t, abs_diff.hex(), rel_diff.hex(), passed) on kernel-check's grid.
-_GRID_VERDICTS = [
-    (0.3, 0.2, "0x1.0000000000000p-52", "0x1.d29b073008fe1p-53", True),
-    (0.3, 0.65, "0x0.0p+0", "0x0.0p+0", True),
-    (0.3, 1.1, "0x1.0000000000000p-57", "0x1.ef38ab60878bbp-53", True),
-    (0.3, 1.55, "0x1.0000000000000p-60", "0x1.68c09629f9ff7p-53", True),
-    (0.3, 2.0, "0x1.0000000000000p-63", "0x1.06cbc98c54f55p-53", True),
-    (0.975, 0.2, "0x0.0p+0", "0x0.0p+0", True),
-    (0.975, 0.65, "0x1.0000000000000p-56", "0x1.816e18c3578e0p-53", True),
-    (0.975, 1.1, "0x1.0000000000000p-56", "0x1.2490738412240p-51", True),
-    (0.975, 1.55, "0x1.0000000000000p-57", "0x1.bc25b0ce728dfp-51", True),
-    (0.975, 2.0, "0x1.8000000000000p-60", "0x1.f9b37b9ab87b7p-52", True),
-    (1.65, 0.2, "0x0.0p+0", "0x0.0p+0", True),
-    (1.65, 0.65, "0x1.0000000000000p-57", "0x1.6e21989642a41p-52", True),
-    (1.65, 1.1, "0x1.0000000000000p-58", "0x1.3706b451cc67dp-51", True),
-    (1.65, 1.55, "0x1.8000000000000p-61", "0x1.8c527b83831bfp-52", True),
-    (1.65, 2.0, "0x1.4000000000000p-61", "0x1.188f9eec83358p-50", True),
-    (2.325, 0.2, "0x0.0p+0", "0x0.0p+0", True),
-    (2.325, 0.65, "0x0.0p+0", "0x0.0p+0", True),
-    (2.325, 1.1, "0x1.0000000000000p-62", "0x1.39182e05997c9p-53", True),
-    (2.325, 1.55, "0x1.0000000000000p-63", "0x1.474d011c96878p-52", True),
-    (2.325, 2.0, "0x1.0000000000000p-66", "0x1.5626d89e9d167p-53", True),
-    (3.0, 0.2, "0x0.0p+0", "0x0.0p+0", True),
-    (3.0, 0.65, "0x1.0000000000000p-61", "0x1.a02b0c2fe0322p-53", True),
-    (3.0, 1.1, "0x0.0p+0", "0x0.0p+0", True),
-    (3.0, 1.55, "0x1.4000000000000p-64", "0x1.bbd120a73ed22p-51", True),
-    (3.0, 2.0, "0x1.8000000000000p-66", "0x1.5bd7aab282b3cp-50", True),
-]
-
-
-def _verdict(rep):
-    return rep.abs_diff.hex(), rep.rel_diff.hex(), rep.passed
-
-
-def test_default_verdicts_are_pinned_bit_for_bit():
-    rows = [case.case_id for case in list_cases()]
-    assert [(c, *_verdict(run_case(c))) for c in rows] == _DEFAULT_VERDICTS
-    grid = [(a, t) for a in _SEED_GRID_A for t in _SEED_GRID_T]
-    assert [(a, t, *_verdict(verify_seed(a, t))) for a, t in grid] == _GRID_VERDICTS
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1.0, math.inf, "x", "1e-8", None, 1e-8j])

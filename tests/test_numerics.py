@@ -299,11 +299,6 @@ def test_gamma_and_reciprocal_are_real_on_the_real_axis(x):
     assert reciprocal_gamma(x).imag == 0
 
 
-def test_gamma_rejects_nonfinite():
-    with pytest.raises(DomainError):
-        gamma(complex(math.inf, 0.0))
-
-
 def test_reciprocal_gamma_matches_gamma():
     rng = random.Random(5)
     for _ in range(300):

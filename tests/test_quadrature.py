@@ -42,8 +42,6 @@ def test_finite_rejects_bad_interval():
         integrate_finite(lambda x: 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         integrate_finite(lambda x: 1.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        integrate_finite(lambda x: 1.0, 0.0, math.inf)
 
 
 @pytest.mark.parametrize("hi", [10**400, "sNaN", "NaN"])
@@ -338,15 +336,6 @@ def test_budget_exhaustion_sets_converged_false():
     assert not r.converged
     assert r.error_estimate > 0
     assert r.evaluations == 15 + 3 * 30  # one rule, then two per bisection
-
-
-def test_options_validation():
-    with pytest.raises(DomainError):
-        QuadratureOptions(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureOptions(rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        QuadratureOptions(max_subdivisions=0)
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
